@@ -2,13 +2,10 @@
 
 from .decode import (
     AnchorSet,
-    BoxAttributes,
     CandidateBox,
-    DecodedBox,
+    DecodedGrid,
     RawGrid,
-    confidence,
     decode_grid,
-    filter_and_nms,
 )
 from .geometry import box_iou, temporal_iou
 from .linker import (
@@ -33,9 +30,8 @@ from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 __all__ = [
     "AnchorSet",
-    "BoxAttributes",
     "CandidateBox",
-    "DecodedBox",
+    "DecodedGrid",
     "DetectionStream",
     "EvalReport",
     "FinalTube",
@@ -52,10 +48,8 @@ __all__ = [
     "box_iou",
     "build_targets",
     "check_gradients",
-    "confidence",
     "decode_grid",
     "evaluate",
-    "filter_and_nms",
     "frame_map",
     "link_stream",
     "loss_gradient",

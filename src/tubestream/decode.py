@@ -16,6 +16,7 @@ Attribute layout along the last tensor axis::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,14 @@ from scipy.special import expit, softmax
 from .geometry import Box, box_iou
 
 ATTR_X, ATTR_Y, ATTR_W, ATTR_H, ATTR_ACT = range(5)
+
+# Per-class lists up to this length go through the scalar ``nms_boxes``: on a
+# handful of boxes numpy's per-call cost exceeds the whole greedy loop.  The
+# matrix path overtakes it at about 10 boxes that rarely overlap and at about
+# 20 boxes that all overlap one another.
+SMALL_NMS = 16
+# Rows of the overlap matrix computed at once, bounding the float temporaries.
+OVERLAP_BLOCK = 64
 
 
 def attr_width(n_classes: int) -> int:
@@ -40,8 +49,8 @@ class AnchorSet:
         if not self.sizes:
             raise ValueError("anchor set must contain at least one anchor")
         for w, h in self.sizes:
-            if w <= 0 or h <= 0:
-                raise ValueError(f"anchor sizes must be positive, got ({w}, {h})")
+            if not (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0):
+                raise ValueError(f"anchor sizes must be finite and positive, got ({w}, {h})")
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -51,7 +60,8 @@ class AnchorSet:
 class RawGrid:
     """One frame's raw (pre-activation) detection tensor.
 
-    ``values`` is indexed ``[cell_y][cell_x][anchor][attribute]``.
+    ``values`` is indexed ``[cell_y][cell_x][anchor][attribute]`` and must be
+    finite.
     """
 
     s_cells: int
@@ -66,32 +76,27 @@ class RawGrid:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.size != np.prod(expected):
             raise ValueError(f"grid values have {arr.size} elements, expected {np.prod(expected)} for shape {expected}")
+        if not np.isfinite(arr).all():
+            raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", arr.reshape(expected))
 
 
-@dataclass(frozen=True)
-class BoxAttributes:
-    """Activated attributes of one decoded box.
+@dataclass(frozen=True, eq=False)
+class DecodedGrid:
+    """Every (cell, anchor) slot of one frame, activated and decoded.
 
-    ``offsets`` holds the activated center offsets (x, y in [0, 1], relative
-    to the owning cell) and the raw width/height offsets (unbounded).
-    ``class_scores`` sums to one; ``progression`` and ``rates`` are
-    independent per-class probabilities.
+    All arrays are indexed ``[cell_y, cell_x, anchor]``.  ``geometry`` holds
+    ``(x_min, y_min, x_max, y_max)`` on the last axis; the per-class arrays
+    have ``C`` entries there.  ``class_scores`` sums to one over the classes;
+    ``progression`` and ``rates`` are independent per-class probabilities.
     """
 
-    actionness: float
-    offsets: tuple[float, float, float, float]
-    class_scores: tuple[float, ...]
-    progression: tuple[float, ...]
-    rates: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DecodedBox:
-    cell: tuple[int, int]  # (cell_x, cell_y)
-    anchor: int
-    attrs: BoxAttributes
-    geometry: Box
+    geometry: np.ndarray  # (S, S, B, 4)
+    actionness: np.ndarray  # (S, S, B)
+    class_scores: np.ndarray  # (S, S, B, C)
+    progression: np.ndarray  # (S, S, B, C)
+    rates: np.ndarray  # (S, S, B, C)
+    confidence: np.ndarray  # (S, S, B, C): actionness * class_scores * progression
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,17 @@ class CandidateBox:
     rate: float
 
 
-def decode_grid(raw: RawGrid, anchors: AnchorSet) -> list[DecodedBox]:
+def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     """Activate a raw grid and decode every (cell, anchor) slot to a box.
 
     Pure function: identical inputs produce bit-identical outputs.  Geometry
-    is clamped to the unit square; centers stay strictly inside it for any
-    finite logits, so areas are always positive.
+    is clamped to the unit square and centers stay strictly inside it; a box
+    has positive area unless a size logit is so negative that its half-size
+    vanishes against the center coordinate.
     """
     if len(anchors) != raw.n_anchors:
         raise ValueError(f"anchor set has {len(anchors)} entries, grid declares {raw.n_anchors}")
-    s, b, c = raw.s_cells, raw.n_anchors, raw.n_classes
+    s, c = raw.s_cells, raw.n_classes
     v = raw.values
 
     sig_xy = expit(v[..., ATTR_X : ATTR_Y + 1])
@@ -123,49 +129,29 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> list[DecodedBox]:
     rate = expit(v[..., 5 + 2 * c : 5 + 3 * c])
 
     prior = np.asarray(anchors.sizes, dtype=np.float64)  # (B, 2)
-    size = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s  # (S, S, B, 2)
+    half = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s / 2.0  # (S, S, B, 2)
 
     grid_x = np.arange(s, dtype=np.float64)[None, :, None]
     grid_y = np.arange(s, dtype=np.float64)[:, None, None]
-    center_x = (grid_x + sig_xy[..., 0]) / s
-    center_y = (grid_y + sig_xy[..., 1]) / s
-
-    x_min = np.clip(center_x - size[..., 0] / 2.0, 0.0, 1.0)
-    x_max = np.clip(center_x + size[..., 0] / 2.0, 0.0, 1.0)
-    y_min = np.clip(center_y - size[..., 1] / 2.0, 0.0, 1.0)
-    y_max = np.clip(center_y + size[..., 1] / 2.0, 0.0, 1.0)
-
-    out = []
-    for cy in range(s):
-        for cx in range(s):
-            for j in range(b):
-                attrs = BoxAttributes(
-                    actionness=float(act[cy, cx, j]),
-                    offsets=(
-                        float(sig_xy[cy, cx, j, 0]),
-                        float(sig_xy[cy, cx, j, 1]),
-                        float(v[cy, cx, j, ATTR_W]),
-                        float(v[cy, cx, j, ATTR_H]),
-                    ),
-                    class_scores=tuple(float(x) for x in cls[cy, cx, j]),
-                    progression=tuple(float(x) for x in prog[cy, cx, j]),
-                    rates=tuple(float(x) for x in rate[cy, cx, j]),
-                )
-                geometry = (
-                    float(x_min[cy, cx, j]),
-                    float(y_min[cy, cx, j]),
-                    float(x_max[cy, cx, j]),
-                    float(y_max[cy, cx, j]),
-                )
-                out.append(DecodedBox(cell=(cx, cy), anchor=j, attrs=attrs, geometry=geometry))
-    return out
+    center = np.stack(((grid_x + sig_xy[..., 0]) / s, (grid_y + sig_xy[..., 1]) / s), axis=-1)
+    geometry = np.clip(np.concatenate((center - half, center + half), axis=-1), 0.0, 1.0)
+    return DecodedGrid(geometry, act, cls, prog, rate, act[..., None] * cls * prog)
 
 
-def confidence(attrs: BoxAttributes, class_id: int) -> float:
-    """Composite per-class confidence: actionness * class score * progression."""
-    if not 0 <= class_id < len(attrs.class_scores):
-        raise IndexError(f"class_id {class_id} out of range")
-    return attrs.actionness * attrs.class_scores[class_id] * attrs.progression[class_id]
+def select_candidates(decoded: DecodedGrid, score_threshold: float) -> list[CandidateBox]:
+    """The (slot, class) pairs whose confidence exceeds ``score_threshold``,
+    class by class and, within a class, in slot order (cell_y, cell_x, anchor).
+    All classes of a slot share one geometry tuple."""
+    n_classes = decoded.confidence.shape[-1]
+    conf = decoded.confidence.reshape(-1, n_classes).T  # (C, slots)
+    class_ids, slots = np.nonzero(conf > score_threshold)
+    geometry = [tuple(g) for g in decoded.geometry.reshape(-1, 4).tolist()]
+    scores = conf[class_ids, slots].tolist()
+    rates = decoded.rates.reshape(-1, n_classes).T[class_ids, slots].tolist()
+    return [
+        CandidateBox(class_id, geometry[slot], score, rate)
+        for class_id, slot, score, rate in zip(class_ids.tolist(), slots.tolist(), scores, rates)
+    ]
 
 
 def nms_boxes(candidates: list[CandidateBox], nms_iou: float) -> list[CandidateBox]:
@@ -181,36 +167,61 @@ def nms_boxes(candidates: list[CandidateBox], nms_iou: float) -> list[CandidateB
     return kept
 
 
-def filter_and_nms(
-    decoded: list[DecodedBox],
-    score_threshold: float = 1e-3,
-    nms_iou: float = 0.45,
-) -> dict[int, list[CandidateBox]]:
-    """Reduce decoded boxes to per-class candidate lists.
+def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
+    """``over[i, j]`` is ``box_iou(geometry[i], geometry[j]) > nms_iou``, with
+    ``box_iou``'s arithmetic, for an (n, 4) array of finite boxes."""
+    x1, y1, x2, y2 = geometry.T
+    area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
+    over = np.empty((len(geometry), len(geometry)), dtype=bool)
+    for lo in range(0, len(geometry), OVERLAP_BLOCK):
+        rows = slice(lo, lo + OVERLAP_BLOCK)
+        ix = np.minimum(x2[rows, None], x2) - np.maximum(x1[rows, None], x1)
+        iy = np.minimum(y2[rows, None], y2) - np.maximum(y1[rows, None], y1)
+        inter = ix * iy
+        union = area[rows, None] + area - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            over[rows] = (ix > 0.0) & (iy > 0.0) & (union > 0.0) & (inter / union > nms_iou)
+    return over
 
-    Every class is handled independently: one decoded box can survive as a
-    candidate for several classes, each carrying that class's confidence and
-    progress rate.  Boxes with confidence <= ``score_threshold`` are dropped
-    before NMS.
+
+def nms_frame(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+    """Per-class threshold + greedy NMS over one frame's mixed-class boxes.
+
+    Returns, class by class in ascending order, what ``nms_boxes`` returns
+    for that class's boxes with confidence above ``score_threshold``: the
+    same objects in the same order.  Classes with more than ``SMALL_NMS``
+    boxes share one overlap matrix over their distinct geometries, so a
+    geometry that several classes carry is compared once.  Boxes must be
+    finite.
     """
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
         raise ValueError("nms_iou must lie in (0, 1)")
-    n_classes = len(decoded[0].attrs.class_scores) if decoded else 0
-    per_class: dict[int, list[CandidateBox]] = {}
-    for class_id in range(n_classes):
-        cands = []
-        for db in decoded:
-            score = confidence(db.attrs, class_id)
-            if score > score_threshold:
-                cands.append(
-                    CandidateBox(
-                        class_id=class_id,
-                        geometry=db.geometry,
-                        confidence=score,
-                        rate=db.attrs.rates[class_id],
-                    )
-                )
-        per_class[class_id] = nms_boxes(cands, nms_iou)
-    return per_class
+    by_class: dict[int, list[CandidateBox]] = {}
+    for bx in boxes:
+        if bx.confidence > score_threshold:
+            by_class.setdefault(bx.class_id, []).append(bx)
+    out: list[CandidateBox] = []
+    rows = None
+    for class_id in sorted(by_class):
+        group = by_class[class_id]
+        if len(group) <= SMALL_NMS:
+            out.extend(nms_boxes(group, nms_iou))
+            continue
+        if rows is None:  # one matrix over the distinct geometries of every large class
+            index: dict[Box, int] = {}
+            rows = {
+                c: [index.setdefault(bx.geometry, len(index)) for bx in g]
+                for c, g in by_class.items()
+                if len(g) > SMALL_NMS
+            }
+            over = overlap_matrix(np.array(list(index), dtype=np.float64), nms_iou)
+        row = rows[class_id]
+        conf = np.fromiter((bx.confidence for bx in group), dtype=np.float64, count=len(group))
+        suppressed = np.zeros(len(over), dtype=bool)
+        for i in np.argsort(-conf, kind="stable").tolist():
+            if not suppressed[row[i]]:
+                out.append(group[i])
+                suppressed |= over[row[i]]
+    return out

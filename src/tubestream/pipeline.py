@@ -17,22 +17,10 @@ from typing import Iterable, Iterator
 
 from . import records
 from .config import RunConfig
-from .decode import CandidateBox, decode_grid, filter_and_nms, nms_boxes
+from .decode import CandidateBox, decode_grid, nms_frame, select_candidates
 from .linker import OnlineLinker, SpillStore, link_stream
 from .metrics import EvalReport, evaluate
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
-
-
-def nms_frame(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
-    """Per-class threshold + NMS over one frame's mixed-class box list."""
-    by_class: dict[int, list[CandidateBox]] = {}
-    for bx in boxes:
-        if bx.confidence > score_threshold:
-            by_class.setdefault(bx.class_id, []).append(bx)
-    out: list[CandidateBox] = []
-    for class_id in sorted(by_class):
-        out.extend(nms_boxes(by_class[class_id], nms_iou))
-    return out
 
 
 def iter_frames(
@@ -59,12 +47,10 @@ def run_decode(config: RunConfig, grids_path: str, out_path: str) -> int:
     n = 0
     with records.DetectionWriter(out_path) as writer:
         for video_id, frame, grid in frames:
-            decoded = decode_grid(grid, anchors)
-            per_class = filter_and_nms(decoded, config.score_threshold, config.nms_iou)
-            for class_id in sorted(per_class):
-                for box in per_class[class_id]:
-                    writer.add(video_id, frame, box)
-                    n += 1
+            boxes = select_candidates(decode_grid(grid, anchors), config.score_threshold)
+            for box in nms_frame(boxes, config.score_threshold, config.nms_iou):
+                writer.add(video_id, frame, box)
+                n += 1
     return n
 
 
@@ -105,7 +91,6 @@ def run_link(
 def link_parsed_stream(
     stream: DetectionStream,
     config: RunConfig,
-    apply_nms: bool = True,
 ) -> tuple[list[FinalTube], list[tuple[str, int, CandidateBox]]]:
     """In-memory link of one parsed stream; also returns the post-NMS rows
     (the frame-level detections that the evaluation stage scores)."""
@@ -113,9 +98,7 @@ def link_parsed_stream(
     frame_rows: list[tuple[str, int, CandidateBox]] = []
     frames = []
     for t in stream.ordered_frames():
-        boxes = stream.boxes_at(t)
-        if apply_nms:
-            boxes = nms_frame(boxes, config.score_threshold, config.nms_iou)
+        boxes = nms_frame(stream.boxes_at(t), config.score_threshold, config.nms_iou)
         frames.append((t, boxes))
         frame_rows.extend((stream.video_id, t, bx) for bx in boxes)
     tubes = link_stream(frames, config=linker_cfg, video_id=stream.video_id)

@@ -22,7 +22,8 @@ Annotations (one box per covered frame, count implied by the range)::
     <video_id> <class_id> <t_start> <t_end> <frame,x1,y1,x2,y2>...
 
 Raw grids (header declares the grid and anchor priors; one frame per line,
-values in ``[cell_y][cell_x][anchor][attribute]`` order)::
+values in ``[cell_y][cell_x][anchor][attribute]`` order; every number must be
+finite)::
 
     #tubestream rawgrid v1
     grid <S> <B> <C>
@@ -333,8 +334,11 @@ def read_rawgrids(path: str) -> tuple[tuple[int, int, int], AnchorSet, Iterator[
             w_h = tok.split(",")
             if len(w_h) != 2:
                 raise RecordError(path, 3, f"anchor must be w,h: {tok!r}")
-            sizes.append((float(w_h[0]), float(w_h[1])))
-        anchors = AnchorSet(tuple(sizes))
+            sizes.append(w_h)
+        try:
+            anchors = AnchorSet(tuple((float(w), float(h)) for w, h in sizes))
+        except ValueError as exc:
+            raise RecordError(path, 3, f"bad anchors: {exc}") from None
     except Exception:
         fh.close()
         raise
@@ -353,9 +357,9 @@ def read_rawgrids(path: str) -> tuple[tuple[int, int, int], AnchorSet, Iterator[
                 video_id = parts[1]
                 frame = _int_field(parts[2], path, line_no, "frame")
                 try:
-                    values = np.array(parts[3:], dtype=np.float64)
-                except ValueError:
-                    raise RecordError(path, line_no, "non-numeric grid value") from None
-                yield video_id, frame, RawGrid(s, b, c, values)
+                    grid = RawGrid(s, b, c, np.array(parts[3:], dtype=np.float64))
+                except ValueError as exc:
+                    raise RecordError(path, line_no, f"bad grid values: {exc}") from None
+                yield video_id, frame, grid
 
     return (s, b, c), anchors, frames()

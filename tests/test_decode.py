@@ -1,25 +1,31 @@
 """Grid decoding, confidence composition, and per-class NMS."""
 
+import dataclasses
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubestream import decode
+from tubestream.config import RunConfig
 from tubestream.decode import (
     ATTR_ACT,
     AnchorSet,
-    BoxAttributes,
     CandidateBox,
     RawGrid,
     attr_width,
-    confidence,
     decode_grid,
-    filter_and_nms,
     nms_boxes,
+    nms_frame,
+    select_candidates,
 )
 from tubestream.geometry import box_iou
+from tubestream.pipeline import run_decode
+from tubestream.records import DetectionWriter, read_rawgrids, write_rawgrids
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -33,54 +39,89 @@ def random_grid(seed: int, s: int = 3, b: int = 2, c: int = 3, scale: float = 3.
     return grid, anchors
 
 
+def one_slot(n_classes: int, act: float, cls: tuple[float, ...], prog: tuple[float, ...]):
+    """Decode a 1x1x1 grid with the given actionness, class and progression logits."""
+    values = np.zeros((1, 1, 1, attr_width(n_classes)))
+    values[0, 0, 0, ATTR_ACT] = act
+    values[0, 0, 0, 5 : 5 + n_classes] = cls
+    values[0, 0, 0, 5 + n_classes : 5 + 2 * n_classes] = prog
+    return decode_grid(RawGrid(1, 1, n_classes, values), AnchorSet(((1.0, 1.0),)))
+
+
+def scalar_candidates(decoded, score_threshold: float) -> list[CandidateBox]:
+    """Slot-by-slot thresholding with Python floats, class by class."""
+    s, _, b, c = decoded.confidence.shape
+    out = []
+    for class_id in range(c):
+        for cy in range(s):
+            for cx in range(s):
+                for j in range(b):
+                    score = (
+                        float(decoded.actionness[cy, cx, j])
+                        * float(decoded.class_scores[cy, cx, j, class_id])
+                        * float(decoded.progression[cy, cx, j, class_id])
+                    )
+                    if score > score_threshold:
+                        geometry = tuple(float(x) for x in decoded.geometry[cy, cx, j])
+                        out.append(CandidateBox(class_id, geometry, score, float(decoded.rates[cy, cx, j, class_id])))
+    return out
+
+
+def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+    """The scalar oracle of ``nms_frame``: ``nms_boxes`` class by class."""
+    classes = sorted({bx.class_id for bx in boxes})
+    return [
+        kept
+        for c in classes
+        for kept in nms_boxes([bx for bx in boxes if bx.class_id == c and bx.confidence > score_threshold], nms_iou)
+    ]
+
+
 class TestDecodeGrid:
     def test_zero_logits_symmetry(self):
         raw = RawGrid(2, 1, 1, np.zeros((2, 2, 1, 8)))
         decoded = decode_grid(raw, AnchorSet(((1.0, 1.0),)))
-        assert len(decoded) == 4
-        for db in decoded:
-            cx, cy = db.cell
-            assert db.attrs.actionness == 0.5
-            assert db.attrs.class_scores == (1.0,)
-            assert db.attrs.progression == (0.5,)
-            assert db.attrs.rates == (0.5,)
-            center = ((cx + 0.5) / 2, (cy + 0.5) / 2)
-            x1, y1, x2, y2 = db.geometry
-            assert (x1 + x2) / 2 == pytest.approx(center[0], abs=1e-12)
-            assert (y1 + y2) / 2 == pytest.approx(center[1], abs=1e-12)
-            assert x2 - x1 == pytest.approx(0.5, abs=1e-12)
-            assert y2 - y1 == pytest.approx(0.5, abs=1e-12)
+        assert decoded.geometry.shape == (2, 2, 1, 4)
+        assert decoded.confidence.shape == (2, 2, 1, 1)
+        assert (decoded.actionness == 0.5).all()
+        assert (decoded.class_scores == 1.0).all()
+        assert (decoded.progression == 0.5).all()
+        assert (decoded.rates == 0.5).all()
+        for cy in range(2):
+            for cx in range(2):
+                center = ((cx + 0.5) / 2, (cy + 0.5) / 2)
+                x1, y1, x2, y2 = decoded.geometry[cy, cx, 0]
+                assert (x1 + x2) / 2 == pytest.approx(center[0], abs=1e-12)
+                assert (y1 + y2) / 2 == pytest.approx(center[1], abs=1e-12)
+                assert x2 - x1 == pytest.approx(0.5, abs=1e-12)
+                assert y2 - y1 == pytest.approx(0.5, abs=1e-12)
 
     def test_extreme_actionness_logit(self):
-        values = np.zeros((1, 1, 1, 8))
-        values[0, 0, 0, ATTR_ACT] = -20.0
-        decoded = decode_grid(RawGrid(1, 1, 1, values), AnchorSet(((1.0, 1.0),)))
-        assert decoded[0].attrs.actionness == pytest.approx(scalar_sigmoid(-20.0), rel=1e-12)
-        assert decoded[0].attrs.actionness == pytest.approx(2.0611536e-9, rel=1e-6)
+        decoded = one_slot(1, -20.0, (0.0,), (0.0,))
+        assert decoded.actionness[0, 0, 0] == pytest.approx(scalar_sigmoid(-20.0), rel=1e-12)
+        assert decoded.actionness[0, 0, 0] == pytest.approx(2.0611536e-9, rel=1e-6)
 
     def test_matches_scalar_reevaluation_seed7(self):
         # Straight-line scalar oracle over every grid element.
         raw, anchors = random_grid(7)
         s, b, c = raw.s_cells, raw.n_anchors, raw.n_classes
         decoded = decode_grid(raw, anchors)
-        k = 0
         for cy in range(s):
             for cx in range(s):
                 for j in range(b):
                     v = raw.values[cy, cx, j]
-                    db = decoded[k]
-                    k += 1
-                    assert db.cell == (cx, cy) and db.anchor == j
-                    assert db.attrs.actionness == pytest.approx(scalar_sigmoid(v[4]), rel=1e-12, abs=1e-15)
+                    act = scalar_sigmoid(v[4])
+                    assert decoded.actionness[cy, cx, j] == pytest.approx(act, rel=1e-12, abs=1e-15)
                     exps = [math.exp(v[5 + i] - max(v[5 : 5 + c])) for i in range(c)]
                     for i in range(c):
-                        assert db.attrs.class_scores[i] == pytest.approx(exps[i] / sum(exps), rel=1e-12, abs=1e-15)
-                        assert db.attrs.progression[i] == pytest.approx(
-                            scalar_sigmoid(v[5 + c + i]), rel=1e-12, abs=1e-15
-                        )
-                        assert db.attrs.rates[i] == pytest.approx(
+                        cls = exps[i] / sum(exps)
+                        prog = scalar_sigmoid(v[5 + c + i])
+                        assert decoded.class_scores[cy, cx, j, i] == pytest.approx(cls, rel=1e-12, abs=1e-15)
+                        assert decoded.progression[cy, cx, j, i] == pytest.approx(prog, rel=1e-12, abs=1e-15)
+                        assert decoded.rates[cy, cx, j, i] == pytest.approx(
                             scalar_sigmoid(v[5 + 2 * c + i]), rel=1e-12, abs=1e-15
                         )
+                        assert decoded.confidence[cy, cx, j, i] == pytest.approx(act * cls * prog, rel=1e-12, abs=1e-15)
                     center_x = (cx + scalar_sigmoid(v[0])) / s
                     center_y = (cy + scalar_sigmoid(v[1])) / s
                     pw, ph = anchors.sizes[j]
@@ -92,11 +133,14 @@ class TestDecodeGrid:
                         min(1.0, max(0.0, center_x + width / 2)),
                         min(1.0, max(0.0, center_y + height / 2)),
                     )
-                    assert db.geometry == pytest.approx(expected, rel=1e-12, abs=1e-15)
+                    assert tuple(decoded.geometry[cy, cx, j]) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_pure_function_bit_identical(self):
         raw, anchors = random_grid(3)
-        assert decode_grid(raw, anchors) == decode_grid(raw, anchors)
+        a, b = decode_grid(raw, anchors), decode_grid(raw, anchors)
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="elements"):
@@ -105,44 +149,61 @@ class TestDecodeGrid:
         with pytest.raises(ValueError, match="anchor"):
             decode_grid(raw, AnchorSet(((1.0, 1.0),)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros((1, 1, 1, attr_width(1)))
+        values[0, 0, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RawGrid(1, 1, 1, values)
+
+    @pytest.mark.parametrize("size", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_bad_anchor_sizes_rejected(self, size):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AnchorSet((size,))
+
     @given(st.integers(0, 10_000), st.floats(0.5, 12.0))
     @settings(max_examples=60, deadline=None)
     def test_geometry_in_unit_square_with_positive_area(self, seed, scale):
         raw, anchors = random_grid(seed, s=2, b=1, c=1, scale=scale)
-        for db in decode_grid(raw, anchors):
-            x1, y1, x2, y2 = db.geometry
+        for x1, y1, x2, y2 in decode_grid(raw, anchors).geometry.reshape(-1, 4):
             assert 0.0 <= x1 < x2 <= 1.0
             assert 0.0 <= y1 < y2 <= 1.0
 
 
 class TestConfidence:
     def test_identity_product(self):
-        attrs = BoxAttributes(1.0, (0, 0, 0, 0), (1.0,), (1.0,), (0.3,))
-        assert confidence(attrs, 0) == 1.0
+        # sigmoid(40) rounds to 1.0 and a single class scores 1.0.
+        assert one_slot(1, 40.0, (0.0,), (40.0,)).confidence[0, 0, 0, 0] == 1.0
 
     def test_direct_product(self):
-        attrs = BoxAttributes(0.8, (0, 0, 0, 0), (0.5,), (0.5,), (0.3,))
-        assert confidence(attrs, 0) == pytest.approx(0.2, abs=1e-15)
+        decoded = one_slot(2, math.log(4.0), (0.0, 0.0), (0.0, 0.0))  # 0.8 * 0.5 * 0.5
+        assert decoded.confidence[0, 0, 0, 0] == pytest.approx(0.2, abs=1e-15)
+        product = decoded.actionness[..., None] * decoded.class_scores * decoded.progression
+        assert decoded.confidence.tobytes() == product.tobytes()
 
     def test_progression_suppresses_irrelevant_action(self):
-        attrs = BoxAttributes(0.9, (0, 0, 0, 0), (0.9,), (0.0,), (0.3,))
-        assert confidence(attrs, 0) == 0.0
+        assert one_slot(1, 2.0, (0.0,), (-800.0,)).confidence[0, 0, 0, 0] == 0.0
 
     def test_emitted_candidates_carry_exact_confidence(self):
         raw, anchors = random_grid(11)
         decoded = decode_grid(raw, anchors)
-        per_class = filter_and_nms(decoded, score_threshold=1e-3, nms_iou=0.45)
-        by_geometry = {}
-        for db in decoded:
-            by_geometry.setdefault(db.geometry, []).append(db)
-        for class_id, boxes in per_class.items():
-            for cand in boxes:
-                sources = by_geometry[cand.geometry]
-                assert any(
-                    cand.confidence == confidence(db.attrs, class_id)
-                    and cand.rate == db.attrs.rates[class_id]
-                    for db in sources
-                )
+        kept = nms_frame(select_candidates(decoded, 1e-3), score_threshold=1e-3, nms_iou=0.45)
+        assert kept
+        geometry = decoded.geometry.reshape(-1, 4)
+        for cand in kept:
+            sources = [k for k, g in enumerate(geometry) if tuple(g) == cand.geometry]
+            assert any(
+                cand.confidence == decoded.confidence.reshape(-1, raw.n_classes)[k, cand.class_id]
+                and cand.rate == decoded.rates.reshape(-1, raw.n_classes)[k, cand.class_id]
+                for k in sources
+            )
+
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_mask_threshold_matches_scalar_loop(self, seed, score_threshold):
+        raw, anchors = random_grid(seed, s=2, b=2, c=3)
+        decoded = decode_grid(raw, anchors)
+        assert select_candidates(decoded, score_threshold) == scalar_candidates(decoded, score_threshold)
 
 
 def cand(score: float, box, class_id: int = 0) -> CandidateBox:
@@ -190,25 +251,100 @@ class TestNms:
     def test_raising_threshold_never_adds_a_box(self, seed, thr_a, thr_b):
         lo, hi = sorted((round(thr_a, 3), round(thr_b, 3)))
         raw, anchors = random_grid(seed, s=2, b=2, c=2)
-        decoded = decode_grid(raw, anchors)
-        loose = filter_and_nms(decoded, score_threshold=lo, nms_iou=0.45)
-        tight = filter_and_nms(decoded, score_threshold=hi, nms_iou=0.45)
-        for class_id, boxes in tight.items():
-            assert set(boxes) <= set(loose[class_id])
+        boxes = select_candidates(decode_grid(raw, anchors), lo)
+        loose = nms_frame(boxes, score_threshold=lo, nms_iou=0.45)
+        tight = nms_frame(boxes, score_threshold=hi, nms_iou=0.45)
+        assert set(tight) <= set(loose)
 
-    def test_filter_and_nms_duplicates_boxes_across_classes(self):
+    def test_duplicates_boxes_across_classes(self):
         values = np.zeros((1, 1, 1, attr_width(2)))
         decoded = decode_grid(RawGrid(1, 1, 2, values), AnchorSet(((1.0, 1.0),)))
-        per_class = filter_and_nms(decoded, score_threshold=1e-3, nms_iou=0.45)
-        assert len(per_class[0]) == 1 and len(per_class[1]) == 1
-        assert per_class[0][0].geometry == per_class[1][0].geometry
+        kept = nms_frame(select_candidates(decoded, 1e-3), score_threshold=1e-3, nms_iou=0.45)
+        assert [k.class_id for k in kept] == [0, 1]
+        assert kept[0].geometry == kept[1].geometry
 
     def test_threshold_is_strict(self):
-        box = cand(0.5, (0.1, 0.1, 0.5, 0.5))
-        decoded_like = [box]
-        kept = [b for b in decoded_like if b.confidence > 0.5]
-        assert kept == []
-        with pytest.raises(ValueError):
-            filter_and_nms([], score_threshold=1.0)
-        with pytest.raises(ValueError):
-            filter_and_nms([], nms_iou=0.0)
+        assert nms_frame([cand(0.5, (0.1, 0.1, 0.5, 0.5))], score_threshold=0.5, nms_iou=0.45) == []
+        with pytest.raises(ValueError, match="score_threshold"):
+            nms_frame([], score_threshold=1.0, nms_iou=0.45)
+        with pytest.raises(ValueError, match="score_threshold"):
+            nms_frame([], score_threshold=-1.0, nms_iou=0.45)
+        with pytest.raises(ValueError, match="nms_iou"):
+            nms_frame([], score_threshold=1e-3, nms_iou=0.0)
+        with pytest.raises(ValueError, match="nms_iou"):
+            nms_frame([], score_threshold=1e-3, nms_iou=1.5)
+
+
+# Coordinates on a coarse grid make shared edges (ix == 0) and exact
+# duplicates common; equal ends give zero-area boxes, which never suppress.
+_coord = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0]) | st.floats(0.0, 1.0)
+_score = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _geometry(draw):
+    x1, x2 = sorted((draw(_coord), draw(_coord)))
+    y1, y2 = sorted((draw(_coord), draw(_coord)))
+    return (x1, y1, x2, y2)
+
+
+@st.composite
+def _frame(draw):
+    pool = draw(st.lists(_geometry(), min_size=1, max_size=24))
+    n = draw(st.integers(0, 3 * decode.SMALL_NMS))
+    return [
+        CandidateBox(draw(st.sampled_from([0, 0, 0, 1, 2])), draw(st.sampled_from(pool)), draw(_score), 0.5)
+        for _ in range(n)
+    ]
+
+
+class TestNmsFrameOracle:
+    """``nms_frame`` against ``nms_boxes`` run class by class."""
+
+    @pytest.mark.parametrize("small", [decode.SMALL_NMS, 0])
+    @given(_frame(), st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.01, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_same_survivors_as_scalar_nms(self, small, boxes, score_threshold, nms_iou):
+        with mock.patch.object(decode, "SMALL_NMS", small):
+            got = nms_frame(boxes, score_threshold, nms_iou)
+        want = per_class_nms(boxes, score_threshold, nms_iou)
+        assert [id(b) for b in got] == [id(b) for b in want]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_frames_on_both_sides_of_the_small_list_size(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = []
+        for _ in range(40):
+            (x1, x2), (y1, y2) = np.sort(rng.uniform(0.0, 1.0, (2, 2)), axis=1).tolist()
+            pool.append((x1, y1, x2, y2))
+        boxes = []
+        for class_id, size in enumerate((1, decode.SMALL_NMS, decode.SMALL_NMS + 1, 4 * decode.SMALL_NMS)):
+            for _ in range(size):
+                geometry = pool[int(rng.integers(0, len(pool)))]
+                boxes.append(CandidateBox(class_id, geometry, float(rng.choice([0.3, rng.uniform()])), 0.5))
+        rng.shuffle(boxes)
+        got = nms_frame(boxes, 1e-3, 0.45)
+        want = per_class_nms(boxes, 1e-3, 0.45)
+        assert [id(b) for b in got] == [id(b) for b in want]
+
+    def test_run_decode_matches_scalar_decode_and_nms(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        s, b, c = 13, 5, 24
+        anchors = AnchorSet(tuple((float(w), float(h)) for w, h in rng.uniform(1.0, 11.0, size=(b, 2))))
+        grids = tmp_path / "grids.txt"
+        grid = RawGrid(s, b, c, rng.standard_normal(s * s * b * attr_width(c)))
+        write_rawgrids(str(grids), anchors, [("v", 1, grid)], (s, b, c))
+        out = tmp_path / "det.txt"
+        config = RunConfig()
+        n = run_decode(config, str(grids), str(out))
+
+        _, anchors_read, frames = read_rawgrids(str(grids))
+        ((_, _, grid),) = list(frames)
+        boxes = scalar_candidates(decode_grid(grid, anchors_read), config.score_threshold)
+        want = io.StringIO()
+        writer = DetectionWriter(want)
+        kept = per_class_nms(boxes, config.score_threshold, config.nms_iou)
+        for box in kept:
+            writer.add("v", 1, box)
+        assert n == len(kept) > 1000
+        assert out.read_text(encoding="utf-8") == want.getvalue()

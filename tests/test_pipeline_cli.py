@@ -10,7 +10,7 @@ import pytest
 from tubestream.cli import main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
-from tubestream.pipeline import nms_frame, run_pipeline
+from tubestream.pipeline import nms_frame, run_link, run_pipeline
 from tubestream.records import parse_detections, parse_tubes, write_rawgrids
 from tubestream.synthetic import ScenarioSpec, generate
 DATA = Path(__file__).parent / "data"
@@ -228,3 +228,12 @@ class TestNmsFrame:
         kept = nms_frame(boxes, 1e-3, 0.45)
         assert len(kept) == 2
         assert {b.class_id for b in kept} == {0, 1}
+
+    @pytest.mark.parametrize(
+        "setting", [{"nms_iou": 1.5}, {"nms_iou": 0.0}, {"score_threshold": -1.0}, {"score_threshold": 1.0}]
+    )
+    def test_link_rejects_bad_settings(self, tmp_path, setting):
+        det = tmp_path / "d.txt"
+        det.write_text("#tubestream detections v1\nv 1 0 0.1 0.1 0.5 0.5 0.9 0.5\n")
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            run_link(RunConfig(**setting), str(det), str(tmp_path / "t.txt"), str(tmp_path))

@@ -174,3 +174,21 @@ class TestRawGrids:
         _, _, reader = read_rawgrids(str(path))
         with pytest.raises(RecordError, match="plus 8 values"):
             list(reader)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        path = tmp_path / "g.txt"
+        good, values = " ".join(["0"] * 8), " ".join(["0.5"] * 7 + [bad])
+        path.write_text(f"#tubestream rawgrid v1\ngrid 1 1 1\nanchors 1,1\nframe v 1 {good}\nframe v 2 {values}\n")
+        _, _, reader = read_rawgrids(str(path))
+        with pytest.raises(RecordError, match="finite") as err:
+            list(reader)
+        assert err.value.line_no == 5
+
+    @pytest.mark.parametrize("token", ["1,x", "nan,1", "1,inf", "0,1"])
+    def test_bad_anchor_names_line_3(self, tmp_path, token):
+        path = tmp_path / "g.txt"
+        path.write_text(f"#tubestream rawgrid v1\ngrid 1 1 1\nanchors {token}\n")
+        with pytest.raises(RecordError) as err:
+            read_rawgrids(str(path))
+        assert err.value.line_no == 3
