@@ -25,7 +25,7 @@ from .losses import (
     loss_gradient,
     loss_terms,
 )
-from .metrics import EvalReport, average_precision, evaluate, frame_map, tube_iou, video_map
+from .metrics import EvalReport, average_precisions, evaluate, frame_map, tube_iou, video_map
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "TargetAssignment",
     "TubeState",
     "alpha_from_training_error",
-    "average_precision",
+    "average_precisions",
     "box_iou",
     "build_targets",
     "check_gradients",

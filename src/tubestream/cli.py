@@ -82,7 +82,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
         "nms_iou",
         "deltas",
         "frame_threshold",
-        "jobs",
         "detections",
         "annotations",
         "tubes",

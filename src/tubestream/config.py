@@ -37,7 +37,6 @@ class RunConfig:
     nms_iou: float = 0.45
     deltas: tuple[float, ...] = DEFAULT_TUBE_THRESHOLDS
     frame_threshold: float = 0.5
-    jobs: int = 1
     detections: str | None = None
     annotations: str | None = None
     tubes: str | None = None

@@ -33,6 +33,11 @@ ATTR_X, ATTR_Y, ATTR_W, ATTR_H, ATTR_ACT = range(5)
 SMALL_NMS = 16
 # Rows of the overlap matrix computed at once, bounding the float temporaries.
 OVERLAP_BLOCK = 64
+# Smallest box width and height a candidate may have.  Records write
+# coordinates with 9 significant digits, which moves a coordinate in [0, 1]
+# by at most 5e-10, so a box at least this wide and high stays
+# non-degenerate in the file.
+MIN_BOX_SIZE = 1e-8
 
 
 def attr_width(n_classes: int) -> int:
@@ -113,9 +118,10 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     """Activate a raw grid and decode every (cell, anchor) slot to a box.
 
     Pure function: identical inputs produce bit-identical outputs.  Geometry
-    is clamped to the unit square and centers stay strictly inside it; a box
-    has positive area unless a size logit is so negative that its half-size
-    vanishes against the center coordinate.
+    is clamped to the unit square and centers stay strictly inside it.  A
+    very negative size logit (about -40 or lower) makes a box narrower than
+    ``MIN_BOX_SIZE`` or even of zero width; ``select_candidates`` drops such
+    slots.
     """
     if len(anchors) != raw.n_anchors:
         raise ValueError(f"anchor set has {len(anchors)} entries, grid declares {raw.n_anchors}")
@@ -141,11 +147,15 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
 def select_candidates(decoded: DecodedGrid, score_threshold: float) -> list[CandidateBox]:
     """The (slot, class) pairs whose confidence exceeds ``score_threshold``,
     class by class and, within a class, in slot order (cell_y, cell_x, anchor).
-    All classes of a slot share one geometry tuple."""
+    All classes of a slot share one geometry tuple.  Slots whose box is
+    narrower or lower than ``MIN_BOX_SIZE`` are dropped, so every candidate
+    survives the records format as a valid box."""
     n_classes = decoded.confidence.shape[-1]
     conf = decoded.confidence.reshape(-1, n_classes).T  # (C, slots)
-    class_ids, slots = np.nonzero(conf > score_threshold)
-    geometry = [tuple(g) for g in decoded.geometry.reshape(-1, 4).tolist()]
+    boxes = decoded.geometry.reshape(-1, 4)
+    sized = (boxes[:, 2] - boxes[:, 0] >= MIN_BOX_SIZE) & (boxes[:, 3] - boxes[:, 1] >= MIN_BOX_SIZE)
+    class_ids, slots = np.nonzero((conf > score_threshold) & sized)
+    geometry = [tuple(g) for g in boxes.tolist()]
     scores = conf[class_ids, slots].tolist()
     rates = decoded.rates.reshape(-1, n_classes).T[class_ids, slots].tolist()
     return [

@@ -7,6 +7,9 @@ strictly above the threshold.  AP is the area under the all-point
 interpolated precision-recall curve.  Classes absent from the ground truth
 are excluded from every mean.
 
+Each (detection, ground truth) overlap is computed once; one matcher,
+:func:`average_precisions`, then matches every threshold on those overlaps.
+
 Tube overlap multiplies the mean per-frame spatial IoU over the temporal
 intersection with the temporal IoU of the frame ranges; frames of the
 intersection where the detected tube has no box count as spatial IoU 0.
@@ -15,10 +18,12 @@ intersection where the detected tube has no box count as spatial IoU 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .decode import CandidateBox
-from .geometry import box_iou, temporal_iou  # noqa: F401  (re-exported as part of the metric surface)
+from .geometry import Box, box_iou, box_iou_array, temporal_iou
 from .tubes import FinalTube, GroundTruthTube
 
 VMAP_AVG_BAND = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -41,45 +46,49 @@ def tube_iou(det: FinalTube, gt: GroundTruthTube) -> float:
     return spatial * temporal_iou((det.t_start, det.t_end), (gt.t_start, gt.t_end))
 
 
-def average_precision(
-    detections: Sequence[tuple[float, Hashable, object]],
-    ground_truths: Sequence[tuple[Hashable, object]],
-    overlap: Callable[[object, object], float],
-    threshold: float,
-) -> float:
-    """AP of one class.
+def average_precisions(
+    scores: Sequence[float],
+    pairs: tuple[Sequence[int], Sequence[int], Sequence[float]],
+    n_gt: int,
+    thresholds: Sequence[float],
+) -> list[float]:
+    """AP of one class at each threshold, in the order of ``thresholds``.
 
-    ``detections`` are (score, group, item) triples and ``ground_truths``
-    are (group, item) pairs; a detection can only match ground truth in the
-    same group (same video, or same video+frame).  Ties in score keep input
-    order; ties in overlap go to the earlier ground-truth entry.
+    ``scores[i]`` is detection ``i``'s score.  ``pairs`` is three parallel
+    sequences ``(det, gt, overlap)`` with one entry per ground truth a
+    detection may match (those of its group: same video, or same video and
+    frame); ``gt`` indexes the class's ``n_gt`` ground truths.  A pair left
+    out has overlap 0, and an overlap of 0 never matches.  Ties in score keep
+    input order; ties in overlap go to the lower ``gt``.
     """
-    n_gt = len(ground_truths)
-    if n_gt == 0 or not detections:
-        return 0.0
-    by_group: dict[Hashable, list[list]] = {}
-    for group, item in ground_truths:
-        by_group.setdefault(group, []).append([item, False])
+    if n_gt == 0 or len(scores) == 0:
+        return [0.0] * len(thresholds)
+    det = np.asarray(pairs[0], dtype=np.intp)
+    gt = np.asarray(pairs[1], dtype=np.intp)
+    overlap = np.asarray(pairs[2], dtype=np.float64)
+    rank = np.empty(len(scores), dtype=np.intp)
+    rank[np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")] = np.arange(len(scores))
+    keep = overlap > 0.0
+    det_rank, gt, overlap = rank[det[keep]], gt[keep], overlap[keep]
+    # Detections in rank order, each one's candidates best first: its greedy
+    # pick is its first candidate not yet matched.
+    by = np.lexsort((gt, -overlap, det_rank))
+    candidates = list(zip(det_rank[by].tolist(), gt[by].tolist(), overlap[by].tolist()))
+    aps = []
+    for threshold in thresholds:
+        matched = [False] * n_gt
+        tp_flags = [False] * len(scores)  # by rank
+        picked = -1
+        for r, j, ov in candidates:
+            if r != picked and not matched[j]:
+                picked = r
+                tp_flags[r] = matched[j] = ov > threshold
+        aps.append(_area_under_pr(tp_flags, n_gt))
+    return aps
 
-    ordered = sorted(detections, key=lambda d: -d[0])
-    tp_flags = []
-    for score, group, item in ordered:
-        best = None
-        best_ov = 0.0
-        for slot in by_group.get(group, []):
-            if slot[1]:
-                continue
-            ov = overlap(item, slot[0])
-            if ov > best_ov:
-                best_ov = ov
-                best = slot
-        if best is not None and best_ov > threshold:
-            best[1] = True
-            tp_flags.append(True)
-        else:
-            tp_flags.append(False)
 
-    # Area under the all-point interpolated precision-recall curve.
+def _area_under_pr(tp_flags: list[bool], n_gt: int) -> float:
+    """Area under the all-point interpolated precision-recall curve."""
     ap = 0.0
     best_precision_from = [0.0] * (len(tp_flags) + 1)
     n_tp_total = sum(tp_flags)
@@ -101,6 +110,9 @@ def _mean(values: Iterable[float]) -> float:
 
 
 FrameDetection = tuple[str, int, CandidateBox]
+# Frame detections by class, as (score, video, frame, box) rows in input order;
+# each class's rows are built only when that class is scored.
+ClassRows = dict[int, Iterable[tuple[float, str, int, Box]]]
 
 
 def frame_map(
@@ -109,21 +121,43 @@ def frame_map(
     threshold: float = 0.5,
 ) -> tuple[float, dict[int, float]]:
     """Frame-level mAP: per-class AP over all (video, frame) pooled boxes."""
+    by_class: dict[int, list[FrameDetection]] = {}
+    for row in detections:
+        by_class.setdefault(row[2].class_id, []).append(row)
+    class_rows: ClassRows = {
+        c: ((bx.confidence, video_id, frame, bx.geometry) for video_id, frame, bx in rows)
+        for c, rows in by_class.items()
+    }
+    return _frame_map(class_rows, gt_tubes, threshold)
+
+
+def _frame_map(
+    by_class: ClassRows,
+    gt_tubes: Sequence[GroundTruthTube],
+    threshold: float,
+) -> tuple[float, dict[int, float]]:
+    """``frame_map`` on detections already grouped by class."""
     classes = sorted({t.class_id for t in gt_tubes})
     per_class: dict[int, float] = {}
     for class_id in classes:
-        dets = [
-            (bx.confidence, (vid, f), bx.geometry)
-            for vid, f, bx in detections
-            if bx.class_id == class_id
-        ]
-        gts = [
-            ((t.video_id, f), t.box_at(f))
-            for t in gt_tubes
-            if t.class_id == class_id
-            for f in range(t.t_start, t.t_end + 1)
-        ]
-        per_class[class_id] = average_precision(dets, gts, box_iou, threshold)
+        gt_boxes: list[Box] = []
+        at: dict[tuple[str, int], list[int]] = {}
+        for t in gt_tubes:
+            if t.class_id == class_id:
+                for f, bx in enumerate(t.boxes, t.t_start):
+                    at.setdefault((t.video_id, f), []).append(len(gt_boxes))
+                    gt_boxes.append(bx)
+        rows = list(by_class.get(class_id, ()))
+        det: list[int] = []
+        gt: list[int] = []
+        for i, (_, video_id, frame, _) in enumerate(rows):
+            for j in at.get((video_id, frame), ()):
+                det.append(i)
+                gt.append(j)
+        det_boxes = np.array([rows[i][3] for i in det], dtype=np.float64).reshape(-1, 4)
+        overlap = box_iou_array(det_boxes, np.array(gt_boxes, dtype=np.float64)[gt])
+        scores = [r[0] for r in rows]
+        per_class[class_id] = average_precisions(scores, (det, gt, overlap), len(gt_boxes), (threshold,))[0]
     return _mean(per_class.values()), per_class
 
 
@@ -132,19 +166,33 @@ def video_map(
     gt_tubes: Sequence[GroundTruthTube],
     thresholds: Sequence[float] = DEFAULT_TUBE_THRESHOLDS,
 ) -> tuple[dict[float, float], dict[float, dict[int, float]]]:
-    """Video-level mAP at each tube-overlap threshold."""
+    """Video-level mAP at each tube-overlap threshold (rounded to 2 decimals).
+
+    ``tube_iou`` runs once per same-class, same-video (detection, annotation)
+    pair; every threshold is matched on those overlaps."""
+    thresholds = [round(d, 2) for d in thresholds]
     classes = sorted({t.class_id for t in gt_tubes})
-    v_map: dict[float, float] = {}
-    per_class: dict[float, dict[int, float]] = {}
-    for threshold in thresholds:
-        threshold = round(threshold, 2)
-        aps = {}
-        for class_id in classes:
-            dets = [(t.score, t.video_id, t) for t in tubes if t.class_id == class_id]
-            gts = [(t.video_id, t) for t in gt_tubes if t.class_id == class_id]
-            aps[class_id] = average_precision(dets, gts, tube_iou, threshold)
-        per_class[threshold] = aps
-        v_map[threshold] = _mean(aps.values())
+    per_class: dict[float, dict[int, float]] = {d: {} for d in thresholds}
+    for class_id in classes:
+        gt_by_video: dict[str, list[tuple[int, GroundTruthTube]]] = {}
+        n_gt = 0
+        for g in gt_tubes:
+            if g.class_id == class_id:
+                gt_by_video.setdefault(g.video_id, []).append((n_gt, g))
+                n_gt += 1
+        dets = [t for t in tubes if t.class_id == class_id]
+        det: list[int] = []
+        gt: list[int] = []
+        overlap: list[float] = []
+        for i, d in enumerate(dets):
+            for j, g in gt_by_video.get(d.video_id, ()):
+                det.append(i)
+                gt.append(j)
+                overlap.append(tube_iou(d, g))
+        aps = average_precisions([d.score for d in dets], (det, gt, overlap), n_gt, thresholds)
+        for threshold, ap in zip(thresholds, aps):
+            per_class[threshold][class_id] = ap
+    v_map = {d: _mean(aps.values()) for d, aps in per_class.items()}
     return v_map, per_class
 
 
@@ -159,15 +207,16 @@ def average_temporal_iou(
     (first dict, the headline number) and highest detection score (second).
     Annotated tubes with no detection contribute 0.
     """
+    by_class_video: dict[tuple[int, str], list[FinalTube]] = {}
+    for t in tubes:
+        by_class_video.setdefault((t.class_id, t.video_id), []).append(t)
     classes = sorted({t.class_id for t in gt_tubes})
     best_overlap: dict[int, float] = {}
     best_score: dict[int, float] = {}
     for class_id in classes:
         ov_vals, sc_vals = [], []
         for gt in (t for t in gt_tubes if t.class_id == class_id):
-            same = [
-                t for t in tubes if t.class_id == class_id and t.video_id == gt.video_id
-            ]
+            same = by_class_video.get((class_id, gt.video_id), [])
             tious = [temporal_iou((t.t_start, t.t_end), (gt.t_start, gt.t_end)) for t in same]
             ov_vals.append(max(tious, default=0.0))
             if same:
@@ -229,12 +278,12 @@ def evaluate(
     over the tubes' retained boxes, each scored with its tube's score.
     """
     if frame_detections is None:
-        frame_detections = [
-            (t.video_id, f, CandidateBox(t.class_id, bx, t.score, 0.0))
-            for t in tubes
-            for f, bx in t.entries
-        ]
-    f_map_val, f_ap = frame_map(frame_detections, gt_tubes, frame_threshold)
+        by_class: ClassRows = {}
+        for t in tubes:
+            by_class.setdefault(t.class_id, []).extend((t.score, t.video_id, f, bx) for f, bx in t.entries)
+        f_map_val, f_ap = _frame_map(by_class, gt_tubes, frame_threshold)
+    else:
+        f_map_val, f_ap = frame_map(frame_detections, gt_tubes, frame_threshold)
     v_map_val, v_ap = video_map(tubes, gt_tubes, tube_thresholds)
     if all(d in v_map_val for d in VMAP_AVG_BAND):
         v_map_avg = sum(v_map_val[d] for d in VMAP_AVG_BAND) / len(VMAP_AVG_BAND)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
 
 from . import records
@@ -42,10 +41,11 @@ def iter_frames(
 
 
 def run_decode(config: RunConfig, grids_path: str, out_path: str) -> int:
-    """Decode a raw-grid file into a detections file; returns boxes written."""
+    """Decode a raw-grid file into a detections file; returns boxes written.
+    The file appears only when every frame decoded."""
     _, anchors, frames = records.read_rawgrids(grids_path)
     n = 0
-    with records.DetectionWriter(out_path) as writer:
+    with records.replaced_on_success(out_path) as tmp, records.DetectionWriter(tmp) as writer:
         for video_id, frame, grid in frames:
             boxes = select_candidates(decode_grid(grid, anchors), config.score_threshold)
             for box in nms_frame(boxes, config.score_threshold, config.nms_iou):
@@ -60,11 +60,16 @@ def run_link(
     tubes_path: str,
     spool_dir: str | None = None,
 ) -> int:
-    """Link a detections file into a tubes file, streaming; returns tube count."""
+    """Link a detections file into a tubes file, streaming; returns tube count.
+    The file appears only when every row linked."""
     linker_cfg = config.linker_config()
     count = 0
 
-    with records.TubeWriter(tubes_path) as writer, tempfile.TemporaryDirectory(dir=spool_dir) as spool:
+    with (
+        records.replaced_on_success(tubes_path) as tmp,
+        records.TubeWriter(tmp) as writer,
+        tempfile.TemporaryDirectory(dir=spool_dir) as spool,
+    ):
 
         def sink(*tube_fields):
             nonlocal count
@@ -113,8 +118,7 @@ def run_pipeline(
     """Full detections -> tubes -> report composition.
 
     Inputs may be passed in memory or read from the configured paths.  Videos
-    are linked independently (in parallel when ``jobs > 1``); results are
-    assembled in input order so output is deterministic regardless of jobs.
+    are linked independently, in input order.
     """
     if streams is None:
         if config.detections is None:
@@ -125,11 +129,7 @@ def run_pipeline(
             raise ValueError("evaluation requested but no annotations configured")
         gt_tubes = records.parse_annotations(config.annotations)
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            linked = list(pool.map(lambda s: link_parsed_stream(s, config), streams))
-    else:
-        linked = [link_parsed_stream(s, config) for s in streams]
+    linked = [link_parsed_stream(s, config) for s in streams]
 
     tubes = [t for video_tubes, _ in linked for t in video_tubes]
     frame_rows = [row for _, rows in linked for row in rows]

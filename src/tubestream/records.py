@@ -33,6 +33,8 @@ finite)::
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -58,6 +60,22 @@ class RecordError(ValueError):
 
 def fnum(x: float) -> str:
     return format(float(x), ".9g")
+
+
+@contextmanager
+def replaced_on_success(path: str) -> Iterator[str]:
+    """Yield a temporary path beside ``path`` to write an output to.  When the
+    block completes it replaces ``path``; when the block raises it is
+    removed, so a failed stage leaves no output and keeps any earlier one.
+    ``path`` names a regular file or nothing yet."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def _check_header(fh: TextIO, path: str, expected: str) -> None:

@@ -3,6 +3,8 @@
 import dataclasses
 import io
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,7 @@ from tubestream.decode import (
 )
 from tubestream.geometry import box_iou
 from tubestream.pipeline import run_decode
-from tubestream.records import DetectionWriter, read_rawgrids, write_rawgrids
+from tubestream.records import DetectionWriter, iter_detection_rows, read_rawgrids, write_rawgrids
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -61,8 +63,9 @@ def scalar_candidates(decoded, score_threshold: float) -> list[CandidateBox]:
                         * float(decoded.class_scores[cy, cx, j, class_id])
                         * float(decoded.progression[cy, cx, j, class_id])
                     )
-                    if score > score_threshold:
-                        geometry = tuple(float(x) for x in decoded.geometry[cy, cx, j])
+                    geometry = tuple(float(x) for x in decoded.geometry[cy, cx, j])
+                    sized = min(geometry[2] - geometry[0], geometry[3] - geometry[1]) >= decode.MIN_BOX_SIZE
+                    if score > score_threshold and sized:
                         out.append(CandidateBox(class_id, geometry, score, float(decoded.rates[cy, cx, j, class_id])))
     return out
 
@@ -348,3 +351,42 @@ class TestNmsFrameOracle:
             writer.add("v", 1, box)
         assert n == len(kept) > 1000
         assert out.read_text(encoding="utf-8") == want.getvalue()
+
+
+@st.composite
+def finite_grids(draw):
+    """A raw-grid file's contents: small dims, any finite logits (extremes
+    included, where sizes overflow or vanish) and any positive anchors."""
+    s, b, c = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    logit = st.one_of(st.floats(-60.0, 60.0), st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(logit, min_size=s * s * b * attr_width(c), max_size=s * s * b * attr_width(c)))
+    size = st.floats(1e-12, 1e6)
+    anchors = AnchorSet(tuple(draw(st.tuples(size, size)) for _ in range(b)))
+    return (s, b, c), anchors, np.array(values, dtype=np.float64)
+
+
+class TestDecodeOutputParses:
+    """Whatever finite grid comes in, link can read what decode writes."""
+
+    def decode_and_parse(self, dims, anchors, values):
+        with tempfile.TemporaryDirectory() as work:
+            grids, det = os.path.join(work, "g.txt"), os.path.join(work, "det.txt")
+            write_rawgrids(grids, anchors, [("v", 1, RawGrid(*dims, values))], dims)
+            with np.errstate(over="ignore"):
+                n = run_decode(RunConfig(score_threshold=0.0), grids, det)
+            assert sum(1 for _ in iter_detection_rows(det)) == n
+            return n
+
+    @given(finite_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_any_finite_grid(self, grid):
+        self.decode_and_parse(*grid)
+
+    def test_vanishing_width_is_dropped(self):
+        # A w-logit of -45 puts the half-width below the center's ulp, so
+        # the decoded box is (0.5, 0, 0.5, 1).
+        values = np.zeros(attr_width(1))
+        values[2] = -45.0
+        anchors = AnchorSet(((1.0, 1.0),))
+        assert decode_grid(RawGrid(1, 1, 1, values), anchors).geometry.tolist() == [[[[0.5, 0.0, 0.5, 1.0]]]]
+        assert self.decode_and_parse((1, 1, 1), anchors, values) == 0

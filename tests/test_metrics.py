@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_oracle
 from helpers import random_box
+from tubestream import metrics
 from tubestream.decode import CandidateBox
-from tubestream.geometry import box_iou, temporal_iou
+from tubestream.geometry import box_iou, box_iou_array, temporal_iou
 from tubestream.metrics import (
     DEFAULT_TUBE_THRESHOLDS,
     VMAP_AVG_BAND,
-    average_precision,
+    average_precisions,
     average_temporal_iou,
     evaluate,
     frame_map,
@@ -21,12 +23,43 @@ from tubestream.metrics import (
 from tubestream.tubes import FinalTube, GroundTruthTube
 
 
+# Boxes on a quarter grid: their overlaps tie often and hit 0.25, 0.5 and
+# 0.75 exactly, the thresholds where strict ">" decides.
+_QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+DYADIC_BOXES = tuple(
+    (x1, y1, x2, y2)
+    for x1 in _QUARTERS
+    for x2 in _QUARTERS
+    if x1 < x2
+    for y1 in _QUARTERS
+    for y2 in _QUARTERS
+    if y1 < y2
+)
+
+
 def gt(video, class_id, t_start, t_end, box=(0.1, 0.1, 0.6, 0.6)):
     return GroundTruthTube(video, class_id, t_start, t_end, (box,) * (t_end - t_start + 1))
 
 
 def det(video, class_id, t_start, t_end, score, box=(0.1, 0.1, 0.6, 0.6)):
     return FinalTube(video, class_id, t_start, t_end, score, tuple((f, box) for f in range(t_start, t_end + 1)))
+
+
+def box_pairs(dets, gts):
+    """The (det, gt, overlap) pairs of (score, group, box) detections and
+    (group, box) ground truths in the same group, overlap being box IoU."""
+    pairs = ([], [], [])
+    for i, (_, group, box) in enumerate(dets):
+        for j, (gt_group, gt_box) in enumerate(gts):
+            if gt_group == group:
+                pairs[0].append(i)
+                pairs[1].append(j)
+                pairs[2].append(box_iou(box, gt_box))
+    return pairs
+
+
+def average_precision(dets, gts, threshold):
+    return average_precisions([d[0] for d in dets], box_pairs(dets, gts), len(gts), (threshold,))[0]
 
 
 class TestOverlaps:
@@ -57,6 +90,17 @@ class TestOverlaps:
         v = box_iou(box_a, box_b)
         assert v == box_iou(box_b, box_a)
         assert 0.0 <= v <= 1.0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_box_iou_array_is_box_iou(self, seed):
+        # Quarter-grid boxes touch, nest and coincide; random ones round.
+        rng = np.random.default_rng(seed)
+        boxes = [DYADIC_BOXES[k] for k in rng.integers(0, len(DYADIC_BOXES), 40)]
+        boxes += [random_box(rng) for _ in range(40)]
+        pairs = [(boxes[i], boxes[j]) for i, j in rng.integers(0, len(boxes), (80, 2))]
+        a, b = (np.array(side, dtype=np.float64) for side in zip(*pairs))
+        assert box_iou_array(a, b).tolist() == [box_iou(x, y) for x, y in pairs]
 
 
 class TestTubeIou:
@@ -95,22 +139,30 @@ class TestTubeIou:
 
 class TestAveragePrecision:
     def test_single_match(self):
-        ap = average_precision([(0.9, "v", (0, 0, 1, 1))], [("v", (0, 0, 1, 1))], box_iou, 0.5)
+        ap = average_precision([(0.9, "v", (0, 0, 1, 1))], [("v", (0, 0, 1, 1))], 0.5)
         assert ap == 1.0
 
     def test_fp_then_tp(self):
         dets = [(0.9, "v", (0.6, 0.6, 0.9, 0.9)), (0.8, "v", (0, 0, 0.5, 0.5))]
-        ap = average_precision(dets, [("v", (0, 0, 0.5, 0.5))], box_iou, 0.5)
+        ap = average_precision(dets, [("v", (0, 0, 0.5, 0.5))], 0.5)
         assert ap == pytest.approx(0.5, abs=1e-9)
 
     def test_no_matches(self):
-        ap = average_precision([(0.9, "v", (0.6, 0.6, 0.9, 0.9))], [("v", (0, 0, 0.2, 0.2))], box_iou, 0.5)
+        ap = average_precision([(0.9, "v", (0.6, 0.6, 0.9, 0.9))], [("v", (0, 0, 0.2, 0.2))], 0.5)
         assert ap == 0.0
 
     def test_strictly_above_threshold_required(self):
         # IoU exactly at the threshold is a miss.
-        ap = average_precision([(0.9, "v", (0, 0, 1, 0.5))], [("v", (0, 0, 1, 1))], box_iou, 0.5)
+        ap = average_precision([(0.9, "v", (0, 0, 1, 0.5))], [("v", (0, 0, 1, 1))], 0.5)
         assert ap == 0.0
+
+    def test_overlap_tie_goes_to_earlier_ground_truth(self):
+        # The first detection overlaps both ground truths by 1/3 and takes the
+        # earlier one, which the second detection then cannot have.
+        dets = [(0.9, "v", (0.25, 0.0, 0.75, 1.0)), (0.8, "v", (0.0, 0.0, 0.5, 1.0))]
+        gts = [("v", (0.0, 0.0, 0.5, 1.0)), ("v", (0.5, 0.0, 1.0, 1.0))]
+        assert average_precision(dets, gts, 0.3) == 0.5
+        assert average_precision(dets, gts[::-1], 0.3) == 1.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -118,9 +170,9 @@ class TestAveragePrecision:
         rng = np.random.default_rng(seed)
         dets = [(float(s), "v", random_box(rng)) for s in np.sort(rng.uniform(0, 1, 6))[::-1]]
         gts = [("v", random_box(rng)) for _ in range(3)]
-        base = average_precision(dets, gts, box_iou, 0.3)
+        base = average_precision(dets, gts, 0.3)
         squashed = [(s**3 + 1.0, g, b) for s, g, b in dets]  # strictly monotone rescale
-        assert average_precision(squashed, gts, box_iou, 0.3) == pytest.approx(base, abs=1e-12)
+        assert average_precision(squashed, gts, 0.3) == pytest.approx(base, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -158,7 +210,22 @@ class TestAveragePrecision:
                         (sum(flags[: m + 1]) / (m + 1)) for m in range(k, len(flags))
                     )
                     expected += best_prec / len(gts)
-        assert average_precision(dets, gts, box_iou, threshold) == pytest.approx(expected, abs=1e-12)
+        assert average_precision(dets, gts, threshold) == pytest.approx(expected, abs=1e-12)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_every_threshold_at_once_matches_the_oracle(self, seed):
+        # Coarse boxes and scores make overlap ties, score ties and overlaps
+        # equal to a threshold common; two groups share the ground truths.
+        # The negative threshold shows that an overlap of 0 never matches.
+        rng = np.random.default_rng(seed)
+        boxes = [DYADIC_BOXES[k] for k in rng.integers(0, len(DYADIC_BOXES), 12)]
+        n_dets, n_gts = int(rng.integers(0, 7)), int(rng.integers(0, 5))
+        dets = [(float(rng.choice([0.3, 0.6, 0.9])), str(rng.integers(0, 2)), boxes[k]) for k in range(n_dets)]
+        gts = [(str(rng.integers(0, 2)), boxes[6 + k]) for k in range(n_gts)]
+        thresholds = (0.25, 0.5, 0.1, 0.75, 0.5, -1.0)
+        got = average_precisions([d[0] for d in dets], box_pairs(dets, gts), len(gts), thresholds)
+        assert got == [metrics_oracle.average_precision(dets, gts, box_iou, d) for d in thresholds]
 
 
 class TestFrameMap:
@@ -260,3 +327,75 @@ class TestEvalReport:
         report = evaluate([det("v", 0, 1, 5, 0.9)], [gt("v", 0, 1, 5)])
         metrics = {row[0] for row in report.rows()}
         assert metrics == {"f_map", "f_ap", "v_map", "v_map_avg", "v_ap", "avg_t_iou", "avg_t_iou_by_score"}
+
+
+@st.composite
+def evaluation_sets(draw):
+    """Tubes, annotations and frame detections over 1-3 videos and 3 classes.
+
+    Class 2 is never annotated and class 1 is sometimes never detected.
+    Spans are short and share one box pool and four scores, so several
+    annotations per (class, video), score ties, overlap ties and overlaps
+    equal to a threshold are all common."""
+    videos = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
+    box = st.sampled_from(DYADIC_BOXES[::7])
+    score = st.sampled_from((0.25, 0.5, 0.75, 1.0))
+    span = st.tuples(st.integers(1, 6), st.integers(0, 4)).map(lambda s: (s[0], s[0] + s[1]))
+    gt_tubes = []
+    for _ in range(draw(st.integers(1, 6))):
+        (t0, t1), video, class_id = draw(span), draw(st.sampled_from(videos)), draw(st.integers(0, 1))
+        boxes = tuple(draw(st.lists(box, min_size=t1 - t0 + 1, max_size=t1 - t0 + 1)))
+        gt_tubes.append(GroundTruthTube(video, class_id, t0, t1, boxes))
+    detected = [0, 2] if draw(st.booleans()) else [0, 1, 2]
+    tubes = []
+    for _ in range(draw(st.integers(0, 8))):
+        (t0, t1), video, class_id = draw(span), draw(st.sampled_from(videos)), draw(st.sampled_from(detected))
+        inner = draw(st.lists(st.integers(t0 + 1, t1 - 1), unique=True)) if t1 - t0 > 1 else []
+        frames = sorted({t0, t1, *inner})
+        tubes.append(FinalTube(video, class_id, t0, t1, draw(score), tuple((f, draw(box)) for f in frames)))
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        video, frame = draw(st.sampled_from(videos)), draw(st.integers(1, 10))
+        rows.append((video, frame, CandidateBox(draw(st.sampled_from(detected)), draw(box), draw(score), 0.5)))
+    return tubes, gt_tubes, rows
+
+
+class TestAgainstOracle:
+    """The evaluation against the code it replaced (tests/metrics_oracle.py),
+    which reruns the greedy match and every overlap per threshold."""
+
+    @given(
+        evaluation_sets(),
+        st.sampled_from((0.25, 0.5, 0.75)),
+        st.sampled_from((DEFAULT_TUBE_THRESHOLDS, (0.5, 0.25, 0.5, 0.123))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_report_rows_identical(self, data, frame_threshold, tube_thresholds):
+        tubes, gt_tubes, rows = data
+        for frame_detections in (None, rows):
+            got = evaluate(tubes, gt_tubes, frame_detections, tube_thresholds, frame_threshold)
+            want = metrics_oracle.evaluate(tubes, gt_tubes, frame_detections, tube_thresholds, frame_threshold)
+            assert got.rows() == want.rows()
+            assert got == want
+
+    @given(evaluation_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_tube_iou_once_per_pair(self, data):
+        tubes, gt_tubes, _ = data
+        calls = []
+        original = metrics.tube_iou
+
+        def counting(d, g):
+            calls.append((id(d), id(g)))
+            return original(d, g)
+
+        metrics.tube_iou = counting
+        try:
+            video_map(tubes, gt_tubes, DEFAULT_TUBE_THRESHOLDS)
+        finally:
+            metrics.tube_iou = original
+        same_group = {
+            (id(d), id(g)) for d in tubes for g in gt_tubes if (d.class_id, d.video_id) == (g.class_id, g.video_id)
+        }
+        assert len(calls) == len(set(calls)) == len(same_group)
+        assert set(calls) == same_group

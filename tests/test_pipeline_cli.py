@@ -10,9 +10,8 @@ import pytest
 from tubestream.cli import main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
-from tubestream.pipeline import nms_frame, run_link, run_pipeline
-from tubestream.records import parse_detections, parse_tubes, write_rawgrids
-from tubestream.synthetic import ScenarioSpec, generate
+from tubestream.pipeline import nms_frame, run_decode, run_link, run_pipeline
+from tubestream.records import RecordError, parse_detections, parse_tubes, write_rawgrids
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -140,6 +139,38 @@ class TestDecodeCli:
         assert n_hi <= n_lo
 
 
+class TestFailedStageLeavesNoOutput:
+    """A stage writes its output beside the target and moves it into place
+    only on success, so a later stage never reads a partial file."""
+
+    def check(self, tmp_path, run, out):
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(RecordError):
+            run()
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        out.write_text("earlier output\n")
+        with pytest.raises(RecordError):
+            run()
+        assert out.read_text() == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + [out.name])
+
+    def test_decode_with_non_finite_second_frame(self, tmp_path):
+        grids, det = tmp_path / "g.txt", tmp_path / "det.txt"
+        good, bad = " ".join(["0"] * 8), " ".join(["0.5"] * 7 + ["nan"])
+        grids.write_text(f"#tubestream rawgrid v1\ngrid 1 1 1\nanchors 1,1\nframe v 1 {good}\nframe v 2 {bad}\n")
+        self.check(tmp_path, lambda: run_decode(RunConfig(), str(grids), str(det)), det)
+
+    def test_link_with_bad_row_after_a_finished_video(self, tmp_path):
+        det, tubes = tmp_path / "det.txt", tmp_path / "tubes.txt"
+        # Video a ends in one emitted tube before b's third row fails.
+        rows = [f"a {t} 0 0.1 0.1 0.5 0.5 0.9 {t / 13:.3f}" for t in range(1, 13)]
+        rows += ["b 1 0 0.1 0.1 0.5 0.5 0.9 0.5", "b 2 0 0.1 0.1 0.5 0.5 0.9 0.5", "b 3 0 0.5 0.1 0.5 0.5 0.9 0.5"]
+        det.write_text("#tubestream detections v1\n" + "\n".join(rows) + "\n")
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        self.check(tmp_path, lambda: run_link(RunConfig(alphas=1.0), str(det), str(tubes), str(spool)), tubes)
+
+
 class TestEvalCli:
     def test_threshold_band_prints_ten_rows_plus_average(self, mech_paths, tmp_path, capsys):
         det, ann = mech_paths
@@ -180,6 +211,12 @@ class TestConfigPrecedence:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(cfg_path), {})
 
+    def test_jobs_is_no_longer_a_key(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"jobs": 2}))
+        with pytest.raises(ValueError, match="unknown config key 'jobs'"):
+            load_config(str(cfg_path), {})
+
     def test_rate_errors_convert_to_alphas(self):
         config = RunConfig(rate_errors=(0.0, 0.1, 1.0))
         alphas = config.resolved_alphas()
@@ -188,33 +225,6 @@ class TestConfigPrecedence:
         assert alphas[2] < 1e-40
         linker_cfg = config.linker_config()
         assert linker_cfg.alpha_for(1) == alphas[1]
-
-
-class TestPipelineParallelism:
-    def test_jobs_do_not_change_results(self):
-        streams, gts = [], []
-        for k in range(3):
-            spec = ScenarioSpec(
-                n_frames=40,
-                n_classes=2,
-                tracks=(
-                    __import__("tubestream.synthetic", fromlist=["TrackSpec"]).TrackSpec(
-                        k % 2, 5, 30, (0.2, 0.2, 0.5, 0.6), (0.3, 0.25, 0.6, 0.65)
-                    ),
-                ),
-                context_fraction=0.3,
-                context_score=(0.6, 0.9),
-                distractor_rate=0.5,
-                seed=k,
-                video_id=f"v{k}",
-            )
-            stream, gt = generate(spec)
-            streams.append(stream)
-            gts.extend(gt)
-        sequential, seq_tubes = run_pipeline(RunConfig(alphas=1.0), streams=streams, gt_tubes=gts)
-        parallel, par_tubes = run_pipeline(RunConfig(alphas=1.0, jobs=3), streams=streams, gt_tubes=gts)
-        assert seq_tubes == par_tubes
-        assert sequential == parallel
 
 
 class TestNmsFrame:
