@@ -26,7 +26,9 @@ changes, and nothing ever depends on future frames.
 At stream end each tube is trimmed to the frames labeled 1: the emitted
 tube covers the tightest interval around them, carries only those frames'
 boxes, and is rescored as their mean confidence.  Tubes with no labeled
-frame are dropped.
+frame are dropped.  Because committed labels are final, each tube keeps a
+running summary of its committed labeled entries, so trimming reads a
+spilled store once, and only for a tube that is emitted.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .decode import CandidateBox
-from .geometry import Box, box_iou
+from .geometry import Box, box_area
 from .tubes import FinalTube
-
-ACTIVE = "active"
-COMPLETED = "completed"
 
 
 class SequencingError(ValueError):
@@ -98,7 +98,7 @@ class TubeEntry:
 
     __slots__ = ("frame", "box", "score", "rate", "label")
 
-    def __init__(self, frame: int, box: Box | None, score: float, rate: float, label: int):
+    def __init__(self, frame: int, box: Box, score: float, rate: float, label: int):
         self.frame = frame
         self.box = box
         self.score = score
@@ -123,6 +123,7 @@ class MemoryStore:
 
 
 _SPILL_RECORD = struct.Struct("<q6dB")
+_SPILL_CHUNK = _SPILL_RECORD.size * 1024
 
 
 class SpillStore:
@@ -142,22 +143,16 @@ class SpillStore:
         if self._fh is None:
             fd, self._path = tempfile.mkstemp(suffix=".spill", dir=self._dir)
             self._fh = os.fdopen(fd, "wb")
-        x1, y1, x2, y2 = entry.box if entry.box is not None else (0.0, 0.0, 0.0, 0.0)
-        self._fh.write(
-            _SPILL_RECORD.pack(entry.frame, x1, y1, x2, y2, entry.score, entry.rate, entry.label)
-        )
+        x1, y1, x2, y2 = entry.box
+        self._fh.write(_SPILL_RECORD.pack(entry.frame, x1, y1, x2, y2, entry.score, entry.rate, entry.label))
 
     def __iter__(self) -> Iterator[TubeEntry]:
         if self._fh is None:
             return
         self._fh.flush()
         with open(self._path, "rb") as fh:
-            while True:
-                blob = fh.read(_SPILL_RECORD.size * 1024)
-                if not blob:
-                    break
-                for off in range(0, len(blob), _SPILL_RECORD.size):
-                    frame, x1, y1, x2, y2, score, rate, label = _SPILL_RECORD.unpack_from(blob, off)
+            while blob := fh.read(_SPILL_CHUNK):
+                for frame, x1, y1, x2, y2, score, rate, label in _SPILL_RECORD.iter_unpack(blob):
                     yield TubeEntry(frame, (x1, y1, x2, y2), score, rate, label)
 
     def discard(self) -> None:
@@ -169,7 +164,12 @@ class SpillStore:
 
 
 class TubeState:
-    """A live tube: committed entries, the mutable trailing window, counters."""
+    """A live tube: committed entries, the mutable trailing window, counters.
+
+    ``first_labeled``, ``last_labeled``, ``labeled_sum`` and ``n_labeled``
+    summarize the committed entries labeled 1, in commit order; committed
+    labels never change, so the summary stays exact.
+    """
 
     __slots__ = (
         "class_id",
@@ -183,15 +183,18 @@ class TubeState:
         "score_sum",
         "n_linked",
         "last_geometry",
-        "frames_since_link",
-        "status",
+        "last_area",
+        "first_labeled",
+        "last_labeled",
+        "labeled_sum",
+        "n_labeled",
     )
 
     def __init__(
         self,
         class_id: int,
         frame: int,
-        box: Box | None,
+        box: Box,
         score: float,
         rate: float,
         seq: int = 0,
@@ -208,8 +211,11 @@ class TubeState:
         self.score_sum = score
         self.n_linked = 1
         self.last_geometry = box
-        self.frames_since_link = 0
-        self.status = ACTIVE
+        self.last_area = box_area(box)
+        self.first_labeled = 0
+        self.last_labeled = 0
+        self.labeled_sum = 0.0
+        self.n_labeled = 0
 
     @property
     def avg_score(self) -> float:
@@ -219,35 +225,32 @@ class TubeState:
     def entries(self) -> list[TubeEntry]:
         return list(self.store) + self.window
 
-    @property
-    def boxes(self) -> list[tuple[int, Box | None, float, float]]:
-        return [(e.frame, e.box, e.score, e.rate) for e in self.entries]
-
-    @property
-    def labels(self) -> list[int]:
-        return [e.label for e in self.entries]
-
     def commit_through(self, frame: int) -> None:
         """Move entries at or before ``frame`` out of the mutable window."""
+        window = self.window
         n = 0
-        for e in self.window:
+        for e in window:
             if e.frame > frame:
                 break
             n += 1
-        if n:
-            for e in self.window[:n]:
-                self.store.append(e)
-            del self.window[:n]
+            self.store.append(e)
+            if e.label:
+                if not self.n_labeled:
+                    self.first_labeled = e.frame
+                self.last_labeled = e.frame
+                self.labeled_sum += e.score
+                self.n_labeled += 1
+        del window[:n]
 
 
 def temporal_label_step(
     tube: TubeState,
     frame: int,
+    box: Box,
     score: float,
     rate: float,
     alpha: float,
     window: int,
-    box: Box | None = None,
 ) -> None:
     """Link one more box into ``tube`` and refresh its temporal labels.
 
@@ -259,46 +262,49 @@ def temporal_label_step(
     Only entries with ``frame > new_frame - window`` are touched; near the
     tube start the window simply clips.
     """
-    if not tube.window:
+    entries = tube.window
+    if not entries:
         raise ValueError("temporal_label_step requires the previous box in the mutable window")
-    prev = tube.window[-1]
+    prev = entries[-1]
     if frame <= prev.frame:
         raise SequencingError(f"frame {frame} not after previous linked frame {prev.frame}")
 
-    entry = TubeEntry(frame, box, score, rate, prev.label)
-    tube.window.append(entry)
+    entries.append(TubeEntry(frame, box, score, rate, prev.label))
     tube.score_sum += score
     tube.n_linked += 1
     tube.t_end = frame
-    if box is not None:
-        tube.last_geometry = box
+    tube.last_geometry = box
+    tube.last_area = box_area(box)
 
+    # Saturating counters: min(window, n + 1) and max(0, n - 1), without the calls.
+    up = tube.n_up
+    down = tube.n_down
     if rate > prev.rate:
-        tube.n_up = min(window, tube.n_up + 1)
-        tube.n_down = max(0, tube.n_down - 1)
+        up = up + 1 if up + 1 < window else window
+        down = down - 1 if down > 1 else 0
     else:
-        tube.n_down = min(window, tube.n_down + 1)
-        tube.n_up = max(0, tube.n_up - 1)
+        down = down + 1 if down + 1 < window else window
+        up = up - 1 if up > 1 else 0
+    tube.n_up = up
+    tube.n_down = down
 
-    # Trailing entries with frame in [frame - window + 1, frame].
+    # Trailing entries with frame in [frame - window + 1, frame]; the new
+    # entry is one of them.
     lo = frame - window + 1
-    tail = []
-    for e in reversed(tube.window):
-        if e.frame < lo:
-            break
-        tail.append(e)
+    k = 0
+    while entries[k].frame < lo:
+        k += 1
+    tail = entries[k:] if k else entries
 
-    if tube.n_up == window:
+    if up == window:
         for e in tail:
             e.label = 1
-    elif tube.n_down == window:
+    elif down == window:
         for e in tail:
             e.label = 0
-    else:
-        mean = sum(e.score for e in reversed(tail)) / len(tail)
-        if mean > alpha:
-            for e in tail:
-                e.label = 1
+    elif sum([e.score for e in tail]) / len(tail) > alpha:
+        for e in tail:
+            e.label = 1
 
 
 @dataclass(frozen=True)
@@ -309,7 +315,7 @@ class LinkAudit:
     seq: int
     t_start: int
     frames: tuple[int, ...]
-    boxes: tuple[Box | None, ...]
+    boxes: tuple[Box, ...]
     scores: tuple[float, ...]
     rates: tuple[float, ...]
     labels: tuple[int, ...]
@@ -318,6 +324,11 @@ class LinkAudit:
 
 
 TubeSink = Callable[[str, int, int, int, float, int, Iterator[tuple[int, Box]]], None]
+
+
+def _rank(tube: TubeState) -> tuple[float, int, int]:
+    """Lane order: decreasing average score, then start frame, then seed order."""
+    return (-(tube.score_sum / tube.n_linked), tube.t_start, tube.seq)
 
 
 class OnlineLinker:
@@ -333,6 +344,10 @@ class OnlineLinker:
     ``(video_id, class_id, t_start, t_end, score, n_entries, entries)``
     where ``entries`` is a single-use iterator of (frame, box) pairs that
     must be consumed inside the callback.
+
+    A step costs time in the live tubes and the frame's boxes, not in the
+    stream length: committed entries are only touched when they leave the
+    window and, once, when their tube is emitted.
     """
 
     def __init__(
@@ -351,9 +366,10 @@ class OnlineLinker:
         self.n_classes = n_classes
         self._store_factory = store_factory if store_factory is not None else MemoryStore
         self._on_tube = on_tube
-        # With a known class count every lane exists up front; otherwise lanes
-        # appear as their classes first show up in the stream.
-        self._lanes: dict[int, list[TubeState]] = {c: [] for c in range(n_classes)} if n_classes else {}
+        # Lanes appear as their classes first show up in the stream;
+        # ``_order`` holds (class_id, alpha, lane) in ascending class order.
+        self._lanes: dict[int, list[TubeState]] = {}
+        self._order: list[tuple[int, float, list[TubeState]]] = []
         self._head: int | None = None
         self._seq = 0
         self._results: list[FinalTube] = []
@@ -364,71 +380,76 @@ class OnlineLinker:
 
     def step(self, frame: int, boxes: Iterable[CandidateBox]) -> list[FinalTube]:
         """Process one frame's candidate boxes; returns tubes completed now
-        (empty list when streaming through ``on_tube``)."""
+        (empty list when streaming through ``on_tube``).  A frame that is
+        rejected leaves the linker unchanged."""
         if self._finalized:
             raise SequencingError("linker already finalized")
         if self._head is not None and frame <= self._head:
             raise SequencingError(f"frame {frame} not after stream head {self._head}")
-        first = self._head is None
-        self._head = frame
 
         by_class: dict[int, list[CandidateBox]] = {}
         for bx in boxes:
-            if bx.class_id < 0 or (self.n_classes is not None and bx.class_id >= self.n_classes):
-                raise ValueError(f"box class {bx.class_id} out of range for {self.n_classes} classes")
-            by_class.setdefault(bx.class_id, []).append(bx)
+            group = by_class.get(bx.class_id)
+            if group is None:
+                by_class[bx.class_id] = [bx]
+            else:
+                group.append(bx)
+        lanes = self._lanes
+        new_classes = by_class.keys() - lanes.keys()
+        for class_id in new_classes:
+            self._check_class(class_id)
+
+        first = self._head is None
+        self._head = frame
+        if new_classes:
+            for class_id in new_classes:
+                lanes[class_id] = []
+            self._order = sorted((c, self.config.alpha_for(c), lane) for c, lane in lanes.items())
 
         emitted_before = len(self._results)
         cfg = self.config
-        for class_id in sorted(set(self._lanes) | set(by_class)):
-            lane = self._lanes.setdefault(class_id, [])
-            frame_boxes = by_class.get(class_id, [])
+        window = cfg.window
+        horizon = frame - window
+        for class_id, alpha, lane in self._order:
+            remaining = by_class.get(class_id)
             if first:
                 eligible = sorted(
-                    (b for b in frame_boxes if b.confidence > cfg.score_floor),
+                    (b for b in remaining if b.confidence > cfg.score_floor),
                     key=lambda b: -b.confidence,
                 )
                 for bx in eligible[: cfg.max_tubes]:
                     lane.append(self._new_tube(class_id, frame, bx))
                 continue
 
-            # Keep the best max_tubes live tubes, then let each take one box.
-            lane.sort(key=lambda tb: (-tb.avg_score, tb.t_start, tb.seq))
-            for tb in lane[cfg.max_tubes :]:
-                self._retire(tb, "pruned")
-            del lane[cfg.max_tubes :]
+            if lane:
+                # Keep the best max_tubes live tubes, then let each take one box.
+                if len(lane) > 1:
+                    lane.sort(key=_rank)
+                    if len(lane) > cfg.max_tubes:
+                        for tb in lane[cfg.max_tubes :]:
+                            self._retire(tb, "pruned")
+                        del lane[cfg.max_tubes :]
+                completed = False
+                for tb in lane:
+                    best = self._best_match(tb, remaining) if remaining else -1
+                    if best >= 0:
+                        cand = remaining.pop(best)
+                        temporal_label_step(
+                            tb, frame, cand.geometry, cand.confidence, cand.rate, alpha, window
+                        )
+                    elif tb.t_end <= horizon:
+                        self._emit(tb)
+                        completed = True
+                        continue
+                    if tb.window[0].frame <= horizon:
+                        tb.commit_through(horizon)
+                if completed:
+                    lane[:] = [tb for tb in lane if tb.t_end > horizon]
 
-            remaining = frame_boxes
-            alpha = cfg.alpha_for(class_id)
-            survivors: list[TubeState] = []
-            for tb in lane:
-                best = -1
-                best_score = -1.0
-                for i, cand in enumerate(remaining):
-                    if cand.confidence > best_score and box_iou(cand.geometry, tb.last_geometry) > cfg.iou_gate:
-                        best = i
-                        best_score = cand.confidence
-                if best >= 0:
-                    cand = remaining.pop(best)
-                    temporal_label_step(
-                        tb, frame, cand.confidence, cand.rate, alpha, cfg.window, box=cand.geometry
-                    )
-                    tb.frames_since_link = 0
-                else:
-                    tb.frames_since_link = frame - tb.t_end
-                if tb.frames_since_link >= cfg.window:
-                    tb.status = COMPLETED
-                    self._emit(tb)
-                else:
-                    survivors.append(tb)
-            self._lanes[class_id] = lane = survivors
-
-            for tb in lane:
-                tb.commit_through(frame - cfg.window)
-
-            for bx in remaining:
-                if bx.confidence > cfg.score_floor:
-                    lane.append(self._new_tube(class_id, frame, bx))
+            if remaining:
+                for bx in remaining:
+                    if bx.confidence > cfg.score_floor:
+                        lane.append(self._new_tube(class_id, frame, bx))
 
         return self._results[emitted_before:]
 
@@ -437,14 +458,47 @@ class OnlineLinker:
         (collection mode) or an empty list (sink mode)."""
         if not self._finalized:
             self._finalized = True
-            for class_id in sorted(self._lanes):
-                for tb in sorted(self._lanes[class_id], key=lambda tb: (tb.t_start, tb.seq)):
-                    tb.status = COMPLETED
+            for _, _, lane in self._order:
+                for tb in sorted(lane, key=lambda tb: (tb.t_start, tb.seq)):
                     self._emit(tb)
-                self._lanes[class_id] = []
+                lane.clear()
         return list(self._results)
 
     # -- internals ---------------------------------------------------------
+
+    def _check_class(self, class_id: int) -> None:
+        if class_id < 0 or (self.n_classes is not None and class_id >= self.n_classes):
+            raise ValueError(f"box class {class_id} out of range for {self.n_classes} classes")
+        alphas = self.config.alphas
+        if isinstance(alphas, (tuple, list)) and class_id >= len(alphas):
+            raise ValueError(f"box class {class_id} has no alpha: alphas gives {len(alphas)} values")
+
+    def _best_match(self, tube: TubeState, candidates: list[CandidateBox]) -> int:
+        """Index of the most confident candidate whose ``box_iou`` with the
+        tube's last box exceeds the gate, or -1.  The overlap is
+        ``geometry.box_iou`` with the same operations in the same order, and
+        the tube's area taken from the cache."""
+        gate = self.config.iou_gate
+        bx1, by1, bx2, by2 = tube.last_geometry
+        b_area = tube.last_area
+        best = -1
+        best_score = -1.0
+        for i, cand in enumerate(candidates):
+            conf = cand.confidence
+            if conf > best_score:
+                ax1, ay1, ax2, ay2 = cand.geometry
+                ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+                if ix > 0.0:
+                    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+                    if iy > 0.0:
+                        inter = ix * iy
+                        w = ax2 - ax1
+                        h = ay2 - ay1
+                        union = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0) + b_area - inter
+                        if union > 0.0 and inter / union > gate:
+                            best = i
+                            best_score = conf
+        return best
 
     def _new_tube(self, class_id: int, frame: int, bx: CandidateBox) -> TubeState:
         tube = TubeState(
@@ -459,12 +513,7 @@ class OnlineLinker:
         self._seq += 1
         return tube
 
-    def _iter_all(self, tube: TubeState) -> Iterator[TubeEntry]:
-        yield from tube.store
-        yield from tube.window
-
-    def _audit_tube(self, tube: TubeState, outcome: str) -> None:
-        entries = list(self._iter_all(tube))
+    def _audit_tube(self, tube: TubeState, outcome: str, entries: list[TubeEntry]) -> None:
         self.audit_log.append(
             LinkAudit(
                 class_id=tube.class_id,
@@ -482,16 +531,15 @@ class OnlineLinker:
 
     def _retire(self, tube: TubeState, outcome: str) -> None:
         if self.audit_log is not None:
-            self._audit_tube(tube, outcome)
+            self._audit_tube(tube, outcome, tube.entries)
         tube.store.discard()
 
     def _emit(self, tube: TubeState) -> None:
-        first = last = None
-        score_sum = 0.0
-        count = 0
-        for e in self._iter_all(tube):
+        first, last = tube.first_labeled, tube.last_labeled
+        score_sum, count = tube.labeled_sum, tube.n_labeled
+        for e in tube.window:
             if e.label:
-                if first is None:
+                if not count:
                     first = e.frame
                 last = e.frame
                 score_sum += e.score
@@ -500,9 +548,12 @@ class OnlineLinker:
             self._retire(tube, "empty")
             return
         if self.audit_log is not None:
-            self._audit_tube(tube, "emitted")
+            entries = tube.entries
+            self._audit_tube(tube, "emitted", entries)
+        else:
+            entries = chain(tube.store, tube.window)
         score = score_sum / count
-        kept = ((e.frame, e.box) for e in self._iter_all(tube) if e.label)
+        kept = ((e.frame, e.box) for e in entries if e.label)
         if self._on_tube is not None:
             self._on_tube(self.video_id, tube.class_id, first, last, score, count, kept)
         else:

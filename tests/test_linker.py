@@ -1,6 +1,9 @@
 """Online linking: temporal labeling, lifecycle, trimming, online contract."""
 
+import functools
 import math
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,12 +18,13 @@ from tubestream.linker import (
     OnlineLinker,
     SequencingError,
     SpillStore,
+    TubeEntry,
     TubeState,
     alpha_from_training_error,
     link_stream,
     temporal_label_step,
 )
-from tubestream.synthetic import score_only_link
+from tubestream.synthetic import chain_stream_frames, score_only_link
 
 
 class TestAlphaFromTrainingError:
@@ -39,60 +43,75 @@ class TestAlphaFromTrainingError:
             alpha_from_training_error(-0.1)
 
 
+BOX = (0.2, 0.2, 0.6, 0.6)
+
+
 def fresh_tube(score=0.1, rate=0.1, frame=1):
-    return TubeState(0, frame, None, score, rate)
+    return TubeState(0, frame, BOX, score, rate)
+
+
+def labels(tube):
+    return [e.label for e in tube.entries]
 
 
 class TestTemporalLabelStep:
     def test_rising_rates_backfill_window(self):
         tube = fresh_tube(rate=0.1)
         for frame, rate in [(2, 0.2), (3, 0.3), (4, 0.4)]:
-            temporal_label_step(tube, frame, 0.1, rate, alpha=0.9, window=3)
+            temporal_label_step(tube, frame, BOX, 0.1, rate, alpha=0.9, window=3)
         assert tube.n_up == 3 and tube.n_down == 0
-        assert tube.labels == [0, 1, 1, 1]
+        assert labels(tube) == [0, 1, 1, 1]
 
     def test_falling_rates_stay_unlabeled(self):
         tube = fresh_tube(rate=0.9)
         for frame, rate in [(2, 0.8), (3, 0.7), (4, 0.6)]:
-            temporal_label_step(tube, frame, 0.1, rate, alpha=0.9, window=3)
+            temporal_label_step(tube, frame, BOX, 0.1, rate, alpha=0.9, window=3)
         assert tube.n_up == 0 and tube.n_down == 3
-        assert tube.labels == [0, 0, 0, 0]
+        assert labels(tube) == [0, 0, 0, 0]
 
     def test_oscillating_rates_high_scores_label_by_score(self):
         tube = fresh_tube(score=0.9, rate=0.5)
         for frame, rate in [(2, 0.6), (3, 0.4), (4, 0.6)]:
-            temporal_label_step(tube, frame, 0.9, rate, alpha=0.5, window=3)
+            temporal_label_step(tube, frame, BOX, 0.9, rate, alpha=0.5, window=3)
         assert tube.n_up < 3 and tube.n_down < 3
-        assert tube.labels == [1, 1, 1, 1]
+        assert labels(tube) == [1, 1, 1, 1]
 
     def test_label_inherited_from_previous_frame(self):
         tube = fresh_tube(score=0.9, rate=0.5)
         for frame, rate in [(2, 0.6), (3, 0.4)]:
-            temporal_label_step(tube, frame, 0.9, rate, alpha=0.5, window=3)
-        assert tube.labels == [1, 1, 1]
+            temporal_label_step(tube, frame, BOX, 0.9, rate, alpha=0.5, window=3)
+        assert labels(tube) == [1, 1, 1]
         # Frame 4: counters stay unsaturated and the trailing mean drops
         # below alpha, so no branch fires; the new label is a pure copy of
         # the previous one.
-        temporal_label_step(tube, 4, 0.0, 0.3, alpha=0.99, window=3)
-        assert tube.labels == [1, 1, 1, 1]
+        temporal_label_step(tube, 4, BOX, 0.0, 0.3, alpha=0.99, window=3)
+        assert labels(tube) == [1, 1, 1, 1]
 
     def test_tie_counts_as_decrease(self):
         tube = fresh_tube(rate=0.5)
-        temporal_label_step(tube, 2, 0.1, 0.5, alpha=1.0, window=3)
+        temporal_label_step(tube, 2, BOX, 0.1, 0.5, alpha=1.0, window=3)
         assert tube.n_down == 1 and tube.n_up == 0
 
     def test_average_score_invariant(self):
         tube = fresh_tube(score=0.4)
         scores = [0.4]
         for frame, score in [(2, 0.8), (3, 0.1), (4, 0.6)]:
-            temporal_label_step(tube, frame, score, 0.5, alpha=1.0, window=3)
+            temporal_label_step(tube, frame, BOX, score, 0.5, alpha=1.0, window=3)
             scores.append(score)
             assert tube.avg_score == pytest.approx(sum(scores) / len(scores), abs=1e-9)
+
+    def test_trailing_mean_sums_in_frame_order(self):
+        # Summed oldest first the mean clears alpha; newest first it does not.
+        assert (0.3 + 0.2 + 0.1) / 3 <= 0.2 < (0.1 + 0.2 + 0.3) / 3
+        tube = fresh_tube(score=0.1, rate=0.5)
+        temporal_label_step(tube, 2, BOX, 0.2, 0.6, alpha=0.2, window=3)
+        temporal_label_step(tube, 3, BOX, 0.3, 0.4, alpha=0.2, window=3)
+        assert labels(tube) == [1, 1, 1]
 
     def test_out_of_order_frame_rejected(self):
         tube = fresh_tube()
         with pytest.raises(SequencingError):
-            temporal_label_step(tube, 1, 0.1, 0.5, alpha=1.0, window=3)
+            temporal_label_step(tube, 1, BOX, 0.1, 0.5, alpha=1.0, window=3)
 
     @given(st.integers(0, 10_000), st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
@@ -101,7 +120,7 @@ class TestTemporalLabelStep:
         tube = fresh_tube(rate=float(rng.uniform(0, 1)))
         for k in range(40):
             temporal_label_step(
-                tube, k + 2, float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
+                tube, k + 2, BOX, float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
                 alpha=float(rng.uniform(0, 1)), window=window,
             )
             assert 0 <= tube.n_up <= window
@@ -181,6 +200,24 @@ class TestLinkerStep:
                     assert key not in used, f"box linked twice (seed {seed})"
                     used[key] = rec.seq
 
+    @pytest.mark.parametrize("bad_frame", [1, 2])
+    @pytest.mark.parametrize(
+        "n_classes, alphas, bad_class", [(None, (0.5, 0.5), 3), (2, 0.5, 2), (None, 0.5, -1)]
+    )
+    def test_rejected_frame_leaves_linker_unchanged(self, n_classes, alphas, bad_class, bad_frame):
+        cfg = LinkerConfig(window=2, alphas=alphas)
+        frames = chain_frames(6, [0.1 * t for t in range(1, 7)], scores=[0.9] * 6)
+        linker = OnlineLinker(n_classes, cfg, audit=True)
+        for t, boxes in frames:
+            if t == bad_frame:
+                with pytest.raises(ValueError, match=f"class {bad_class}"):
+                    linker.step(t, boxes + [CandidateBox(bad_class, BOX, 0.9, 0.5)])
+            linker.step(t, boxes)
+        clean = OnlineLinker(n_classes, cfg, audit=True)
+        for t, boxes in frames:
+            clean.step(t, boxes)
+        assert (linker.finalize(), linker.audit_log) == (clean.finalize(), clean.audit_log)
+
     def test_determinism_including_tie_breaks(self):
         box = (0.1, 0.1, 0.3, 0.3)
         frames = [
@@ -222,6 +259,16 @@ class TestFinalize:
         assert len(tubes) == 1
         assert (tubes[0].t_start, tubes[0].t_end) == (1, 6)
         assert len(tubes[0].entries) == 6
+
+    def test_emitted_score_sums_retained_scores_in_frame_order(self):
+        # Rising rates label every frame; window 2 commits all but the last
+        # two entries before the tube is emitted.
+        scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.15]
+        forward = functools.reduce(operator.add, scores)
+        assert forward != functools.reduce(operator.add, scores[::-1])
+        tubes = self.run_pattern([0.05 * t for t in range(1, 11)], alpha=0.0, window=2, scores=scores)
+        assert len(tubes) == 1 and (tubes[0].t_start, tubes[0].t_end) == (1, 10)
+        assert tubes[0].score == forward / len(scores)
 
     def test_score_recomputed_over_retained_frames(self):
         scores = [0.2, 0.4, 0.6, 0.8, 1.0, 0.9, 0.1, 0.15]
@@ -271,15 +318,81 @@ class TestAlphaRegimes:
 
 class TestStores:
     def test_spill_store_matches_memory_store(self, tmp_path):
-        for seed in range(20):
+        for seed in range(60):
             stream, n_classes, cfg = random_stream(seed)
             results = []
             for factory in (MemoryStore, lambda: SpillStore(str(tmp_path))):
-                linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, store_factory=factory)
+                linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, store_factory=factory, audit=True)
                 for t in stream.ordered_frames():
                     linker.step(t, stream.boxes_at(t))
-                results.append(linker.finalize())
-            assert results[0] == results[1]
+                results.append((linker.finalize(), linker.audit_log))
+            assert results[0] == results[1], f"seed {seed}"
+
+    def test_stores_yield_identical_entries(self, tmp_path):
+        rng = np.random.default_rng(7)
+        stores = MemoryStore(), SpillStore(str(tmp_path))
+        for frame in range(1, 50):
+            box = tuple(float(x) for x in rng.uniform(0.0, 1.0, 4))
+            score, rate = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+            for store in stores:
+                store.append(TubeEntry(frame, box, score, rate, frame % 2))
+        memory, spilled = ([(e.frame, e.box, e.score, e.rate, e.label) for e in store] for store in stores)
+        assert spilled == memory and len(memory) == 49
+        stores[1].discard()
+
+    @staticmethod
+    def count_reads(monkeypatch) -> Counter:
+        """Count ``SpillStore.__iter__`` calls per store, and under
+        ``"entries"`` the entries they yield."""
+        reads: Counter = Counter()
+        original = SpillStore.__iter__
+
+        def counted(store):
+            reads[store] += 1
+            entries = list(original(store))
+            reads["entries"] += len(entries)
+            return iter(entries)
+
+        monkeypatch.setattr(SpillStore, "__iter__", counted)
+        return reads
+
+    def test_store_read_once_per_emitted_tube(self, tmp_path, monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        for seed in range(40):
+            stream, n_classes, cfg = random_stream(seed)
+            emitted = []
+            linker = OnlineLinker(
+                n_classes,
+                cfg,
+                store_factory=lambda: SpillStore(str(tmp_path)),
+                on_tube=lambda *tube: emitted.append(len(list(tube[-1]))),
+            )
+            for t in stream.ordered_frames():
+                linker.step(t, stream.boxes_at(t))
+            linker.finalize()
+            # Every emitted tube reads its store once; pruned tubes and
+            # tubes with no labeled frame never read theirs.
+            per_store = [n for key, n in reads.items() if key != "entries"]
+            assert set(per_store) <= {1} and len(per_store) == len(emitted), f"seed {seed}"
+            reads.clear()
+
+    def test_chain_tube_reads_its_spill_file_once(self, tmp_path, monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        emitted = []
+
+        def sink(video_id, class_id, t_start, t_end, score, count, entries):
+            emitted.append((count, sum(1 for _ in entries)))
+
+        linker = OnlineLinker(
+            config=LinkerConfig(alphas=1.0), store_factory=lambda: SpillStore(str(tmp_path)), on_tube=sink
+        )
+        for t, boxes in chain_stream_frames(2_000):
+            linker.step(t, boxes)
+        assert not reads
+        linker.finalize()
+        window = linker.config.window
+        assert len(emitted) == 1 and emitted[0][0] == emitted[0][1]
+        assert reads.pop("entries") == 2_000 - window and list(reads.values()) == [1]
 
     def test_spill_store_cleans_up_files(self, tmp_path):
         import os

@@ -94,6 +94,15 @@ class TestLinkCli:
         err = capsys.readouterr().err
         assert "confidence" in err and "2" in err
 
+    def test_class_without_alpha_is_an_error_line(self, tmp_path, capsys):
+        det = tmp_path / "d.txt"
+        det.write_text("#tubestream detections v1\nv 1 3 0.1 0.1 0.5 0.5 0.9 0.5\nv 2 3 0.1 0.1 0.5 0.5 0.9 0.6\n")
+        tubes = tmp_path / "t.txt"
+        assert run_cli("link", "--detections", det, "--tubes", tubes, "--alphas", "0.5,0.5") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "class 3" in err[0]
+        assert not tubes.exists()
+
     def test_missing_required_paths(self, capsys):
         assert run_cli("link") == 2
 
