@@ -38,6 +38,11 @@ OVERLAP_BLOCK = 64
 # by at most 5e-10, so a box at least this wide and high stays
 # non-degenerate in the file.
 MIN_BOX_SIZE = 1e-8
+# Floor on a decoded box's half width and half height.  It is many ulps of
+# any coordinate in [0, 1], so every slot keeps a positive extent after
+# rounding and clipping, and far below ``MIN_BOX_SIZE``, so a floored slot is
+# still dropped as a candidate.
+MIN_HALF_SIZE = 1e-15
 
 
 def attr_width(n_classes: int) -> int:
@@ -118,10 +123,9 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     """Activate a raw grid and decode every (cell, anchor) slot to a box.
 
     Pure function: identical inputs produce bit-identical outputs.  Geometry
-    is clamped to the unit square and centers stay strictly inside it.  A
-    very negative size logit (about -40 or lower) makes a box narrower than
-    ``MIN_BOX_SIZE`` or even of zero width; ``select_candidates`` drops such
-    slots.
+    is clamped to the unit square and every box has a positive width and
+    height.  A very negative size logit makes a box narrower than
+    ``MIN_BOX_SIZE``; ``select_candidates`` drops such slots.
     """
     if len(anchors) != raw.n_anchors:
         raise ValueError(f"anchor set has {len(anchors)} entries, grid declares {raw.n_anchors}")
@@ -136,6 +140,7 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
 
     prior = np.asarray(anchors.sizes, dtype=np.float64)  # (B, 2)
     half = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s / 2.0  # (S, S, B, 2)
+    np.maximum(half, MIN_HALF_SIZE, out=half)
 
     grid_x = np.arange(s, dtype=np.float64)[None, :, None]
     grid_y = np.arange(s, dtype=np.float64)[:, None, None]

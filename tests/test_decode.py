@@ -383,10 +383,11 @@ class TestDecodeOutputParses:
         self.decode_and_parse(*grid)
 
     def test_vanishing_width_is_dropped(self):
-        # A w-logit of -45 puts the half-width below the center's ulp, so
-        # the decoded box is (0.5, 0, 0.5, 1).
+        # A w-logit of -45 puts the half-width below the center's ulp; it is
+        # floored at MIN_HALF_SIZE, far too narrow to be a candidate.
         values = np.zeros(attr_width(1))
         values[2] = -45.0
         anchors = AnchorSet(((1.0, 1.0),))
-        assert decode_grid(RawGrid(1, 1, 1, values), anchors).geometry.tolist() == [[[[0.5, 0.0, 0.5, 1.0]]]]
+        half = decode.MIN_HALF_SIZE
+        assert decode_grid(RawGrid(1, 1, 1, values), anchors).geometry.tolist() == [[[[0.5 - half, 0.0, 0.5 + half, 1.0]]]]
         assert self.decode_and_parse((1, 1, 1), anchors, values) == 0
