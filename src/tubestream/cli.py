@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import records
@@ -12,6 +13,9 @@ from .linker import SequencingError
 from .losses import check_gradients, random_check_case
 from .pipeline import run_decode, run_eval, run_link
 from .synthetic import ScenarioSpec, generate
+
+
+_MAX_RANGE_STEPS = 10_000
 
 
 def _parse_deltas(text: str) -> tuple[float, ...]:
@@ -25,6 +29,10 @@ def _parse_deltas(text: str) -> tuple[float, ...]:
                 raise argparse.ArgumentTypeError(f"bad range {token!r}")
             lo, hi = float(parts[0]), float(parts[1])
             step = float(parts[2]) if len(parts) == 3 else 0.05
+            if not (all(map(math.isfinite, (lo, hi, step))) and step > 0):
+                raise argparse.ArgumentTypeError(f"range {token!r} needs finite bounds and a step > 0")
+            if (hi - lo) / step > _MAX_RANGE_STEPS:
+                raise argparse.ArgumentTypeError(f"range {token!r} takes more than {_MAX_RANGE_STEPS} steps")
             k = 0
             while True:
                 v = round(lo + k * step, 6)

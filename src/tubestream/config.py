@@ -62,12 +62,34 @@ class RunConfig:
 
 
 _TUPLE_FIELDS = {"alphas", "rate_errors", "deltas"}
+_INT_FIELDS = {"window", "max_tubes"}
 
 
 def _canon(key: str, value):
     if key in _TUPLE_FIELDS and isinstance(value, (list, tuple)):
         return tuple(float(v) for v in value)
     return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(path: str, key: str, value) -> None:
+    """Reject a config file value whose JSON type does not fit the field."""
+    number_list = isinstance(value, list) and all(map(_is_number, value))
+    if key in ENV_PATHS:
+        ok, kind = value is None or isinstance(value, str), "a path string"
+    elif key in _INT_FIELDS:
+        ok, kind = _is_number(value) and isinstance(value, int), "an integer"
+    elif key == "deltas":
+        ok, kind = number_list, "a list of numbers"
+    elif key in _TUPLE_FIELDS:
+        ok, kind = value is None or _is_number(value) or number_list, "a number or a list of numbers"
+    else:
+        ok, kind = _is_number(value), "a number"
+    if not ok:
+        raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None, env: dict | None = None) -> RunConfig:
@@ -86,6 +108,7 @@ def load_config(path: str | None = None, overrides: dict | None = None, env: dic
         for key, value in data.items():
             if key not in known:
                 raise ValueError(f"{path}: unknown config key {key!r}")
+            _check_type(path, key, value)
             values[key] = _canon(key, value)
     for field_name, var in ENV_PATHS.items():
         if var in env:

@@ -17,9 +17,8 @@ from typing import Iterable, Iterator
 from . import records
 from .config import RunConfig
 from .decode import CandidateBox, decode_grid, nms_frame, select_candidates
-from .linker import OnlineLinker, SpillStore, link_stream
+from .linker import OnlineLinker, SpillStore
 from .metrics import EvalReport, evaluate
-from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 
 def iter_frames(
@@ -93,61 +92,6 @@ def run_link(
     return count
 
 
-def link_parsed_stream(
-    stream: DetectionStream,
-    config: RunConfig,
-) -> tuple[list[FinalTube], list[tuple[str, int, CandidateBox]]]:
-    """In-memory link of one parsed stream; also returns the post-NMS rows
-    (the frame-level detections that the evaluation stage scores)."""
-    linker_cfg = config.linker_config()
-    frame_rows: list[tuple[str, int, CandidateBox]] = []
-    frames = []
-    for t in stream.ordered_frames():
-        boxes = nms_frame(stream.boxes_at(t), config.score_threshold, config.nms_iou)
-        frames.append((t, boxes))
-        frame_rows.extend((stream.video_id, t, bx) for bx in boxes)
-    tubes = link_stream(frames, config=linker_cfg, video_id=stream.video_id)
-    return tubes, frame_rows
-
-
-def run_pipeline(
-    config: RunConfig,
-    streams: list[DetectionStream] | None = None,
-    gt_tubes: list[GroundTruthTube] | None = None,
-) -> tuple[EvalReport, list[FinalTube]]:
-    """Full detections -> tubes -> report composition.
-
-    Inputs may be passed in memory or read from the configured paths.  Videos
-    are linked independently, in input order.
-    """
-    if streams is None:
-        if config.detections is None:
-            raise ValueError("no detections input configured")
-        streams = records.parse_detections(config.detections)
-    if gt_tubes is None:
-        if config.annotations is None:
-            raise ValueError("evaluation requested but no annotations configured")
-        gt_tubes = records.parse_annotations(config.annotations)
-
-    linked = [link_parsed_stream(s, config) for s in streams]
-
-    tubes = [t for video_tubes, _ in linked for t in video_tubes]
-    frame_rows = [row for _, rows in linked for row in rows]
-
-    report = evaluate(
-        tubes,
-        gt_tubes,
-        frame_detections=frame_rows,
-        tube_thresholds=config.deltas,
-        frame_threshold=config.frame_threshold,
-    )
-    if config.tubes:
-        records.write_tubes(config.tubes, tubes)
-    if config.report:
-        write_report_csv(config.report, report)
-    return report, tubes
-
-
 def run_eval(
     config: RunConfig,
     tubes_path: str,
@@ -155,7 +99,8 @@ def run_eval(
     detections_path: str | None = None,
 ) -> EvalReport:
     """Score a tubes file against annotations; optional detections feed the
-    frame-level metric (otherwise it is computed from the tubes' boxes)."""
+    frame-level metric as written, before link's threshold and NMS
+    (otherwise it is computed from the tubes' boxes)."""
     tubes = records.parse_tubes(tubes_path)
     gt_tubes = records.parse_annotations(annotations_path)
     frame_rows = None

@@ -145,16 +145,6 @@ def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
             yield video_id, frame, CandidateBox(class_id, (x1, y1, x2, y2), conf, rate)
 
 
-def parse_detections(path: str) -> list[DetectionStream]:
-    """Group a detections file into per-video streams."""
-    streams: list[DetectionStream] = []
-    for video_id, frame, box in iter_detection_rows(path):
-        if not streams or streams[-1].video_id != video_id:
-            streams.append(DetectionStream(video_id=video_id))
-        streams[-1].add(frame, box)
-    return streams
-
-
 def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
     g = box.geometry
     return (
@@ -228,12 +218,6 @@ class TubeWriter:
         self.close()
 
 
-def write_tubes(path: str, tubes: Iterable[FinalTube]) -> None:
-    with TubeWriter(path) as w:
-        for tube in tubes:
-            w.write_tube(tube)
-
-
 def _parse_entry(token: str, path: str, line_no: int) -> tuple[int, tuple[float, float, float, float]]:
     parts = token.split(",")
     if len(parts) != 5:
@@ -262,11 +246,15 @@ def parse_tubes(path: str) -> list[FinalTube]:
             t_end = _int_field(parts[3], path, line_no, "t_end")
             score = _unit_interval(parts[4], path, line_no, "score")
             count = _int_field(parts[5], path, line_no, "n")
+            if count < 1:
+                raise RecordError(path, line_no, f"field n must be >= 1: {count}")
             if len(parts) != 6 + count:
                 raise RecordError(path, line_no, f"declared {count} entries, found {len(parts) - 6}")
             entries = tuple(_parse_entry(tok, path, line_no) for tok in parts[6:])
-            if entries and (entries[0][0] != t_start or entries[-1][0] != t_end):
+            if entries[0][0] != t_start or entries[-1][0] != t_end:
                 raise RecordError(path, line_no, "entry frames do not span the declared range")
+            if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
+                raise RecordError(path, line_no, "entry frames are not strictly increasing")
             tubes.append(FinalTube(video_id, class_id, t_start, t_end, score, entries))
     return tubes
 

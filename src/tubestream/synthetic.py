@@ -93,35 +93,6 @@ class ScenarioSpec:
     def is_periodic(self, class_id: int) -> bool:
         return bool(self.periodic) and self.periodic[class_id]
 
-    def to_dict(self) -> dict:
-        d = {
-            "n_frames": self.n_frames,
-            "n_classes": self.n_classes,
-            "tracks": [
-                {
-                    "class_id": t.class_id,
-                    "t_start": t.t_start,
-                    "t_end": t.t_end,
-                    "start_box": list(t.start_box),
-                    "end_box": list(t.end_box),
-                }
-                for t in self.tracks
-            ],
-            "geometry_jitter": self.geometry_jitter,
-            "rate_noise": self.rate_noise,
-            "in_score": list(self.in_score),
-            "context_score": list(self.context_score),
-            "context_fraction": self.context_fraction,
-            "context_rate": self.context_rate,
-            "distractor_rate": self.distractor_rate,
-            "distractor_score": list(self.distractor_score),
-            "periodic": list(self.periodic),
-            "sawtooth_period": self.sawtooth_period,
-            "seed": self.seed,
-            "video_id": self.video_id,
-        }
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
         try:

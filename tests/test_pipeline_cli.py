@@ -10,8 +10,8 @@ import pytest
 from tubestream.cli import main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
-from tubestream.pipeline import nms_frame, run_decode, run_link, run_pipeline
-from tubestream.records import RecordError, parse_detections, parse_tubes, write_rawgrids
+from tubestream.pipeline import nms_frame, run_decode, run_eval, run_link
+from tubestream.records import RecordError, iter_detection_rows, parse_tubes, write_rawgrids
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -58,14 +58,12 @@ class TestGoldenPipeline:
         # recovery is exact at tube-IoU 0.5 while score-only drags the
         # context along and loses it.
         det, ann = mech_paths
-        from tubestream.records import parse_annotations
-
-        gt = parse_annotations(str(ann))
         reports = {}
         for alpha in (1.0, 0.0):
-            config = load_config(None, {"alphas": alpha, "detections": str(det)})
-            report, _ = run_pipeline(config, gt_tubes=gt)
-            reports[alpha] = report
+            config = RunConfig(alphas=alpha)
+            tubes = tmp_path / f"tubes{alpha}.txt"
+            run_link(config, str(det), str(tubes))
+            reports[alpha] = run_eval(config, str(tubes), str(ann), detections_path=str(det))
         assert reports[1.0].v_map[0.5] == 1.0
         assert reports[0.0].v_map[0.5] < reports[1.0].v_map[0.5]
 
@@ -132,9 +130,8 @@ class TestDecodeCli:
         self.make_grid_file(grid_file)
         out = tmp_path / "d.txt"
         assert run_cli("decode", "--grids", grid_file, "--out", out) == 0
-        streams = parse_detections(str(out))
-        assert len(streams) == 1 and streams[0].video_id == "vid"
-        assert streams[0].n_boxes() > 0
+        rows = list(iter_detection_rows(str(out)))
+        assert rows and {video_id for video_id, _, _ in rows} == {"vid"}
 
     def test_decode_respects_threshold(self, tmp_path, capsys):
         grid_file = tmp_path / "g.txt"
@@ -142,10 +139,7 @@ class TestDecodeCli:
         lo, hi = tmp_path / "lo.txt", tmp_path / "hi.txt"
         assert run_cli("decode", "--grids", grid_file, "--out", lo, "--score-threshold", "1e-3") == 0
         assert run_cli("decode", "--grids", grid_file, "--out", hi, "--score-threshold", "0.5") == 0
-        n_lo = parse_detections(str(lo))[0].n_boxes() if parse_detections(str(lo)) else 0
-        streams_hi = parse_detections(str(hi))
-        n_hi = streams_hi[0].n_boxes() if streams_hi else 0
-        assert n_hi <= n_lo
+        assert len(list(iter_detection_rows(str(hi)))) <= len(list(iter_detection_rows(str(lo))))
 
 
 class TestFailedStageLeavesNoOutput:
@@ -192,6 +186,23 @@ class TestEvalCli:
         assert len(v_map_rows) == 10
         assert any(line.startswith("v_map_avg") and "0.5:0.95" in line for line in out.splitlines())
 
+    @pytest.mark.parametrize(
+        "deltas, message",
+        [
+            ("0.5:0.95:0", "step > 0"),
+            ("0.5:0.95:-0.05", "step > 0"),
+            ("0.5:0.95:nan", "finite"),
+            ("0.5:inf", "finite"),
+            ("0:1:1e-9", "more than 10000 steps"),
+        ],
+    )
+    def test_range_that_never_ends_is_a_usage_error(self, tmp_path, capsys, deltas, message):
+        # Each of these made the range loop run until memory ran out.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--tubes", tmp_path / "t.txt", "--annotations", tmp_path / "a.txt", "--deltas", deltas)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestLosscheckCli:
     def test_passes_at_default_tolerance(self, capsys):
@@ -225,6 +236,26 @@ class TestConfigPrecedence:
         cfg_path.write_text(json.dumps({"jobs": 2}))
         with pytest.raises(ValueError, match="unknown config key 'jobs'"):
             load_config(str(cfg_path), {})
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [("link", {"window": "6"}), ("link", {"alphas": "0.5"}), ("eval", {"deltas": 0.5})],
+    )
+    def test_value_of_wrong_type_is_one_error_line(self, mech_paths, tmp_path, capsys, command, setting):
+        det, ann = mech_paths
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(setting))
+        paths = ["--detections", det] if command == "link" else ["--annotations", ann]
+        assert run_cli(command, "--config", cfg_path, *paths, "--tubes", tmp_path / "t.txt") == 1
+        err = capsys.readouterr().err.splitlines()
+        key = next(iter(setting))
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: config key {key!r}")
+
+    def test_values_of_each_kind_accepted(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"max_tubes": 3, "nms_iou": 0.5, "deltas": [0.2, 1], "tubes": "t.txt"}))
+        config = load_config(str(cfg_path), {}, env={})
+        assert (config.max_tubes, config.nms_iou, config.deltas, config.tubes) == (3, 0.5, (0.2, 1.0), "t.txt")
 
     def test_rate_errors_convert_to_alphas(self):
         config = RunConfig(rate_errors=(0.0, 0.1, 1.0))

@@ -1,5 +1,7 @@
 """File formats: round trips, validation errors, streaming parse."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import SequencingError
 from tubestream.records import (
     DETECTIONS_HEADER,
+    DetectionWriter,
     RecordError,
+    TubeWriter,
     iter_detection_rows,
     parse_annotations,
-    parse_detections,
     parse_tubes,
     read_rawgrids,
     write_annotations,
     write_detections,
     write_rawgrids,
-    write_tubes,
 )
 from tubestream.tubes import DetectionStream, FinalTube, GroundTruthTube
 
@@ -47,18 +49,20 @@ class TestDetections:
         path = tmp_path / "d.txt"
         write_detections(str(path), sample_streams())
         first = path.read_bytes()
-        reparsed = parse_detections(str(path))
         path2 = tmp_path / "d2.txt"
-        write_detections(str(path2), reparsed)
+        with DetectionWriter(str(path2)) as writer:
+            for row in iter_detection_rows(str(path)):
+                writer.add(*row)
         assert path2.read_bytes() == first
 
     def test_three_video_fixture_counts(self, tmp_path):
         path = tmp_path / "d.txt"
         write_detections(str(path), sample_streams())
-        streams = parse_detections(str(path))
-        assert [s.video_id for s in streams] == ["va", "vb", "vc"]
-        assert [len(s.frames) for s in streams] == [4, 2, 5]
-        assert all(s.n_boxes() == 2 * len(s.frames) for s in streams)
+        boxes_per_frame = Counter((video_id, frame) for video_id, frame, _ in iter_detection_rows(str(path)))
+        assert list(boxes_per_frame) == [
+            (vid, t) for vid, n_frames in (("va", 4), ("vb", 2), ("vc", 5)) for t in range(1, n_frames + 1)
+        ]
+        assert set(boxes_per_frame.values()) == {2}
 
     def test_out_of_range_confidence_names_field_and_line(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -110,10 +114,14 @@ class TestTubes:
             FinalTube("va", 1, 1, 1, 0.5, ((1, (0.2, 0.2, 0.3, 0.3)),)),
         ]
         path = tmp_path / "t.txt"
-        write_tubes(str(path), tubes)
+        with TubeWriter(str(path)) as writer:
+            for tube in tubes:
+                writer.write_tube(tube)
         assert parse_tubes(str(path)) == tubes
         path2 = tmp_path / "t2.txt"
-        write_tubes(str(path2), parse_tubes(str(path)))
+        with TubeWriter(str(path2)) as writer:
+            for tube in parse_tubes(str(path)):
+                writer.write_tube(tube)
         assert path2.read_bytes() == path.read_bytes()
 
     def test_entry_count_mismatch_rejected(self, tmp_path):
@@ -126,6 +134,21 @@ class TestTubes:
         path = tmp_path / "t.txt"
         path.write_text("#tubestream tubes v1\nv 0 1 5 0.5 1 2,0.1,0.1,0.2,0.2\n")
         with pytest.raises(RecordError, match="span"):
+            parse_tubes(str(path))
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("v 0 1 4 0.9 4 1,{b} 3,{b} 2,{b} 4,{b}", "not strictly increasing"),
+            ("v 0 1 4 0.9 4 1,{b} 2,{b} 2,{b} 4,{b}", "not strictly increasing"),
+            ("v 0 5 4 0.9 0", "n must be >= 1"),
+        ],
+        ids=["out_of_order", "repeated_frame", "no_entries"],
+    )
+    def test_malformed_entries_rejected_with_line(self, tmp_path, record, message):
+        path = tmp_path / "t.txt"
+        path.write_text("#tubestream tubes v1\n" + record.format(b="0.1,0.1,0.2,0.2") + "\n")
+        with pytest.raises(RecordError, match=f"t.txt:2: .*{message}"):
             parse_tubes(str(path))
 
 

@@ -106,9 +106,42 @@ class TestGenerate:
         with pytest.raises(ValueError, match="non-negative"):
             plain_spec(rate_noise=-0.1)
 
-    def test_round_trips_through_dict(self):
-        spec = plain_spec(periodic=(True,), distractor_rate=0.5)
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    def test_from_dict_reads_every_field(self):
+        data = {
+            "n_frames": 14,
+            "n_classes": 1,
+            "tracks": [{"class_id": 0, "t_start": 3, "t_end": 12, "start_box": [0.2, 0.2, 0.5, 0.6],
+                        "end_box": [0.35, 0.25, 0.65, 0.65]}],
+            "geometry_jitter": 0.01,
+            "rate_noise": 0.02,
+            "in_score": [0.6, 0.9],
+            "context_score": [0.1, 0.2],
+            "context_fraction": 0.5,
+            "context_rate": 0.1,
+            "distractor_rate": 0.5,
+            "distractor_score": [0.05, 0.25],
+            "periodic": [True],
+            "sawtooth_period": 4,
+            "seed": 3,
+            "video_id": "v7",
+        }
+        assert ScenarioSpec.from_dict(data) == ScenarioSpec(
+            n_frames=14,
+            n_classes=1,
+            tracks=(TRACK,),
+            geometry_jitter=0.01,
+            rate_noise=0.02,
+            in_score=(0.6, 0.9),
+            context_score=(0.1, 0.2),
+            context_fraction=0.5,
+            context_rate=0.1,
+            distractor_rate=0.5,
+            distractor_score=(0.05, 0.25),
+            periodic=(True,),
+            sawtooth_period=4,
+            seed=3,
+            video_id="v7",
+        )
 
 
 class TestOracleLink:
