@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from . import records
 from .config import RunConfig, load_config
@@ -69,39 +70,24 @@ def _add_config_flags(p: argparse.ArgumentParser, linking: bool = False, scoring
             dest="rate_errors",
             help="per-class mean rate training errors, converted to alphas via exp(-err^2/1e-2)",
         )
-    p.add_argument("--score-threshold", type=float, dest="score_threshold", help="detection selection threshold")
-    p.add_argument("--nms-iou", type=float, dest="nms_iou", help="NMS suppression IoU")
-    if scoring:
+    if scoring:  # eval scores its input files as written: no threshold or NMS
         p.add_argument("--deltas", type=_parse_deltas, help="tube overlap thresholds, e.g. '0.5:0.95' or '0.1,0.2'")
         p.add_argument(
             "--frame-threshold", type=float, dest="frame_threshold", help="spatial IoU threshold for the frame metric"
         )
+    else:
+        p.add_argument("--score-threshold", type=float, dest="score_threshold", help="detection selection threshold")
+        p.add_argument("--nms-iou", type=float, dest="nms_iou", help="NMS suppression IoU")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    keys = (
-        "iou_gate",
-        "window",
-        "max_tubes",
-        "score_floor",
-        "alphas",
-        "rate_errors",
-        "score_threshold",
-        "nms_iou",
-        "deltas",
-        "frame_threshold",
-        "detections",
-        "annotations",
-        "tubes",
-        "report",
-    )
+    """The ``RunConfig`` fields the command line sets; a one-value alpha or
+    rate-error list is a scalar."""
     out = {}
-    for key in keys:
+    for key in (f.name for f in fields(RunConfig)):
         value = getattr(args, key, None)
         if value is not None:
-            if key == "alphas" and len(value) == 1:
-                value = value[0]
-            if key == "rate_errors" and isinstance(value, tuple) and len(value) == 1:
+            if key in ("alphas", "rate_errors") and len(value) == 1:
                 value = value[0]
             out[key] = value
     return out

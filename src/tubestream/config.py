@@ -17,6 +17,16 @@ ENV_PATHS = {
     "report": "TUBESTREAM_REPORT",
 }
 
+# Valid values of the numeric settings that ``LinkerConfig`` does not check:
+# key -> (interval as printed, membership test), for every value of ``deltas``.
+_RANGES = {
+    "score_threshold": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
+    "nms_iou": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+    "score_floor": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
+    "frame_threshold": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "deltas": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -41,6 +51,12 @@ class RunConfig:
     annotations: str | None = None
     tubes: str | None = None
     report: str | None = None
+
+    def __post_init__(self):
+        for key, (interval, inside) in _RANGES.items():
+            for v in self.deltas if key == "deltas" else (getattr(self, key),):
+                if not inside(v):
+                    raise ValueError(f"{key} must lie in {interval}, got {v!r}")
 
     def resolved_alphas(self) -> tuple[float, ...] | float:
         if self.alphas is not None:

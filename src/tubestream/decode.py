@@ -9,6 +9,12 @@ the anchor prior), composes per-class confidences as
 ``actionness * class_score * progression``, and reduces the result to
 per-class candidate lists via thresholding and greedy NMS.
 
+Threshold + NMS has one implementation, ``nms_indices``: it takes parallel
+sequences of class ids, confidences and geometries and returns the indices it
+keeps.  Decode feeds it the (slot, class) pairs of a threshold mask and builds
+a ``CandidateBox`` only for each survivor; ``link`` feeds it, through
+``nms_frame``, the fields of each frame's boxes.
+
 Attribute layout along the last tensor axis::
 
     [x, y, w, h, actionness, class_0..C-1, progression_0..C-1, rate_0..C-1]
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, softmax
@@ -26,7 +33,7 @@ from .geometry import Box, box_iou
 
 ATTR_X, ATTR_Y, ATTR_W, ATTR_H, ATTR_ACT = range(5)
 
-# Per-class lists up to this length go through the scalar ``nms_boxes``: on a
+# Per-class lists up to this length go through the scalar greedy loop: on a
 # handful of boxes numpy's per-call cost exceeds the whole greedy loop.  The
 # matrix path overtakes it at about 10 boxes that rarely overlap and at about
 # 20 boxes that all overlap one another.
@@ -109,14 +116,30 @@ class DecodedGrid:
     confidence: np.ndarray  # (S, S, B, C): actionness * class_scores * progression
 
 
-@dataclass(frozen=True)
 class CandidateBox:
-    """A per-class scored detection ready for linking."""
+    """A per-class scored detection ready for linking.  Slotted, as decode and
+    records build one per row; compared and hashed by value, so immutable by
+    convention."""
 
-    class_id: int
-    geometry: Box
-    confidence: float
-    rate: float
+    __slots__ = ("class_id", "geometry", "confidence", "rate")
+
+    def __init__(self, class_id: int, geometry: Box, confidence: float, rate: float):
+        self.class_id = class_id
+        self.geometry = geometry
+        self.confidence = confidence
+        self.rate = rate
+
+    def _fields(self) -> tuple:
+        return (self.class_id, self.geometry, self.confidence, self.rate)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "CandidateBox(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
 
 def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
@@ -149,37 +172,46 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     return DecodedGrid(geometry, act, cls, prog, rate, act[..., None] * cls * prog)
 
 
-def select_candidates(decoded: DecodedGrid, score_threshold: float) -> list[CandidateBox]:
-    """The (slot, class) pairs whose confidence exceeds ``score_threshold``,
-    class by class and, within a class, in slot order (cell_y, cell_x, anchor).
-    All classes of a slot share one geometry tuple.  Slots whose box is
-    narrower or lower than ``MIN_BOX_SIZE`` are dropped, so every candidate
-    survives the records format as a valid box."""
+def select_candidates(decoded: DecodedGrid, score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+    """Threshold + NMS of one decoded frame: ``nms_indices`` on the (slot,
+    class) pairs a mask selects, class by class in slot order (cell_y, cell_x,
+    anchor), with a ``CandidateBox`` built only for each survivor.  All
+    classes of a slot share one geometry tuple.  Slots narrower or lower than
+    ``MIN_BOX_SIZE`` are dropped, so every box survives the records format."""
     n_classes = decoded.confidence.shape[-1]
     conf = decoded.confidence.reshape(-1, n_classes).T  # (C, slots)
     boxes = decoded.geometry.reshape(-1, 4)
     sized = (boxes[:, 2] - boxes[:, 0] >= MIN_BOX_SIZE) & (boxes[:, 3] - boxes[:, 1] >= MIN_BOX_SIZE)
     class_ids, slots = np.nonzero((conf > score_threshold) & sized)
-    geometry = [tuple(g) for g in boxes.tolist()]
+    slot_geometry = [tuple(g) for g in boxes.tolist()]
+    classes = class_ids.tolist()
+    geometry = [slot_geometry[slot] for slot in slots.tolist()]
     scores = conf[class_ids, slots].tolist()
-    rates = decoded.rates.reshape(-1, n_classes).T[class_ids, slots].tolist()
-    return [
-        CandidateBox(class_id, geometry[slot], score, rate)
-        for class_id, slot, score, rate in zip(class_ids.tolist(), slots.tolist(), scores, rates)
-    ]
+    keep = nms_indices(classes, scores, geometry, score_threshold, nms_iou)
+    rates = decoded.rates.reshape(-1, n_classes).T[class_ids[keep], slots[keep]].tolist()
+    return [CandidateBox(classes[i], geometry[i], scores[i], rate) for i, rate in zip(keep, rates)]
+
+
+def _greedy(
+    indices: Sequence[int], confidence: Sequence[float], geometry: Sequence[Box], nms_iou: float
+) -> list[int]:
+    """Scalar greedy NMS: ``indices`` by descending confidence (ties in order),
+    keeping each whose box overlaps no kept one by more than ``nms_iou``."""
+    kept: list[int] = []
+    for i in sorted(indices, key=confidence.__getitem__, reverse=True):
+        g = geometry[i]
+        if all(box_iou(g, geometry[k]) <= nms_iou for k in kept):
+            kept.append(i)
+    return kept
 
 
 def nms_boxes(candidates: list[CandidateBox], nms_iou: float) -> list[CandidateBox]:
     """Greedy NMS on one class's candidates; returns survivors sorted by
     descending confidence.  A box is suppressed when its IoU with an already
-    kept box exceeds ``nms_iou``.  Ties in confidence keep input order.
-    """
-    ordered = sorted(candidates, key=lambda cb: -cb.confidence)
-    kept: list[CandidateBox] = []
-    for cand in ordered:
-        if all(box_iou(cand.geometry, k.geometry) <= nms_iou for k in kept):
-            kept.append(cand)
-    return kept
+    kept box exceeds ``nms_iou``.  Ties in confidence keep input order.  The
+    scalar loop of ``nms_indices``, and the oracle of its matrix path."""
+    fields = [cb.confidence for cb in candidates], [cb.geometry for cb in candidates]
+    return [candidates[i] for i in _greedy(range(len(candidates)), *fields, nms_iou)]
 
 
 def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
@@ -199,44 +231,48 @@ def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
     return over
 
 
-def nms_frame(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
-    """Per-class threshold + greedy NMS over one frame's mixed-class boxes.
-
-    Returns, class by class in ascending order, what ``nms_boxes`` returns
-    for that class's boxes with confidence above ``score_threshold``: the
-    same objects in the same order.  Classes with more than ``SMALL_NMS``
-    boxes share one overlap matrix over their distinct geometries, so a
-    geometry that several classes carry is compared once.  Boxes must be
-    finite.
-    """
+def nms_indices(
+    class_ids: Sequence[int], confidence: Sequence[float], geometry: Sequence[Box], score_threshold: float, nms_iou: float
+) -> list[int]:
+    """Per-class threshold + greedy NMS over one frame's candidates, given as
+    parallel sequences: the indices of what ``nms_boxes`` keeps of each
+    class's candidates above ``score_threshold``, classes in ascending order.
+    Classes with more than ``SMALL_NMS`` candidates share one overlap matrix
+    over their distinct geometries.  Boxes must be finite."""
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
         raise ValueError("nms_iou must lie in (0, 1)")
-    by_class: dict[int, list[CandidateBox]] = {}
-    for bx in boxes:
-        if bx.confidence > score_threshold:
-            by_class.setdefault(bx.class_id, []).append(bx)
-    out: list[CandidateBox] = []
+    by_class: dict[int, list[int]] = {}
+    for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
+        if score > score_threshold:
+            by_class.setdefault(class_id, []).append(i)
+    out: list[int] = []
     rows = None
     for class_id in sorted(by_class):
         group = by_class[class_id]
-        if len(group) <= SMALL_NMS:
-            out.extend(nms_boxes(group, nms_iou))
+        if len(group) <= SMALL_NMS:  # a lone candidate is kept without a sort
+            out.extend(_greedy(group, confidence, geometry, nms_iou) if len(group) > 1 else group)
             continue
         if rows is None:  # one matrix over the distinct geometries of every large class
             index: dict[Box, int] = {}
             rows = {
-                c: [index.setdefault(bx.geometry, len(index)) for bx in g]
+                c: [index.setdefault(geometry[i], len(index)) for i in g]
                 for c, g in by_class.items()
                 if len(g) > SMALL_NMS
             }
             over = overlap_matrix(np.array(list(index), dtype=np.float64), nms_iou)
         row = rows[class_id]
-        conf = np.fromiter((bx.confidence for bx in group), dtype=np.float64, count=len(group))
+        conf = np.fromiter((confidence[i] for i in group), dtype=np.float64, count=len(group))
         suppressed = np.zeros(len(over), dtype=bool)
-        for i in np.argsort(-conf, kind="stable").tolist():
-            if not suppressed[row[i]]:
-                out.append(group[i])
-                suppressed |= over[row[i]]
+        for j in np.argsort(-conf, kind="stable").tolist():
+            if not suppressed[row[j]]:
+                out.append(group[j])
+                suppressed |= over[row[j]]
     return out
+
+
+def nms_frame(boxes: Sequence[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+    """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
+    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], [bx.geometry for bx in boxes]
+    return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]

@@ -46,8 +46,7 @@ def run_decode(config: RunConfig, grids_path: str, out_path: str) -> int:
     n = 0
     with records.replaced_on_success(out_path) as tmp, records.DetectionWriter(tmp) as writer:
         for video_id, frame, grid in frames:
-            boxes = select_candidates(decode_grid(grid, anchors), config.score_threshold)
-            for box in nms_frame(boxes, config.score_threshold, config.nms_iou):
+            for box in select_candidates(decode_grid(grid, anchors), config.score_threshold, config.nms_iou):
                 writer.add(video_id, frame, box)
                 n += 1
     return n

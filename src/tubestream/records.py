@@ -105,7 +105,9 @@ def _int_field(value: str, path: str, line_no: int, name: str) -> int:
 
 
 def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
-    """Stream (video_id, frame, box) rows with validation; constant memory."""
+    """Stream (video_id, frame, box) rows with validation; constant memory.
+    A row is converted and range-checked in one go; only a row that fails is
+    checked field by field, to name what is wrong."""
     with open(path, "r", encoding="utf-8") as fh:
         _check_header(fh, path, DETECTIONS_HEADER)
         seen_videos: set[str] = set()
@@ -115,22 +117,31 @@ def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(" ")
-            if len(parts) != 9:
-                raise RecordError(path, line_no, f"expected 9 fields, got {len(parts)}")
-            video_id = parts[0]
-            frame = _int_field(parts[1], path, line_no, "frame")
-            class_id = _int_field(parts[2], path, line_no, "class_id")
-            if class_id < 0:
-                raise RecordError(path, line_no, f"field class_id must be >= 0: {class_id}")
-            x1 = _unit_interval(parts[3], path, line_no, "x_min")
-            y1 = _unit_interval(parts[4], path, line_no, "y_min")
-            x2 = _unit_interval(parts[5], path, line_no, "x_max")
-            y2 = _unit_interval(parts[6], path, line_no, "y_max")
-            if x1 >= x2 or y1 >= y2:
-                raise RecordError(path, line_no, f"degenerate box ({x1}, {y1}, {x2}, {y2})")
-            conf = _unit_interval(parts[7], path, line_no, "confidence")
-            rate = _unit_interval(parts[8], path, line_no, "rate")
+            try:
+                video_id, frame, class_id, x1, y1, x2, y2, conf, rate = line.split(" ")
+                frame, class_id = int(frame), int(class_id)
+                x1, y1, x2, y2, conf, rate = float(x1), float(y1), float(x2), float(y2), float(conf), float(rate)
+                valid = class_id >= 0 and 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
+                valid = valid and 0.0 <= conf <= 1.0 and 0.0 <= rate <= 1.0
+            except ValueError:
+                valid = False
+            if not valid:
+                parts = line.split(" ")
+                if len(parts) != 9:
+                    raise RecordError(path, line_no, f"expected 9 fields, got {len(parts)}")
+                video_id = parts[0]
+                frame = _int_field(parts[1], path, line_no, "frame")
+                class_id = _int_field(parts[2], path, line_no, "class_id")
+                if class_id < 0:
+                    raise RecordError(path, line_no, f"field class_id must be >= 0: {class_id}")
+                x1 = _unit_interval(parts[3], path, line_no, "x_min")
+                y1 = _unit_interval(parts[4], path, line_no, "y_min")
+                x2 = _unit_interval(parts[5], path, line_no, "x_max")
+                y2 = _unit_interval(parts[6], path, line_no, "y_max")
+                if x1 >= x2 or y1 >= y2:
+                    raise RecordError(path, line_no, f"degenerate box ({x1}, {y1}, {x2}, {y2})")
+                conf = _unit_interval(parts[7], path, line_no, "confidence")
+                rate = _unit_interval(parts[8], path, line_no, "rate")
             if video_id != cur_video:
                 if video_id in seen_videos:
                     raise SequencingError(f"{path}:{line_no}: video {video_id!r} appears in two blocks")
@@ -146,23 +157,19 @@ def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
 
 
 def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
-    g = box.geometry
-    return (
-        f"{video_id} {frame} {box.class_id} {fnum(g[0])} {fnum(g[1])} {fnum(g[2])} {fnum(g[3])} "
-        f"{fnum(box.confidence)} {fnum(box.rate)}"
-    )
+    (x1, y1, x2, y2), conf, rate = box.geometry, box.confidence, box.rate
+    return "%s %d %d %.9g %.9g %.9g %.9g %.9g %.9g" % (video_id, frame, box.class_id, x1, y1, x2, y2, conf, rate)
 
 
-class DetectionWriter:
-    """Streaming detections writer; caller must append rows in file order."""
+class _RecordWriter:
+    """A records file, or a text handle the caller owns, with its header written."""
+
+    header = ""
 
     def __init__(self, target: str | TextIO):
         self._own = isinstance(target, (str, bytes))
         self._fh = open(target, "w", encoding="utf-8") if self._own else target
-        self._fh.write(DETECTIONS_HEADER + "\n")
-
-    def add(self, video_id: str, frame: int, box: CandidateBox) -> None:
-        self._fh.write(detection_line(video_id, frame, box) + "\n")
+        self._fh.write(self.header + "\n")
 
     def close(self) -> None:
         if self._own:
@@ -173,6 +180,15 @@ class DetectionWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class DetectionWriter(_RecordWriter):
+    """Streaming detections writer; caller must append rows in file order."""
+
+    header = DETECTIONS_HEADER
+
+    def add(self, video_id: str, frame: int, box: CandidateBox) -> None:
+        self._fh.write(detection_line(video_id, frame, box) + "\n")
 
 
 def write_detections(path: str, streams: Iterable[DetectionStream]) -> None:
@@ -186,14 +202,11 @@ def write_detections(path: str, streams: Iterable[DetectionStream]) -> None:
 # -- tubes -------------------------------------------------------------------
 
 
-class TubeWriter:
+class TubeWriter(_RecordWriter):
     """Streaming tube-record writer; geometry entries are written piecewise so
     arbitrarily long tubes never materialize in memory."""
 
-    def __init__(self, target: str | TextIO):
-        self._own = isinstance(target, (str, bytes))
-        self._fh = open(target, "w", encoding="utf-8") if self._own else target
-        self._fh.write(TUBES_HEADER + "\n")
+    header = TUBES_HEADER
 
     def write(self, video_id, class_id, t_start, t_end, score, count, entries) -> None:
         fh = self._fh
@@ -207,18 +220,16 @@ class TubeWriter:
             tube.video_id, tube.class_id, tube.t_start, tube.t_end, tube.score, len(tube.entries), tube.entries
         )
 
-    def close(self) -> None:
-        if self._own:
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def _parse_entry(token: str, path: str, line_no: int) -> tuple[int, tuple[float, float, float, float]]:
+    try:
+        frame, x1, y1, x2, y2 = token.split(",")
+        frame, x1, y1, x2, y2 = int(frame), float(x1), float(y1), float(x2), float(y2)
+        if 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0:
+            return frame, (x1, y1, x2, y2)
+    except ValueError:
+        pass
+    # Value by value, so the error names the first bad one.
     parts = token.split(",")
     if len(parts) != 5:
         raise RecordError(path, line_no, f"geometry entry needs 5 comma-separated values: {token!r}")

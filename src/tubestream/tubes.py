@@ -54,14 +54,6 @@ class FinalTube:
     score: float
     entries: tuple[tuple[int, Box], ...]
 
-    def box_at(self, frame: int) -> Box | None:
-        for f, bx in self.entries:
-            if f == frame:
-                return bx
-            if f > frame:
-                return None
-        return None
-
 
 @dataclass
 class DetectionStream:

@@ -1,10 +1,12 @@
 """Grid decoding, confidence composition, and per-class NMS."""
 
+import csv
 import dataclasses
 import io
 import math
 import os
 import tempfile
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -26,8 +28,16 @@ from tubestream.decode import (
     select_candidates,
 )
 from tubestream.geometry import box_iou
-from tubestream.pipeline import run_decode
-from tubestream.records import DetectionWriter, iter_detection_rows, read_rawgrids, write_rawgrids
+from tubestream.pipeline import run_decode, run_eval, run_link
+from tubestream.records import (
+    DetectionWriter,
+    iter_detection_rows,
+    parse_tubes,
+    read_rawgrids,
+    write_annotations,
+    write_rawgrids,
+)
+from tubestream.tubes import GroundTruthTube
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -190,7 +200,7 @@ class TestConfidence:
     def test_emitted_candidates_carry_exact_confidence(self):
         raw, anchors = random_grid(11)
         decoded = decode_grid(raw, anchors)
-        kept = nms_frame(select_candidates(decoded, 1e-3), score_threshold=1e-3, nms_iou=0.45)
+        kept = select_candidates(decoded, 1e-3, 0.45)
         assert kept
         geometry = decoded.geometry.reshape(-1, 4)
         for cand in kept:
@@ -206,7 +216,8 @@ class TestConfidence:
     def test_mask_threshold_matches_scalar_loop(self, seed, score_threshold):
         raw, anchors = random_grid(seed, s=2, b=2, c=3)
         decoded = decode_grid(raw, anchors)
-        assert select_candidates(decoded, score_threshold) == scalar_candidates(decoded, score_threshold)
+        want = per_class_nms(scalar_candidates(decoded, score_threshold), score_threshold, 0.45)
+        assert select_candidates(decoded, score_threshold, 0.45) == want
 
 
 def cand(score: float, box, class_id: int = 0) -> CandidateBox:
@@ -234,6 +245,16 @@ class TestNms:
         assert box_iou(a.geometry, c.geometry) < 0.5 < box_iou(b.geometry, c.geometry)
         assert nms_boxes([a, b, c], 0.5) == [a, c]
 
+    @pytest.mark.parametrize("small", [decode.SMALL_NMS, 0])
+    def test_overlap_equal_to_the_threshold_does_not_suppress(self, small):
+        a = cand(0.9, (0.0, 0.0, 1.0, 1.0))
+        b = cand(0.8, (0.0, 0.0, 0.5, 1.0))
+        assert box_iou(a.geometry, b.geometry) == 0.5
+        assert nms_boxes([a, b], 0.5) == [a, b]
+        with mock.patch.object(decode, "SMALL_NMS", small):
+            assert nms_frame([b, a], 1e-3, 0.5) == [a, b]
+            assert nms_frame([b, a], 1e-3, 0.4999) == [a]
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_survivors_form_antichain_and_sorted(self, seed):
@@ -254,15 +275,15 @@ class TestNms:
     def test_raising_threshold_never_adds_a_box(self, seed, thr_a, thr_b):
         lo, hi = sorted((round(thr_a, 3), round(thr_b, 3)))
         raw, anchors = random_grid(seed, s=2, b=2, c=2)
-        boxes = select_candidates(decode_grid(raw, anchors), lo)
-        loose = nms_frame(boxes, score_threshold=lo, nms_iou=0.45)
-        tight = nms_frame(boxes, score_threshold=hi, nms_iou=0.45)
-        assert set(tight) <= set(loose)
+        decoded = decode_grid(raw, anchors)
+        loose = select_candidates(decoded, lo, 0.45)
+        assert set(select_candidates(decoded, hi, 0.45)) <= set(loose)
+        assert set(nms_frame(scalar_candidates(decoded, lo), hi, 0.45)) <= set(loose)
 
     def test_duplicates_boxes_across_classes(self):
         values = np.zeros((1, 1, 1, attr_width(2)))
         decoded = decode_grid(RawGrid(1, 1, 2, values), AnchorSet(((1.0, 1.0),)))
-        kept = nms_frame(select_candidates(decoded, 1e-3), score_threshold=1e-3, nms_iou=0.45)
+        kept = select_candidates(decoded, 1e-3, 0.45)
         assert [k.class_id for k in kept] == [0, 1]
         assert kept[0].geometry == kept[1].geometry
 
@@ -330,27 +351,100 @@ class TestNmsFrameOracle:
         want = per_class_nms(boxes, 1e-3, 0.45)
         assert [id(b) for b in got] == [id(b) for b in want]
 
-    def test_run_decode_matches_scalar_decode_and_nms(self, tmp_path):
+    def test_run_decode_matches_scalar_decode_and_nms(self, tmp_path, monkeypatch):
+        # The wide workload's shape: 13x13 cells, 5 anchors, 24 classes.
         rng = np.random.default_rng(2024)
         s, b, c = 13, 5, 24
         anchors = AnchorSet(tuple((float(w), float(h)) for w, h in rng.uniform(1.0, 11.0, size=(b, 2))))
-        grids = tmp_path / "grids.txt"
         grid = RawGrid(s, b, c, rng.standard_normal(s * s * b * attr_width(c)))
-        write_rawgrids(str(grids), anchors, [("v", 1, grid)], (s, b, c))
-        out = tmp_path / "det.txt"
-        config = RunConfig()
+        assert decode_matches_scalar_oracle(tmp_path, monkeypatch, grid, anchors, RunConfig()) > 1000
+
+
+def decode_matches_scalar_oracle(tmp_path, monkeypatch, grid: RawGrid, anchors: AnchorSet, config: RunConfig) -> int:
+    """Assert that ``run_decode`` writes, row for row, what the scalar decode
+    (``scalar_candidates``) and scalar NMS (``per_class_nms``) keep of the
+    grid as the file holds it, and that it builds a ``CandidateBox`` only for
+    each row it writes; returns the row count."""
+    dims = (grid.s_cells, grid.n_anchors, grid.n_classes)
+    grids, out = tmp_path / "grids.txt", tmp_path / "det.txt"
+    write_rawgrids(str(grids), anchors, [("v", 1, grid)], dims)
+    built = []
+
+    class CountingBox(CandidateBox):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            built.append(fields)
+            super().__init__(*fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decode, "CandidateBox", CountingBox)
         n = run_decode(config, str(grids), str(out))
 
-        _, anchors_read, frames = read_rawgrids(str(grids))
-        ((_, _, grid),) = list(frames)
-        boxes = scalar_candidates(decode_grid(grid, anchors_read), config.score_threshold)
-        want = io.StringIO()
-        writer = DetectionWriter(want)
-        kept = per_class_nms(boxes, config.score_threshold, config.nms_iou)
-        for box in kept:
-            writer.add("v", 1, box)
-        assert n == len(kept) > 1000
-        assert out.read_text(encoding="utf-8") == want.getvalue()
+    _, anchors_read, frames = read_rawgrids(str(grids))
+    ((_, _, grid_read),) = list(frames)
+    boxes = scalar_candidates(decode_grid(grid_read, anchors_read), config.score_threshold)
+    kept = per_class_nms(boxes, config.score_threshold, config.nms_iou)
+    want = io.StringIO()
+    writer = DetectionWriter(want)
+    for box in kept:
+        writer.add("v", 1, box)
+    # Line lists, so that a failure reports the first differing row quickly.
+    assert out.read_text(encoding="utf-8").splitlines() == want.getvalue().splitlines()
+    assert n == len(kept) == len(built)
+    return n
+
+
+def adversarial_grid(name: str) -> tuple[RawGrid, AnchorSet]:
+    rng = np.random.default_rng(5)
+    anchor_size = (1.0, 3.0)
+    if name == "clipped_ties":
+        # Huge size logits clip every slot to the unit square, and equal
+        # logits tie every confidence: each class keeps its first slot.
+        s, b, c = 4, 2, 3
+        values = np.zeros((s, s, b, attr_width(c)))
+        values[..., 2:4] = 8.0
+    elif name == "lattice_ties":
+        # Logits from a few values: repeated geometries, some clipped, and
+        # confidences tied within and across classes.
+        s, b, c = 4, 2, 2
+        values = rng.choice([-1.0, 0.0, 2.0], size=(s, s, b, attr_width(c)))
+    else:
+        # Class 0 has exactly SMALL_NMS candidates, class 1 one more and
+        # class 2 a single one; the rest score far below the threshold.
+        # Anchors of several cells make the boxes overlap.
+        s, b, c = 6, 1, 3
+        anchor_size = (3.0, 6.0)
+        values = rng.normal(0.0, 0.7, size=(s, s, b, attr_width(c)))
+        values[..., 2:4] = 0.0
+        values[..., 5 + c : 5 + 2 * c] = -60.0
+        slots = rng.permutation(s * s)
+        sizes = (decode.SMALL_NMS, decode.SMALL_NMS + 1, 1)
+        for class_id, size in enumerate(sizes):
+            prog = values[..., 5 + c + class_id].reshape(-1)
+            prog[slots[:size]] = 3.0
+            values[..., 5 + c + class_id] = prog.reshape(s, s, b)
+    anchors = AnchorSet(tuple((float(w), float(h)) for w, h in rng.uniform(*anchor_size, size=(b, 2))))
+    return RawGrid(s, b, c, values), anchors
+
+
+class TestSurvivorsOnlyDecode:
+    """``run_decode`` runs threshold + NMS on arrays and builds objects only
+    for the survivors; it must write exactly what the scalar path keeps."""
+
+    @pytest.mark.parametrize("name", ["clipped_ties", "lattice_ties", "small_list_sizes"])
+    @pytest.mark.parametrize("config", [RunConfig(), RunConfig(score_threshold=0.05, nms_iou=0.2)], ids=["default", "tight"])
+    def test_adversarial_grids_match_scalar_oracle(self, tmp_path, monkeypatch, name, config):
+        grid, anchors = adversarial_grid(name)
+        n = decode_matches_scalar_oracle(tmp_path, monkeypatch, grid, anchors, config)
+        if name == "clipped_ties":
+            assert n == grid.n_classes
+
+    def test_small_list_sizes_straddle_the_scalar_path(self):
+        grid, anchors = adversarial_grid("small_list_sizes")
+        decoded = decode_grid(grid, anchors)
+        counts = Counter(bx.class_id for bx in scalar_candidates(decoded, RunConfig().score_threshold))
+        assert [counts[c] for c in range(3)] == [decode.SMALL_NMS, decode.SMALL_NMS + 1, 1]
 
 
 @st.composite
@@ -391,3 +485,70 @@ class TestDecodeOutputParses:
         half = decode.MIN_HALF_SIZE
         assert decode_grid(RawGrid(1, 1, 1, values), anchors).geometry.tolist() == [[[[0.5 - half, 0.0, 0.5 + half, 1.0]]]]
         assert self.decode_and_parse((1, 1, 1), anchors, values) == 0
+
+
+_unit_open_high = st.floats(0.0, 1.0, exclude_max=True)
+_unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_unit = st.floats(0.0, 1.0)
+_low_threshold = st.sampled_from([0.0, 1e-3]) | _unit_open_high  # low ones keep boxes to link
+
+
+@st.composite
+def chain_inputs(draw):
+    """Raw grids of a few frames with any finite logits, annotations on those
+    frames, and any valid ``RunConfig``."""
+    s, b, c = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_values = s * s * b * attr_width(c)
+    logit = st.one_of(st.floats(-60.0, 60.0), st.floats(allow_nan=False, allow_infinity=False))
+    n_frames = draw(st.integers(1, 4))
+    frames = [np.array(draw(st.lists(logit, min_size=n_values, max_size=n_values))) for _ in range(n_frames)]
+    size = st.floats(1e-12, 1e6)
+    anchors = AnchorSet(tuple(draw(st.tuples(size, size)) for _ in range(b)))
+    gt = []
+    for _ in range(draw(st.integers(1, 2))):
+        t_start = draw(st.integers(1, n_frames))
+        t_end = draw(st.integers(t_start, n_frames))
+        box = draw(st.sampled_from([(0.0, 0.0, 1.0, 1.0), (0.1, 0.2, 0.6, 0.7), (0.5, 0.5, 0.75, 0.9)]))
+        gt.append(GroundTruthTube("v", draw(st.integers(0, c - 1)), t_start, t_end, (box,) * (t_end - t_start + 1)))
+    alphas = st.one_of(_unit, st.tuples(*[_unit] * c))
+    config = RunConfig(
+        iou_gate=draw(_unit_open),
+        window=draw(st.integers(1, 4)),
+        max_tubes=draw(st.integers(1, 3)),
+        score_floor=draw(_low_threshold),
+        alphas=draw(alphas),
+        score_threshold=draw(_low_threshold),
+        nms_iou=draw(_unit_open),
+        deltas=tuple(draw(st.lists(_unit, min_size=1, max_size=3))),
+        frame_threshold=draw(_unit),
+    )
+    return (s, b, c), anchors, frames, gt, config
+
+
+class TestWholeChainContract:
+    """Decode -> link -> eval on any finite grids and any valid settings:
+    every stage's output parses in the next stage and every report value is
+    a fraction.  The inputs are valid, so no stage may raise at all; a
+    ``RecordError`` here would mean a stage wrote a file the next rejects."""
+
+    @given(chain_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_any_finite_grid_and_valid_config(self, inputs):
+        dims, anchors, frames, gt, config = inputs
+        with tempfile.TemporaryDirectory() as work:
+            grids, det, tubes, ann, report = (
+                os.path.join(work, name) for name in ("g.txt", "det.txt", "tubes.txt", "ann.txt", "report.csv")
+            )
+            write_rawgrids(grids, anchors, [("v", t, RawGrid(*dims, v)) for t, v in enumerate(frames, 1)], dims)
+            write_annotations(ann, gt)
+            with np.errstate(over="ignore"):
+                n_boxes = run_decode(config, grids, det)
+            assert sum(1 for _ in iter_detection_rows(det)) == n_boxes
+            n_tubes = run_link(config, det, tubes, work)
+            assert len(parse_tubes(tubes)) == n_tubes
+            result = run_eval(dataclasses.replace(config, report=report), tubes, ann, det)
+            with open(report, encoding="utf-8", newline="") as fh:
+                written = [float(row[3]) for row in list(csv.reader(fh))[1:]]
+        values = [value for *_, value in result.rows()]
+        assert len(written) == len(values) > 0
+        assert all(0.0 <= v <= 1.0 for v in written + values)

@@ -203,6 +203,14 @@ class TestEvalCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_threshold_flags_are_not_eval_flags(self, mech_paths, tmp_path, capsys):
+        # eval scores its files as written; only decode and link threshold and deduplicate.
+        _, ann = mech_paths
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--tubes", tmp_path / "t.txt", "--annotations", ann, "--nms-iou", "0.5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nms-iou" in capsys.readouterr().err
+
 
 class TestLosscheckCli:
     def test_passes_at_default_tolerance(self, capsys):
@@ -256,6 +264,53 @@ class TestConfigPrecedence:
         cfg_path.write_text(json.dumps({"max_tubes": 3, "nms_iou": 0.5, "deltas": [0.2, 1], "tubes": "t.txt"}))
         config = load_config(str(cfg_path), {}, env={})
         assert (config.max_tubes, config.nms_iou, config.deltas, config.tubes) == (3, 0.5, (0.2, 1.0), "t.txt")
+
+    @pytest.mark.parametrize(
+        "key, inside, outside",
+        [
+            ("score_threshold", (0.0, 0.999), (-1e-9, 1.0)),
+            ("nms_iou", (1e-9, 0.999), (0.0, 1.0)),
+            ("score_floor", (0.0, 0.999), (-1e-9, 1.0)),
+            ("frame_threshold", (0.0, 1.0), (-1e-9, 1.0 + 1e-9)),
+            ("deltas", ((0.0,), (1.0,)), ((0.5, -1e-9), (1.0 + 1e-9,))),
+        ],
+    )
+    def test_each_range_checked_at_both_ends(self, key, inside, outside):
+        for value in inside:
+            assert getattr(RunConfig(**{key: value}), key) == value
+        for value in outside:
+            with pytest.raises(ValueError, match=f"^{key} must lie in "):
+                RunConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("link", ["--score-floor", "2"], "score_floor"),
+            ("link", ["--score-threshold", "1.5"], "score_threshold"),
+            ("decode", ["--nms-iou", "0"], "nms_iou"),
+            ("eval", ["--frame-threshold", "5"], "frame_threshold"),
+            ("eval", ["--frame-threshold", "-1"], "frame_threshold"),
+            ("eval", ["--deltas", "0.5,7"], "deltas"),
+        ],
+    )
+    def test_out_of_range_setting_is_one_error_line(self, mech_paths, tmp_path, capsys, command, flags, key):
+        det, ann = mech_paths
+        paths = {
+            "decode": ["--grids", tmp_path / "g.txt", "--out", tmp_path / "d.txt"],
+            "link": ["--detections", det, "--tubes", tmp_path / "t.txt"],
+            "eval": ["--tubes", tmp_path / "t.txt", "--annotations", ann],
+        }[command]
+        assert run_cli(command, *paths, *flags) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must lie in ")
+        assert not (tmp_path / "t.txt").exists() and not (tmp_path / "d.txt").exists()
+
+    def test_out_of_range_config_file_value_is_one_error_line(self, mech_paths, tmp_path, capsys):
+        det, _ = mech_paths
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"score_floor": 2}))
+        assert run_cli("link", "--config", cfg_path, "--detections", det, "--tubes", tmp_path / "t.txt") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: score_floor must lie in [0, 1), got 2"]
 
     def test_rate_errors_convert_to_alphas(self):
         config = RunConfig(rate_errors=(0.0, 0.1, 1.0))

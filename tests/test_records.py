@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import SequencingError
@@ -12,6 +14,8 @@ from tubestream.records import (
     DetectionWriter,
     RecordError,
     TubeWriter,
+    detection_line,
+    fnum,
     iter_detection_rows,
     parse_annotations,
     parse_tubes,
@@ -105,6 +109,74 @@ class TestDetections:
         path.write_text(DETECTIONS_HEADER + "\nv 1 0 0.5 0.1 0.5 0.5 0.9 0.5\n")
         with pytest.raises(RecordError, match="degenerate"):
             list(iter_detection_rows(str(path)))
+
+
+def fnum_detection_line(video_id, frame, box):
+    """A detection row formatted one ``fnum`` call per number: the oracle of
+    ``detection_line``'s single format string."""
+    g = box.geometry
+    return (
+        f"{video_id} {frame} {box.class_id} {fnum(g[0])} {fnum(g[1])} {fnum(g[2])} {fnum(g[3])} "
+        f"{fnum(box.confidence)} {fnum(box.rate)}"
+    )
+
+
+_unit = st.floats(0.0, 1.0)
+_box = "0.1,0.1,0.2,0.2"
+
+
+class TestRowFastPaths:
+    """Rows are formatted in one operation and parsed with one range check;
+    what they write and every message they raise stay those of the
+    field-by-field code."""
+
+    @given(
+        st.text(alphabet="abvxyz_-0123456789", min_size=1, max_size=8),
+        st.integers(-(10**12), 10**12),
+        st.integers(0, 10**6),
+        st.tuples(_unit, _unit, _unit, _unit),
+        _unit,
+        _unit,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_detection_line_matches_fnum_formatting(self, video_id, frame, class_id, geometry, conf, rate):
+        box = CandidateBox(class_id, geometry, conf, rate)
+        assert detection_line(video_id, frame, box) == fnum_detection_line(video_id, frame, box)
+
+    @pytest.mark.parametrize(
+        "kind, record, message",
+        [
+            ("det", "v 1 0 0.1 0.1 0.5 0.5 0.9", "expected 9 fields, got 8"),
+            ("det", "v 1 0 0.1 0.1 0.5 0.5 0.9 0.5 0.5", "expected 9 fields, got 10"),
+            ("det", "v 1 0 nan 0.1 0.5 0.5 0.9 0.5", "field x_min out of range [0, 1]: nan"),
+            ("det", "v 1 0 0.1 0.1 0.5 0.5 inf 0.5", "field confidence out of range [0, 1]: inf"),
+            ("det", "v 1 0 0.1 0.1 0.5 1e400 0.9 0.5", "field y_max out of range [0, 1]: 1e400"),
+            ("det", "v 1 0 0.1 -0.5 0.5 0.5 0.9 0.5", "field y_min out of range [0, 1]: -0.5"),
+            ("det", "v 1 0 0.1 0.1 0.5 0.5 0.9 1.5", "field rate out of range [0, 1]: 1.5"),
+            ("det", "v 1 0 0.5 0.1 0.5 0.5 0.9 0.5", "degenerate box (0.5, 0.1, 0.5, 0.5)"),
+            ("det", "v 1 0 0.1 0.6 0.5 0.5 0.9 0.5", "degenerate box (0.1, 0.6, 0.5, 0.5)"),
+            ("det", "v 1 -1 0.1 0.1 0.5 0.5 0.9 0.5", "field class_id must be >= 0: -1"),
+            ("det", "v 1.0 0 0.1 0.1 0.5 0.5 0.9 0.5", "field frame is not an integer: '1.0'"),
+            ("tubes", "v 0 1 1 0.5 1 1,0.1,0.1,0.2", "geometry entry needs 5 comma-separated values: '1,0.1,0.1,0.2'"),
+            ("ann", f"v 0 1 2 1,{_box} 2,0.3,0.1,0.3,0.2", "degenerate entry box (0.3, 0.1, 0.3, 0.2)"),
+            ("tubes", "v 0 1 1 0.5 1 1,0.1,0.2,0.3,0.2", "degenerate entry box (0.1, 0.2, 0.3, 0.2)"),
+        ],
+        ids=[
+            "8_fields", "10_fields", "nan", "inf", "1e400", "negative", "above_one", "x1_eq_x2", "y1_gt_y2",
+            "class_minus_1", "frame_1.0", "tube_entry_4_values", "annotation_degenerate_box", "tube_entry_flat_box",
+        ],
+    )
+    def test_malformed_line_keeps_its_message(self, tmp_path, kind, record, message):
+        header, parse = {
+            "det": (DETECTIONS_HEADER, lambda p: list(iter_detection_rows(p))),
+            "tubes": ("#tubestream tubes v1", parse_tubes),
+            "ann": ("#tubestream annotations v1", parse_annotations),
+        }[kind]
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(f"{header}\n{record}\n")
+        with pytest.raises(RecordError) as err:
+            parse(str(path))
+        assert str(err.value) == f"{path}:2: {message}"
 
 
 class TestTubes:
