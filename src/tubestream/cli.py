@@ -48,8 +48,10 @@ def _parse_deltas(text: str) -> tuple[float, ...]:
     return tuple(sorted(set(out)))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _parse_floats(text: str) -> tuple[float, ...] | float:
+    """Comma-separated values; one value is a scalar, for every class."""
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return values[0] if len(values) == 1 else values
 
 
 def _add_config_flags(p: argparse.ArgumentParser, linking: bool = False, scoring: bool = False) -> None:
@@ -80,21 +82,9 @@ def _add_config_flags(p: argparse.ArgumentParser, linking: bool = False, scoring
         p.add_argument("--nms-iou", type=float, dest="nms_iou", help="NMS suppression IoU")
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    """The ``RunConfig`` fields the command line sets; a one-value alpha or
-    rate-error list is a scalar."""
-    out = {}
-    for key in (f.name for f in fields(RunConfig)):
-        value = getattr(args, key, None)
-        if value is not None:
-            if key in ("alphas", "rate_errors") and len(value) == 1:
-                value = value[0]
-            out[key] = value
-    return out
-
-
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return load_config(getattr(args, "config", None), _collect_overrides(args))
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return load_config(getattr(args, "config", None), flags)
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:

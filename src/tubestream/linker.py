@@ -50,6 +50,23 @@ class SequencingError(ValueError):
     """Frames were presented out of order."""
 
 
+def check_range(key: str, value, interval: str) -> None:
+    """Raise unless ``value`` (or each value of a sequence; ``None`` is not set)
+    lies in ``interval``: ``[lo, hi]``, ``(`` or ``)`` at an open end, ``inf`` unbounded."""
+    if value is None:
+        return
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    for v in value if isinstance(value, (tuple, list)) else (value,):
+        above = lo < v if interval[0] == "(" else lo <= v
+        below = v < hi if interval[-1] == ")" else v <= hi
+        if not (above and below):
+            raise ValueError(f"{key} must lie in {interval}, got {v!r}")
+
+
+# The valid values of each per-class mean progress-rate training error.
+RATE_ERROR_RANGE = "[0, inf)"
+
+
 def alpha_from_training_error(rate_error: float) -> float:
     """Map a class's mean progress-rate training error to its labeling trade-off.
 
@@ -57,14 +74,13 @@ def alpha_from_training_error(rate_error: float) -> float:
     purely by rates); a large error - typical for periodic actions whose rate
     is unpredictable - gives ~0, routing labeling through confidence scores.
     """
-    if rate_error < 0:
-        raise ValueError("rate error must be non-negative")
+    check_range("rate_errors", rate_error, RATE_ERROR_RANGE)
     return math.exp(-(rate_error**2) / 1e-2)
 
 
 @dataclass(frozen=True)
 class LinkerConfig:
-    """Knobs of the online linker.
+    """Settings of the online linker, each checked against ``RANGES`` when built.
 
     ``alphas`` may be a single float applied to every class or a sequence
     with one entry per class.
@@ -76,16 +92,18 @@ class LinkerConfig:
     alphas: float | tuple[float, ...] = 0.5
     score_floor: float = 1e-3
 
+    # Valid values of each setting, in the text ``check_range`` reads.
+    RANGES = {
+        "iou_gate": "(0, 1)",
+        "window": "[1, inf)",
+        "max_tubes": "[1, inf)",
+        "alphas": "[0, 1]",
+        "score_floor": "[0, 1)",
+    }
+
     def __post_init__(self):
-        if not 0.0 < self.iou_gate < 1.0:
-            raise ValueError("iou_gate must lie in (0, 1)")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.max_tubes < 1:
-            raise ValueError("max_tubes must be >= 1")
-        for a in self.alphas if isinstance(self.alphas, (tuple, list)) else (self.alphas,):
-            if not 0.0 <= a <= 1.0:
-                raise ValueError("every alpha must lie in [0, 1]")
+        for key, interval in self.RANGES.items():
+            check_range(key, getattr(self, key), interval)
 
     def alpha_for(self, class_id: int) -> float:
         if isinstance(self.alphas, (tuple, list)):

@@ -60,7 +60,6 @@ def run_link(
 ) -> int:
     """Link a detections file into a tubes file, streaming; returns tube count.
     The file appears only when every row linked."""
-    linker_cfg = config.linker_config()
     count = 0
 
     with (
@@ -80,7 +79,7 @@ def run_link(
                 if linker is not None:
                     linker.finalize()
                 linker = OnlineLinker(
-                    config=linker_cfg,
+                    config=config,
                     video_id=video_id,
                     store_factory=lambda: SpillStore(spool),
                     on_tube=sink,

@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .decode import AnchorSet, CandidateBox, RawGrid, attr_width
+from .geometry import Box
 from .linker import SequencingError
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
@@ -162,18 +163,16 @@ def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
 
 
 class _RecordWriter:
-    """A records file, or a text handle the caller owns, with its header written."""
+    """A records file with its header written."""
 
     header = ""
 
-    def __init__(self, target: str | TextIO):
-        self._own = isinstance(target, (str, bytes))
-        self._fh = open(target, "w", encoding="utf-8") if self._own else target
+    def __init__(self, path: str):
+        self._fh = open(path, "w", encoding="utf-8")
         self._fh.write(self.header + "\n")
 
     def close(self) -> None:
-        if self._own:
-            self._fh.close()
+        self._fh.close()
 
     def __enter__(self):
         return self
@@ -201,18 +200,21 @@ def write_detections(path: str, streams: Iterable[DetectionStream]) -> None:
 
 # -- tubes -------------------------------------------------------------------
 
+def _write_entries(fh: TextIO, entries: Iterable[tuple[int, Box]]) -> None:
+    """Write a tube's or annotation's entries one by one: long tubes never sit in memory."""
+    for frame, (x1, y1, x2, y2) in entries:
+        fh.write(" %s,%.9g,%.9g,%.9g,%.9g" % (frame, x1, y1, x2, y2))
+
 
 class TubeWriter(_RecordWriter):
-    """Streaming tube-record writer; geometry entries are written piecewise so
-    arbitrarily long tubes never materialize in memory."""
+    """Streaming tube-record writer."""
 
     header = TUBES_HEADER
 
     def write(self, video_id, class_id, t_start, t_end, score, count, entries) -> None:
         fh = self._fh
         fh.write(f"{video_id} {class_id} {t_start} {t_end} {fnum(score)} {count}")
-        for frame, box in entries:
-            fh.write(f" {frame},{fnum(box[0])},{fnum(box[1])},{fnum(box[2])},{fnum(box[3])}")
+        _write_entries(fh, entries)
         fh.write("\n")
 
     def write_tube(self, tube: FinalTube) -> None:
@@ -278,9 +280,7 @@ def write_annotations(path: str, tubes: Iterable[GroundTruthTube]) -> None:
         fh.write(ANNOTATIONS_HEADER + "\n")
         for t in tubes:
             fh.write(f"{t.video_id} {t.class_id} {t.t_start} {t.t_end}")
-            for frame in range(t.t_start, t.t_end + 1):
-                b = t.box_at(frame)
-                fh.write(f" {frame},{fnum(b[0])},{fnum(b[1])},{fnum(b[2])},{fnum(b[3])}")
+            _write_entries(fh, zip(range(t.t_start, t.t_end + 1), t.boxes))
             fh.write("\n")
 
 
@@ -343,6 +343,8 @@ def read_rawgrids(path: str) -> tuple[tuple[int, int, int], AnchorSet, Iterator[
         s = _int_field(grid_line[1], path, 2, "S")
         b = _int_field(grid_line[2], path, 2, "B")
         c = _int_field(grid_line[3], path, 2, "C")
+        if min(s, b, c) < 1:
+            raise RecordError(path, 2, f"grid dimensions must be >= 1, got {s} {b} {c}")
         anchor_line = fh.readline().rstrip("\n").split(" ")
         if anchor_line[0] != "anchors" or len(anchor_line) != 1 + b:
             raise RecordError(path, 3, f"expected 'anchors' with {b} w,h pairs")

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import CandidateBox
-from .linker import LinkAudit, LinkerConfig
+from .config import json_settings
+from .decode import MIN_BOX_SIZE, CandidateBox
+from .linker import LinkAudit, LinkerConfig, check_range
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 
@@ -56,6 +57,8 @@ class TrackSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario, checked when built so that its streams are valid ``link`` and ``eval`` input."""
+
     n_frames: int
     n_classes: int
     tracks: tuple[TrackSpec, ...]
@@ -72,20 +75,30 @@ class ScenarioSpec:
     seed: int = 0
     video_id: str = "synthetic"
 
+    # Valid values of each numeric setting, in the text ``check_range`` reads.
+    RANGES = {
+        **dict.fromkeys(("n_frames", "n_classes", "sawtooth_period"), "[1, inf)"),
+        **dict.fromkeys(("geometry_jitter", "rate_noise", "context_fraction", "distractor_rate", "seed"), "[0, inf)"),
+        **dict.fromkeys(("in_score", "context_score", "context_rate", "distractor_score"), "[0, 1]"),
+    }
+
     def __post_init__(self):
-        if self.n_frames < 1 or self.n_classes < 1:
-            raise ValueError("n_frames and n_classes must be >= 1")
-        if self.geometry_jitter < 0 or self.rate_noise < 0 or self.distractor_rate < 0:
-            raise ValueError("noise parameters must be non-negative")
+        for key, interval in self.RANGES.items():
+            check_range(key, getattr(self, key), interval)
+        if not self.video_id or " " in self.video_id or not self.video_id.isprintable():
+            raise ValueError(f"video_id must be printable, without whitespace, got {self.video_id!r}")
         if self.periodic and len(self.periodic) != self.n_classes:
             raise ValueError("periodic flags must have one entry per class")
-        if self.sawtooth_period < 1:
-            raise ValueError("sawtooth_period must be >= 1")
         for tr in self.tracks:
             if not 1 <= tr.t_start <= tr.t_end <= self.n_frames:
                 raise ValueError(f"track range [{tr.t_start}, {tr.t_end}] outside [1, {self.n_frames}]")
             if not 0 <= tr.class_id < self.n_classes:
                 raise ValueError(f"track class {tr.class_id} out of range")
+            for key in ("start_box", "end_box"):
+                box = getattr(tr, key)
+                check_range(key, box, "[0, 1]")
+                if min(box[2] - box[0], box[3] - box[1]) < MIN_BOX_SIZE:
+                    raise ValueError(f"{key} {box} is narrower or lower than {MIN_BOX_SIZE:g}")
             for f in range(tr.t_start, tr.t_end):
                 if _iou(tr.box_at(f), tr.box_at(f + 1)) <= 0.5:
                     raise ValueError(f"track trajectory is discontinuous at frame {f}")
@@ -95,49 +108,25 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        try:
-            tracks = tuple(
-                TrackSpec(
-                    class_id=int(t["class_id"]),
-                    t_start=int(t["t_start"]),
-                    t_end=int(t["t_end"]),
-                    start_box=tuple(float(x) for x in t["start_box"]),
-                    end_box=tuple(float(x) for x in t.get("end_box", t["start_box"])),
-                )
-                for t in d["tracks"]
-            )
-            kwargs = dict(
-                n_frames=int(d["n_frames"]),
-                n_classes=int(d["n_classes"]),
-                tracks=tracks,
-            )
-            for key, conv in (
-                ("geometry_jitter", float),
-                ("rate_noise", float),
-                ("in_score", lambda v: tuple(float(x) for x in v)),
-                ("context_score", lambda v: tuple(float(x) for x in v)),
-                ("context_fraction", float),
-                ("context_rate", float),
-                ("distractor_rate", float),
-                ("distractor_score", lambda v: tuple(float(x) for x in v)),
-                ("periodic", lambda v: tuple(bool(x) for x in v)),
-                ("sawtooth_period", int),
-                ("seed", int),
-                ("video_id", str),
-            ):
-                if key in d:
-                    kwargs[key] = conv(d[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed scenario spec: {exc}") from exc
-        return cls(**kwargs)
+        """Build a spec from parsed JSON; an unknown key, a missing one or a
+        value of the wrong JSON type fails, naming the key."""
+        kwargs = json_settings(d, cls, "scenario")
+        tracks = (  # a track that stays put may leave out end_box
+            json_settings({**t, "end_box": t.get("end_box", t.get("start_box"))}, TrackSpec, "track")
+            for t in kwargs["tracks"]
+        )
+        return cls(**{**kwargs, "tracks": tuple(TrackSpec(**t) for t in tracks)})
 
 
 def _jitter_box(box, rng, sigma):
     x1, y1, x2, y2 = (float(np.clip(v + e, 0.0, 1.0)) for v, e in zip(box, rng.normal(0.0, sigma, 4)))
-    if x2 <= x1:
-        x1, x2 = min(x1, x2), min(1.0, min(x1, x2) + 1e-3)
-    if y2 <= y1:
-        y1, y2 = min(y1, y2), min(1.0, min(y1, y2) + 1e-3)
+    # A side that collapsed (say, both ends clipped to 1) is reopened 1e-3 wide inside the square.
+    if x2 - x1 < MIN_BOX_SIZE:
+        x1 = min(x1, x2, 1.0 - 1e-3)
+        x2 = min(1.0, x1 + 1e-3)
+    if y2 - y1 < MIN_BOX_SIZE:
+        y1 = min(y1, y2, 1.0 - 1e-3)
+        y2 = min(1.0, y1 + 1e-3)
     return (x1, y1, x2, y2)
 
 

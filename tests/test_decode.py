@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import io
 import math
 import os
 import tempfile
@@ -30,7 +29,8 @@ from tubestream.decode import (
 from tubestream.geometry import box_iou
 from tubestream.pipeline import run_decode, run_eval, run_link
 from tubestream.records import (
-    DetectionWriter,
+    DETECTIONS_HEADER,
+    detection_line,
     iter_detection_rows,
     parse_tubes,
     read_rawgrids,
@@ -385,12 +385,9 @@ def decode_matches_scalar_oracle(tmp_path, monkeypatch, grid: RawGrid, anchors: 
     ((_, _, grid_read),) = list(frames)
     boxes = scalar_candidates(decode_grid(grid_read, anchors_read), config.score_threshold)
     kept = per_class_nms(boxes, config.score_threshold, config.nms_iou)
-    want = io.StringIO()
-    writer = DetectionWriter(want)
-    for box in kept:
-        writer.add("v", 1, box)
+    want = [DETECTIONS_HEADER] + [detection_line("v", 1, box) for box in kept]
     # Line lists, so that a failure reports the first differing row quickly.
-    assert out.read_text(encoding="utf-8").splitlines() == want.getvalue().splitlines()
+    assert out.read_text(encoding="utf-8").splitlines() == want
     assert n == len(kept) == len(built)
     return n
 

@@ -2,16 +2,23 @@
 
 import json
 import math
+import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tubestream.cli import main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
+from tubestream.linker import LinkerConfig, alpha_from_training_error
 from tubestream.pipeline import nms_frame, run_decode, run_eval, run_link
-from tubestream.records import RecordError, iter_detection_rows, parse_tubes, write_rawgrids
+from tubestream.records import RecordError, iter_detection_rows, parse_annotations, parse_tubes, write_rawgrids
+from tubestream.synthetic import ScenarioSpec
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -314,12 +321,183 @@ class TestConfigPrecedence:
 
     def test_rate_errors_convert_to_alphas(self):
         config = RunConfig(rate_errors=(0.0, 0.1, 1.0))
-        alphas = config.resolved_alphas()
+        alphas = config.alphas
         assert alphas[0] == 1.0
         assert alphas[1] == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert alphas[2] < 1e-40
         linker_cfg = config.linker_config()
         assert linker_cfg.alpha_for(1) == alphas[1]
+
+
+# Each linking setting's interval, values inside it at both ends and values
+# outside it at both ends; NaN lies in no interval.
+LINKING_RANGES = [
+    ("iou_gate", "(0, 1)", (1e-9, 1 - 1e-9), (0.0, 1.0)),
+    ("window", "[1, inf)", (1, 10**9), (0, math.inf)),
+    ("max_tubes", "[1, inf)", (1, 10**9), (0, math.inf)),
+    ("alphas", "[0, 1]", (0.0, 1.0, (0.0, 1.0)), (-1e-9, 1 + 1e-9, (0.5, 1.5))),
+    ("score_floor", "[0, 1)", (0.0, 1 - 1e-9), (-1e-9, 1.0, 2)),  # 2 used to link nothing, silently
+]
+RATE_ERRORS = ("rate_errors", "[0, inf)", (0.0, 1e6, (0.0, 2.0)), (-1e-9, math.inf, (0.1, -1.0)))
+
+
+def must_lie_in(key: str, interval: str) -> str:
+    return "^" + re.escape(f"{key} must lie in {interval}, got ")
+
+
+class TestSettingsContract:
+    """Every setting is checked once, when the settings are built, against
+    the one range its class declares, with one message form."""
+
+    @pytest.mark.parametrize("cls", [LinkerConfig, RunConfig])
+    @pytest.mark.parametrize("key, interval, inside, outside", LINKING_RANGES, ids=[c[0] for c in LINKING_RANGES])
+    def test_linking_range_checked_at_both_ends(self, cls, key, interval, inside, outside):
+        for value in inside:
+            assert getattr(cls(**{key: value}), key) == value
+        for value in outside + (math.nan,):
+            with pytest.raises(ValueError, match=must_lie_in(key, interval)):
+                cls(**{key: value})
+
+    def test_rate_errors_checked_at_both_ends(self):
+        key, interval, inside, outside = RATE_ERRORS
+        for value in inside:
+            assert RunConfig(rate_errors=value).rate_errors == value
+        for value in outside + (math.nan,):
+            # checked even where ``alphas`` wins and the errors are not used
+            for extra in ({}, {"alphas": 0.5}):
+                with pytest.raises(ValueError, match=must_lie_in(key, interval)):
+                    RunConfig(rate_errors=value, **extra)
+            if not isinstance(value, tuple):
+                with pytest.raises(ValueError, match=must_lie_in(key, interval)):
+                    alpha_from_training_error(value)
+
+    def test_linker_config_copies_the_linking_settings(self):
+        config = RunConfig(iou_gate=0.4, window=3, max_tubes=2, score_floor=0.1, rate_errors=0.1, nms_iou=0.3)
+        assert config.linker_config() == LinkerConfig(
+            iou_gate=0.4, window=3, max_tubes=2, alphas=alpha_from_training_error(0.1), score_floor=0.1
+        )
+        assert type(config.linker_config()) is LinkerConfig
+        assert RunConfig().alphas == LinkerConfig().alphas
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("eval", {"iou_gate": 5}),
+            ("decode", {"window": 0}),
+            ("eval", {"rate_errors": [-1]}),
+            ("link", {"max_tubes": 0}),
+            ("eval", {"iou_gate": 5, "rate_errors": [-1]}),
+        ],
+    )
+    def test_out_of_range_config_value_fails_before_any_file(self, mech_paths, tmp_path, capsys, command, setting):
+        # The inputs are valid, so without the check each command would write its output.
+        det, ann = mech_paths
+        grids, tubes, out = tmp_path / "g.txt", tmp_path / "tubes.txt", tmp_path / "out.txt"
+        grid = RawGrid(2, 1, 1, np.zeros(2 * 2 * attr_width(1)))
+        write_rawgrids(str(grids), AnchorSet(((1.0, 1.0),)), [("v", 1, grid)], (2, 1, 1))
+        run_link(RunConfig(alphas=1.0), str(det), str(tubes))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(setting))
+        paths = {
+            "decode": ["--grids", grids, "--out", out],
+            "link": ["--detections", det, "--tubes", out],
+            "eval": ["--tubes", tubes, "--annotations", ann, "--report", out],
+        }[command]
+        assert run_cli(command, "--config", cfg_path, *paths) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(r"error: (\w+) must lie in ", err[0])[1] in setting
+        assert not out.exists()
+        assert run_cli(command, *paths) == 0 and out.exists()
+
+
+SYNTH_FAULTS = {
+    "video_id_with_space": ({"video_id": "my clip"}, "video_id must be printable, without whitespace"),
+    "score_above_one": ({"in_score": [0.7, 2.0]}, "in_score must lie in [0, 1], got 2.0"),
+    "box_beyond_square": ({"tracks": [{"class_id": 0, "t_start": 1, "t_end": 2, "start_box": [0.5, 0.2, 1.4, 0.6]}]},
+                          "start_box must lie in [0, 1], got 1.4"),
+    "misspelled_key": ({"sed": 3}, "unknown scenario key 'sed'"),
+    "misspelled_track_key": (
+        {"tracks": [{"class_id": 0, "t_start": 1, "t_end": 2, "start_box": [0.1, 0.1, 0.5, 0.5], "endbox": [0] * 4}]},
+        "unknown track key 'endbox'",
+    ),
+    "periodic_string": ({"periodic": ["false"]}, "scenario key 'periodic' must be a list of booleans"),
+    "fractional_seed": ({"seed": 1.9}, "scenario key 'seed' must be an integer, got 1.9"),
+}
+
+
+class TestSynthCli:
+    @pytest.mark.parametrize("patch, message", SYNTH_FAULTS.values(), ids=SYNTH_FAULTS.keys())
+    def test_bad_scenario_is_one_error_line_and_no_file(self, tmp_path, capsys, patch, message):
+        scenario = json.loads((SCENARIOS / "mechanism.json").read_text())
+        scenario.update(patch)
+        path, det, ann = tmp_path / "s.json", tmp_path / "det.txt", tmp_path / "ann.txt"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("synth", "--scenario", path, "--detections", det, "--annotations", ann) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not det.exists() and not ann.exists()
+
+
+_fraction = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenario JSON objects, most of which build; an edge box and a large
+    geometry jitter clip both ends of a side to the same border."""
+    n_frames, n_classes = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    side = st.lists(st.sampled_from([0.0, 1.0]) | _fraction, min_size=2, max_size=2, unique=True).map(sorted)
+    score_range = st.lists(_fraction, min_size=2, max_size=2).map(sorted)
+    tracks = []
+    for _ in range(draw(st.integers(0, 3))):
+        t_start = draw(st.integers(1, n_frames))
+        (x1, x2), (y1, y2) = draw(side), draw(side)
+        track = {
+            "class_id": draw(st.integers(0, n_classes - 1)),
+            "t_start": t_start,
+            "t_end": draw(st.integers(t_start, n_frames)),
+            "start_box": [x1, y1, x2, y2],
+        }
+        if draw(st.booleans()):
+            dx, dy = draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.05, 0.05))
+            track["end_box"] = [x1 + dx, y1 + dy, x2 + dx, y2 + dy]
+        tracks.append(track)
+    return {
+        "n_frames": n_frames,
+        "n_classes": n_classes,
+        "tracks": tracks,
+        "geometry_jitter": draw(st.sampled_from([0.0, 1e6]) | st.floats(0.0, 2.0)),
+        "rate_noise": draw(st.floats(0.0, 1e6)),
+        "in_score": draw(score_range),
+        "context_score": draw(score_range),
+        "context_fraction": draw(st.floats(0.0, 1e6)),
+        "context_rate": draw(_fraction),
+        "distractor_rate": draw(st.floats(0.0, 3.0)),
+        "distractor_score": draw(score_range),
+        "periodic": draw(st.just([]) | st.lists(st.booleans(), min_size=n_classes, max_size=n_classes)),
+        "sawtooth_period": draw(st.integers(1, 10)),
+        "seed": draw(st.integers(0, 2**63)),
+        "video_id": draw(st.text(min_size=1, max_size=6)),
+    }
+
+
+class TestSynthOutputContract:
+    @given(scenario_dicts())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_any_scenario_that_builds_synthesizes_valid_link_and_eval_input(self, scenario):
+        try:
+            ScenarioSpec.from_dict(scenario)
+        except ValueError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as work:
+            path, det, ann, tubes = (os.path.join(work, n) for n in ("s.json", "det.txt", "ann.txt", "tubes.txt"))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(scenario, fh)
+            assert main(["synth", "--scenario", path, "--detections", det, "--annotations", ann]) == 0
+            assert len(parse_annotations(ann)) == len(scenario["tracks"])
+            n_tubes = run_link(RunConfig(), det, tubes, work)
+            assert len(parse_tubes(tubes)) == n_tubes
+            run_eval(RunConfig(), tubes, ann, det)
 
 
 class TestNmsFrame:

@@ -1,5 +1,7 @@
 """File formats: round trips, validation errors, streaming parse."""
 
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -9,8 +11,12 @@ from hypothesis import strategies as st
 
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import SequencingError
+from tubestream.config import RunConfig
+from tubestream.pipeline import run_decode
 from tubestream.records import (
+    ANNOTATIONS_HEADER,
     DETECTIONS_HEADER,
+    TUBES_HEADER,
     DetectionWriter,
     RecordError,
     TubeWriter,
@@ -123,6 +129,54 @@ def fnum_detection_line(video_id, frame, box):
 
 _unit = st.floats(0.0, 1.0)
 _box = "0.1,0.1,0.2,0.2"
+
+
+def fnum_entries(entries) -> str:
+    """Tube or annotation entries formatted one ``fnum`` call per number: the
+    oracle of the one entry format both writers share."""
+    return "".join(f" {frame},{fnum(b[0])},{fnum(b[1])},{fnum(b[2])},{fnum(b[3])}" for frame, b in entries)
+
+
+_any_float = st.floats() | st.floats().map(np.float64)
+_frame = st.integers(-(10**12), 10**12) | st.integers(0, 10**6).map(np.int64)
+
+
+@st.composite
+def valid_boxes(draw):
+    xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+    return (xs[0], ys[0], xs[1], ys[1])
+
+
+class TestEntryWriter:
+    """``TubeWriter.write`` and ``write_annotations`` share one entry format,
+    which writes the bytes that one ``fnum`` call per number wrote."""
+
+    @given(
+        st.lists(st.tuples(_frame, st.tuples(_any_float, _any_float, _any_float, _any_float)), max_size=8),
+        _any_float,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tube_entries_match_fnum_formatting(self, entries, score):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "t.txt")
+            with TubeWriter(path) as writer:
+                writer.write("v", 2, 1, 9, score, len(entries), iter(entries))
+            with open(path, encoding="utf-8") as fh:
+                written = fh.read()
+        assert written == f"{TUBES_HEADER}\nv 2 1 9 {fnum(score)} {len(entries)}{fnum_entries(entries)}\n"
+
+    @given(st.integers(-1000, 1000), st.lists(valid_boxes(), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_annotation_entries_match_fnum_formatting(self, t_start, boxes):
+        t_end = t_start + len(boxes) - 1
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "a.txt")
+            write_annotations(path, [GroundTruthTube("v", 1, t_start, t_end, tuple(boxes))])
+            with open(path, encoding="utf-8") as fh:
+                written = fh.read()
+        entries = zip(range(t_start, t_end + 1), boxes)
+        assert written == f"{ANNOTATIONS_HEADER}\nv 1 {t_start} {t_end}{fnum_entries(entries)}\n"
 
 
 class TestRowFastPaths:
@@ -279,6 +333,18 @@ class TestRawGrids:
         with pytest.raises(RecordError, match="finite") as err:
             list(reader)
         assert err.value.line_no == 5
+
+    @pytest.mark.parametrize("dims", ["0 1 1", "-1 1 1", "1 0 1", "1 1 0"])
+    def test_grid_dimension_below_one_names_line_2(self, tmp_path, dims):
+        path = tmp_path / "g.txt"
+        path.write_text(f"#tubestream rawgrid v1\ngrid {dims}\nanchors 1,1\n")
+        with pytest.raises(RecordError, match="grid dimensions must be >= 1") as err:
+            read_rawgrids(str(path))
+        assert err.value.line_no == 2
+        # decode used to write an empty detections file for ``grid 0 1 1``
+        with pytest.raises(RecordError):
+            run_decode(RunConfig(), str(path), str(tmp_path / "d.txt"))
+        assert not (tmp_path / "d.txt").exists()
 
     @pytest.mark.parametrize("token", ["1,x", "nan,1", "1,inf", "0,1"])
     def test_bad_anchor_names_line_3(self, tmp_path, token):

@@ -103,7 +103,7 @@ class TestGenerate:
             plain_spec(tracks=(TrackSpec(4, 3, 12, TRACK.start_box, TRACK.end_box),))
         with pytest.raises(ValueError, match="discontinuous"):
             plain_spec(tracks=(TrackSpec(0, 3, 4, (0.0, 0.0, 0.1, 0.1), (0.8, 0.8, 0.95, 0.95)),))
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="rate_noise must lie in"):
             plain_spec(rate_noise=-0.1)
 
     def test_from_dict_reads_every_field(self):
@@ -142,6 +142,77 @@ class TestGenerate:
             seed=3,
             video_id="v7",
         )
+
+
+MINIMAL = {
+    "n_frames": 14,
+    "n_classes": 1,
+    "tracks": [{"class_id": 0, "t_start": 3, "t_end": 12, "start_box": [0.2, 0.2, 0.5, 0.6]}],
+}
+
+
+def with_track(**track):
+    return {**MINIMAL, "tracks": [{**MINIMAL["tracks"][0], **track}]}
+
+
+class TestScenarioChecks:
+    """A scenario is checked when built, so ``synth`` never writes a record
+    that ``link`` or ``eval`` rejects, and its JSON is read strictly."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({**MINIMAL, "sed": 3}, "unknown scenario key 'sed'"),
+            (with_track(endbox=[0.2, 0.2, 0.5, 0.6]), "unknown track key 'endbox'"),
+            ({**MINIMAL, "n_frames": "14"}, "scenario key 'n_frames' must be an integer, got '14'"),
+            ({**MINIMAL, "seed": 1.9}, "scenario key 'seed' must be an integer, got 1.9"),
+            ({**MINIMAL, "seed": True}, "scenario key 'seed' must be an integer, got True"),
+            ({**MINIMAL, "periodic": ["false"]}, "scenario key 'periodic' must be a list of booleans, got ['false']"),
+            ({**MINIMAL, "in_score": [0.5]}, "scenario key 'in_score' must be a (low, high) pair, got [0.5]"),
+            ({**MINIMAL, "distractor_score": [0.3, 0.2]}, "scenario key 'distractor_score' must be a (low, high) pair"),
+            ({**MINIMAL, "video_id": 7}, "scenario key 'video_id' must be a string, got 7"),
+            ({**MINIMAL, "tracks": {}}, "scenario key 'tracks' must be a list of objects, got {}"),
+            (with_track(start_box=[0.2, 0.2, 0.5]), "track key 'start_box' must be four numbers"),
+            (with_track(t_end=12.0), "track key 't_end' must be an integer, got 12.0"),
+            ({"n_frames": 14, "n_classes": 1}, "scenario key 'tracks' is missing"),
+            ({**MINIMAL, "tracks": [{"class_id": 0, "t_start": 3, "t_end": 4}]}, "track key 'start_box' is missing"),
+            ([MINIMAL], "scenario must be a JSON object"),
+        ],
+    )
+    def test_from_dict_names_the_key(self, data, message):
+        with pytest.raises(ValueError) as err:
+            ScenarioSpec.from_dict(data)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({**MINIMAL, "in_score": [0.7, 2.0]}, "in_score must lie in [0, 1], got 2.0"),
+            ({**MINIMAL, "context_score": [-0.1, 0.2]}, "context_score must lie in [0, 1], got -0.1"),
+            ({**MINIMAL, "context_rate": 2}, "context_rate must lie in [0, 1], got 2"),
+            ({**MINIMAL, "geometry_jitter": math.nan}, "geometry_jitter must lie in [0, inf), got nan"),
+            ({**MINIMAL, "context_fraction": math.inf}, "context_fraction must lie in [0, inf), got inf"),
+            ({**MINIMAL, "seed": -1}, "seed must lie in [0, inf), got -1"),
+            ({**MINIMAL, "n_frames": 0}, "n_frames must lie in [1, inf), got 0"),
+            (with_track(start_box=[0.5, 0.2, 1.4, 0.6]), "start_box must lie in [0, 1], got 1.4"),
+            (with_track(end_box=[0.2, -0.1, 0.5, 0.6]), "end_box must lie in [0, 1], got -0.1"),
+            (with_track(start_box=[0.5, 0.2, 0.2, 0.6]), "start_box (0.5, 0.2, 0.2, 0.6) is narrower"),
+            (with_track(start_box=[0.2, 0.2, 0.2 + 1e-9, 0.6]), "start_box (0.2, 0.2, 0.200000001, 0.6) is narrower"),
+            ({**MINIMAL, "video_id": "my clip"}, "video_id must be printable, without whitespace"),
+            ({**MINIMAL, "video_id": "tab\tbed"}, "video_id must be printable, without whitespace"),
+            ({**MINIMAL, "video_id": ""}, "video_id must be printable, without whitespace"),
+            ({**MINIMAL, "video_id": "\ud800"}, "video_id must be printable, without whitespace"),
+        ],
+    )
+    def test_spec_rejects_what_a_later_stage_would(self, data, message):
+        with pytest.raises(ValueError) as err:
+            ScenarioSpec.from_dict(data)
+        assert str(err.value).startswith(message)
+
+    def test_minimal_spec_builds_with_defaults(self):
+        spec = ScenarioSpec.from_dict(MINIMAL)
+        assert spec.tracks == (TrackSpec(0, 3, 12, (0.2, 0.2, 0.5, 0.6), (0.2, 0.2, 0.5, 0.6)),)
+        assert (spec.video_id, spec.in_score, spec.periodic) == ("synthetic", (0.7, 1.0), ())
 
 
 class TestOracleLink:
