@@ -17,6 +17,22 @@ ENV_PATHS = {
     "report": "TUBESTREAM_REPORT",
 }
 
+
+class _Resolved:
+    """Marks the alphas that ``RunConfig`` resolved itself, from ``rate_errors``
+    or the default, so that ``dataclasses.replace`` resolves them again."""
+
+    __slots__ = ()
+
+
+class _ResolvedFloat(_Resolved, float):
+    __slots__ = ()
+
+
+class _ResolvedTuple(_Resolved, tuple):
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class RunConfig(LinkerConfig):
     """Pipeline settings; field names double as CLI flag and JSON key names.
@@ -26,6 +42,7 @@ class RunConfig(LinkerConfig):
     either directly (``alphas``) or as mean progress-rate training errors
     (``rate_errors``) through ``exp(-err^2 / 1e-2)``; ``alphas`` wins when both
     are given and, once built, holds the resolved trade-offs (or the default).
+    ``dataclasses.replace`` keeps given alphas and resolves the others again.
     """
 
     alphas: tuple[float, ...] | float | None = None
@@ -49,13 +66,13 @@ class RunConfig(LinkerConfig):
     }
 
     def __post_init__(self):
-        if self.alphas is None:
+        if self.alphas is None or isinstance(self.alphas, _Resolved):
             if self.rate_errors is None:
-                alphas = LinkerConfig.alphas
+                alphas = _ResolvedFloat(LinkerConfig.alphas)
             elif isinstance(self.rate_errors, (tuple, list)):
-                alphas = tuple(alpha_from_training_error(e) for e in self.rate_errors)
+                alphas = _ResolvedTuple(alpha_from_training_error(e) for e in self.rate_errors)
             else:
-                alphas = alpha_from_training_error(self.rate_errors)
+                alphas = _ResolvedFloat(alpha_from_training_error(self.rate_errors))
             object.__setattr__(self, "alphas", alphas)
         super().__post_init__()
 

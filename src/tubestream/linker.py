@@ -17,18 +17,21 @@ disables the score path entirely, ``alpha = 0`` makes any positive score
 sufficient.
 
 Labels are only ever edited inside the trailing ``window`` frames.  Older
-entries are committed out of the mutable window (optionally spilled to
-disk), which is what keeps memory per tube bounded by the window size on
-arbitrarily long streams, and what guarantees the online contract: the
-label of a frame more than ``window`` frames behind the stream head never
-changes, and nothing ever depends on future frames.
+entries are committed out of the mutable window, which is what guarantees
+the online contract: the label of a frame more than ``window`` frames
+behind the stream head never changes, and nothing ever depends on future
+frames.
 
 At stream end each tube is trimmed to the frames labeled 1: the emitted
 tube covers the tightest interval around them, carries only those frames'
 boxes, and is rescored as their mean confidence.  Tubes with no labeled
-frame are dropped.  Because committed labels are final, each tube keeps a
-running summary of its committed labeled entries, so trimming reads a
-spilled store once, and only for a tube that is emitted.
+frame are dropped.  Because committed labels are final, a tube keeps of its
+committed entries only a running summary of those labeled 1 and their
+(frame, box) pairs, in a store built at the first of them.  A
+:class:`SpillStore` holds one chunk of pairs in memory and writes whole
+chunks to a temp file past that, which keeps memory per tube bounded on
+arbitrarily long streams; trimming reads a store once, and only for a tube
+that is emitted.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -80,7 +83,9 @@ def alpha_from_training_error(rate_error: float) -> float:
 
 @dataclass(frozen=True)
 class LinkerConfig:
-    """Settings of the online linker, each checked against ``RANGES`` when built.
+    """Settings of the online linker, each checked when built: every value
+    must lie in its ``RANGES`` interval, and a field annotated ``int`` must
+    be an ``int`` (not a ``bool``).
 
     ``alphas`` may be a single float applied to every class or a sequence
     with one entry per class.
@@ -104,6 +109,9 @@ class LinkerConfig:
     def __post_init__(self):
         for key, interval in self.RANGES.items():
             check_range(key, getattr(self, key), interval)
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
 
     def alpha_for(self, class_id: int) -> float:
         if isinstance(self.alphas, (tuple, list)):
@@ -125,68 +133,78 @@ class TubeEntry:
 
 
 class MemoryStore:
-    """Committed-entry store backed by a plain list."""
+    """Committed labeled ``(frame, box)`` pairs in a plain list."""
 
     def __init__(self):
-        self._items: list[TubeEntry] = []
+        self._items: list[tuple[int, Box]] = []
 
     def append(self, entry: TubeEntry) -> None:
-        self._items.append(entry)
+        self._items.append((entry.frame, entry.box))
 
-    def __iter__(self) -> Iterator[TubeEntry]:
+    def __iter__(self) -> Iterator[tuple[int, Box]]:
         return iter(self._items)
 
     def discard(self) -> None:
         self._items.clear()
 
 
-_SPILL_RECORD = struct.Struct("<q6dB")
-_SPILL_CHUNK = _SPILL_RECORD.size * 1024
+_SPILL_RECORD = struct.Struct("<q4d")
+# Records held in memory before the file is opened, and written at a time
+# after: 8,000 bytes, about what a buffered writer holds.
+_SPILL_CHUNK = _SPILL_RECORD.size * 200
 
 
 class SpillStore:
-    """Committed-entry store spilled to a temp file.
+    """Committed labeled ``(frame, box)`` pairs, spilled to a temp file.
 
-    Keeps linker memory independent of stream length: committed entries are
-    immutable, so they live on disk until the tube is finalized.  The file is
-    created lazily (most short-lived tubes never commit anything).
+    Keeps linker memory independent of stream length: committed pairs are
+    immutable, so each full chunk of them is written out whole, unbuffered,
+    and read back once when the tube is emitted.  The file is created only
+    when the first chunk fills; a shorter store never opens one.
     """
 
     def __init__(self, directory: str | None = None):
         self._dir = directory
-        self._fh = None
+        self._chunk = bytearray()
+        self._fd: int | None = None
         self._path: str | None = None
 
     def append(self, entry: TubeEntry) -> None:
-        if self._fh is None:
-            fd, self._path = tempfile.mkstemp(suffix=".spill", dir=self._dir)
-            self._fh = os.fdopen(fd, "wb")
         x1, y1, x2, y2 = entry.box
-        self._fh.write(_SPILL_RECORD.pack(entry.frame, x1, y1, x2, y2, entry.score, entry.rate, entry.label))
+        chunk = self._chunk
+        chunk += _SPILL_RECORD.pack(entry.frame, x1, y1, x2, y2)
+        if len(chunk) == _SPILL_CHUNK:
+            if self._fd is None:
+                self._fd, self._path = tempfile.mkstemp(suffix=".spill", dir=self._dir)
+            if os.write(self._fd, chunk) != _SPILL_CHUNK:
+                raise OSError(f"short write to spill file {self._path}")
+            chunk.clear()
 
-    def __iter__(self) -> Iterator[TubeEntry]:
-        if self._fh is None:
-            return
-        self._fh.flush()
-        with open(self._path, "rb") as fh:
-            while blob := fh.read(_SPILL_CHUNK):
-                for frame, x1, y1, x2, y2, score, rate, label in _SPILL_RECORD.iter_unpack(blob):
-                    yield TubeEntry(frame, (x1, y1, x2, y2), score, rate, label)
+    def __iter__(self) -> Iterator[tuple[int, Box]]:
+        fd = self._fd
+        spilled = () if fd is None else range(0, os.fstat(fd).st_size, _SPILL_CHUNK)
+        chunks = chain((os.pread(fd, _SPILL_CHUNK, offset) for offset in spilled), (bytes(self._chunk),))
+        for chunk in chunks:
+            for frame, x1, y1, x2, y2 in _SPILL_RECORD.iter_unpack(chunk):
+                yield frame, (x1, y1, x2, y2)
 
     def discard(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        if self._fd is not None:
+            os.close(self._fd)
             os.unlink(self._path)
-            self._fh = None
+            self._fd = None
             self._path = None
+        self._chunk.clear()
 
 
 class TubeState:
     """A live tube: committed entries, the mutable trailing window, counters.
 
     ``first_labeled``, ``last_labeled``, ``labeled_sum`` and ``n_labeled``
-    summarize the committed entries labeled 1, in commit order; committed
-    labels never change, so the summary stays exact.
+    summarize the committed entries labeled 1, in commit order, and ``store``
+    holds their (frame, box) pairs; it is ``None`` until the first of them.
+    Committed labels never change, so the summary stays exact.  ``history``
+    keeps every committed entry when ``keep_history`` is set (audit mode).
     """
 
     __slots__ = (
@@ -195,6 +213,7 @@ class TubeState:
         "t_start",
         "t_end",
         "store",
+        "history",
         "window",
         "n_up",
         "n_down",
@@ -216,13 +235,14 @@ class TubeState:
         score: float,
         rate: float,
         seq: int = 0,
-        store=None,
+        keep_history: bool = True,
     ):
         self.class_id = class_id
         self.seq = seq
         self.t_start = frame
         self.t_end = frame
-        self.store = store if store is not None else MemoryStore()
+        self.store: MemoryStore | SpillStore | None = None
+        self.history: list[TubeEntry] | None = [] if keep_history else None
         self.window: list[TubeEntry] = [TubeEntry(frame, box, score, rate, 0)]
         self.n_up = 0
         self.n_down = 0
@@ -241,23 +261,30 @@ class TubeState:
 
     @property
     def entries(self) -> list[TubeEntry]:
-        return list(self.store) + self.window
+        """Every entry of the tube, committed ones first; needs ``history``."""
+        if self.history is None:
+            raise ValueError("a tube keeps its committed entries only with keep_history (audit mode)")
+        return self.history + self.window
 
-    def commit_through(self, frame: int) -> None:
-        """Move entries at or before ``frame`` out of the mutable window."""
+    def commit_through(self, frame: int, new_store: Callable[[], MemoryStore | SpillStore]) -> None:
+        """Move entries at or before ``frame`` out of the mutable window; those
+        labeled 1 go to the store, which ``new_store`` builds for the first."""
         window = self.window
         n = 0
         for e in window:
             if e.frame > frame:
                 break
             n += 1
-            self.store.append(e)
             if e.label:
                 if not self.n_labeled:
                     self.first_labeled = e.frame
+                    self.store = new_store()
                 self.last_labeled = e.frame
                 self.labeled_sum += e.score
                 self.n_labeled += 1
+                self.store.append(e)
+        if self.history is not None:
+            self.history += window[:n]
         del window[:n]
 
 
@@ -365,7 +392,10 @@ class OnlineLinker:
 
     A step costs time in the live tubes and the frame's boxes, not in the
     stream length: committed entries are only touched when they leave the
-    window and, once, when their tube is emitted.
+    window and, once, when their tube is emitted.  ``store_factory`` builds
+    a tube's store at its first committed entry labeled 1.  ``audit`` keeps
+    every tube's committed entries too and logs a :class:`LinkAudit` per
+    finished tube (for differential tests).
     """
 
     def __init__(
@@ -428,6 +458,7 @@ class OnlineLinker:
         cfg = self.config
         window = cfg.window
         horizon = frame - window
+        new_store = self._store_factory
         for class_id, alpha, lane in self._order:
             remaining = by_class.get(class_id)
             if first:
@@ -460,7 +491,7 @@ class OnlineLinker:
                         completed = True
                         continue
                     if tb.window[0].frame <= horizon:
-                        tb.commit_through(horizon)
+                        tb.commit_through(horizon, new_store)
                 if completed:
                     lane[:] = [tb for tb in lane if tb.t_end > horizon]
 
@@ -481,6 +512,11 @@ class OnlineLinker:
                     self._emit(tb)
                 lane.clear()
         return list(self._results)
+
+    def live_tubes(self) -> tuple[TubeState, ...]:
+        """The tubes not yet finished, by class and then lane order: a snapshot
+        to read, not to modify.  Their ``entries`` need ``audit``."""
+        return tuple(tb for _, _, lane in self._order for tb in lane)
 
     # -- internals ---------------------------------------------------------
 
@@ -526,12 +562,13 @@ class OnlineLinker:
             bx.confidence,
             bx.rate,
             seq=self._seq,
-            store=self._store_factory(),
+            keep_history=self.audit_log is not None,
         )
         self._seq += 1
         return tube
 
-    def _audit_tube(self, tube: TubeState, outcome: str, entries: list[TubeEntry]) -> None:
+    def _audit_tube(self, tube: TubeState, outcome: str) -> None:
+        entries = tube.entries
         self.audit_log.append(
             LinkAudit(
                 class_id=tube.class_id,
@@ -549,8 +586,9 @@ class OnlineLinker:
 
     def _retire(self, tube: TubeState, outcome: str) -> None:
         if self.audit_log is not None:
-            self._audit_tube(tube, outcome, tube.entries)
-        tube.store.discard()
+            self._audit_tube(tube, outcome)
+        if tube.store is not None:
+            tube.store.discard()
 
     def _emit(self, tube: TubeState) -> None:
         first, last = tube.first_labeled, tube.last_labeled
@@ -566,12 +604,12 @@ class OnlineLinker:
             self._retire(tube, "empty")
             return
         if self.audit_log is not None:
-            entries = tube.entries
-            self._audit_tube(tube, "emitted", entries)
-        else:
-            entries = chain(tube.store, tube.window)
+            self._audit_tube(tube, "emitted")
+        store = tube.store
         score = score_sum / count
-        kept = ((e.frame, e.box) for e in entries if e.label)
+        kept = ((e.frame, e.box) for e in tube.window if e.label)
+        if store is not None:
+            kept = chain(store, kept)
         if self._on_tube is not None:
             self._on_tube(self.video_id, tube.class_id, first, last, score, count, kept)
         else:
@@ -585,7 +623,8 @@ class OnlineLinker:
                     entries=tuple(kept),
                 )
             )
-        tube.store.discard()
+        if store is not None:
+            store.discard()
 
 
 def link_stream(

@@ -2,10 +2,11 @@
 
 The link stage is strictly streaming: detection rows are read frame by
 frame, thresholded and NMS-deduplicated per class, pushed through one
-:class:`~tubestream.linker.OnlineLinker` per video with committed tube
-entries spilled to disk, and finished tubes are written out as they
-complete.  Memory is bounded by the linker window and the widest single
-frame, independent of stream length.
+:class:`~tubestream.linker.OnlineLinker` per video, and finished tubes are
+written out as they complete.  A tube keeps only its committed labeled
+(frame, box) pairs, in a :class:`~tubestream.linker.SpillStore` that
+writes them to a temp file past one chunk.  Memory is bounded by the
+linker window and the widest single frame, independent of stream length.
 """
 
 from __future__ import annotations

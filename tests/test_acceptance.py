@@ -188,36 +188,34 @@ def test_online_contract_fuzz():
         frames = stream.ordered_frames()
 
         # Full pass: committed labels (older than the window) must be frozen.
-        linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+        linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
         committed: dict[tuple, int] = {}
         snapshots = {}
         for t in frames:
             linker.step(t, stream.boxes_at(t))
             snap = {}
-            for lane in linker._lanes.values():
-                for tube in lane:
-                    for e in tube.entries:
-                        if e.frame <= t - cfg.window:
-                            key = (tube.seq, e.frame)
-                            snap[key] = e.label
-                            if key in committed and committed[key] != e.label:
-                                violations += 1
-                            committed.setdefault(key, e.label)
+            for tube in linker.live_tubes():
+                for e in tube.entries:
+                    if e.frame <= t - cfg.window:
+                        key = (tube.seq, e.frame)
+                        snap[key] = e.label
+                        if key in committed and committed[key] != e.label:
+                            violations += 1
+                        committed.setdefault(key, e.label)
             snapshots[t] = snap
         linker.finalize()
 
         # Prefix pass: a run over a prefix commits exactly the same labels,
         # so nothing ever depended on future frames.
         cut = frames[len(frames) // 2]
-        prefix = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+        prefix = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
         for t in frames:
             if t > cut:
                 break
             prefix.step(t, stream.boxes_at(t))
         got = {
             (tube.seq, e.frame): e.label
-            for lane in prefix._lanes.values()
-            for tube in lane
+            for tube in prefix.live_tubes()
             for e in tube.entries
             if e.frame <= cut - cfg.window
         }

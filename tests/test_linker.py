@@ -3,6 +3,9 @@
 import functools
 import math
 import operator
+import os
+import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import chain_frames, random_stream
+from tubestream import linker as linker_module
+from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
 from tubestream.linker import (
     LinkerConfig,
@@ -24,6 +29,8 @@ from tubestream.linker import (
     link_stream,
     temporal_label_step,
 )
+from tubestream.pipeline import run_link
+from tubestream.records import write_detections
 from tubestream.synthetic import chain_stream_frames, score_only_link
 
 
@@ -316,6 +323,23 @@ class TestAlphaRegimes:
         assert got == want
 
 
+# Labeled entries a ``SpillStore`` holds in memory before it opens its file.
+CHUNK = linker_module._SPILL_CHUNK // linker_module._SPILL_RECORD.size
+
+
+def count_mkstemp(monkeypatch) -> list:
+    """Record every ``tempfile.mkstemp`` call from here on."""
+    calls = []
+    original = tempfile.mkstemp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("dir"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", counted)
+    return calls
+
+
 class TestStores:
     def test_spill_store_matches_memory_store(self, tmp_path):
         for seed in range(60):
@@ -330,34 +354,104 @@ class TestStores:
 
     def test_stores_yield_identical_entries(self, tmp_path):
         rng = np.random.default_rng(7)
-        stores = MemoryStore(), SpillStore(str(tmp_path))
-        for frame in range(1, 50):
-            box = tuple(float(x) for x in rng.uniform(0.0, 1.0, 4))
-            score, rate = (float(x) for x in rng.uniform(0.0, 1.0, 2))
-            for store in stores:
-                store.append(TubeEntry(frame, box, score, rate, frame % 2))
-        memory, spilled = ([(e.frame, e.box, e.score, e.rate, e.label) for e in store] for store in stores)
-        assert spilled == memory and len(memory) == 49
-        stores[1].discard()
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK):
+            entries = [
+                TubeEntry(frame, tuple(float(x) for x in rng.uniform(0.0, 1.0, 4)), *rng.uniform(0.0, 1.0, 2), 1)
+                for frame in range(1, n + 1)
+            ]
+            stores = MemoryStore(), SpillStore(str(tmp_path))
+            for e in entries:
+                for store in stores:
+                    store.append(e)
+            memory, spilled = (list(store) for store in stores)
+            assert spilled == memory == [(e.frame, e.box) for e in entries], n
+            # The file appears only once a whole chunk is held, and goes with the store.
+            assert len(os.listdir(tmp_path)) == (n >= CHUNK), n
+            stores[1].discard()
+            assert os.listdir(tmp_path) == [] and list(stores[1]) == [], n
+
+    def test_spill_store_memory_does_not_grow_with_entries(self, tmp_path):
+        box = (0.1, 0.2, 0.3, 0.4)
+
+        def traced_peak(n: int) -> int:
+            tracemalloc.start()
+            store = SpillStore(str(tmp_path))
+            for frame in range(n):
+                store.append(TubeEntry(frame, box, 0.5, 0.5, 1))
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            store.discard()
+            return peak
+
+        traced_peak(1_000)  # first calls build the temp-name machinery
+        short, long = traced_peak(1_000), traced_peak(10_000)
+        assert long <= 1.2 * short, (short, long)
+
+    def test_run_link_opens_no_spill_file_for_short_tubes(self, tmp_path, monkeypatch):
+        det, tubes = tmp_path / "det.txt", tmp_path / "tubes.txt"
+        write_detections(str(det), [random_stream(seed, max_frames=60)[0] for seed in range(12)])
+        appended = Counter()
+        original_append = SpillStore.append
+
+        def append(store, entry):
+            appended[store] += 1
+            original_append(store, entry)
+
+        monkeypatch.setattr(SpillStore, "append", append)
+        mkstemp = count_mkstemp(monkeypatch)
+        n_tubes = run_link(RunConfig(alphas=0.3), str(det), str(tubes), str(tmp_path))
+        assert n_tubes > 0 and len(appended) > 0 and max(appended.values()) < CHUNK
+        assert mkstemp == []
+
+    def test_store_built_once_per_tube_with_a_labeled_commit(self):
+        for seed in range(40):
+            stream, n_classes, cfg = random_stream(seed, max_frames=40)
+            built = []
+
+            def factory():
+                built.append(MemoryStore())
+                return built[-1]
+
+            linker = OnlineLinker(n_classes, cfg, store_factory=factory)
+            with_store = {}
+            for t in stream.ordered_frames():
+                linker.step(t, stream.boxes_at(t))
+                # A tube commits only in a step it survives, so every tube
+                # that ever commits is seen here.
+                for tube in linker.live_tubes():
+                    assert (tube.store is None) == (tube.n_labeled == 0), f"seed {seed}"
+                    if tube.store is not None:
+                        assert with_store.setdefault(tube.seq, tube.store) is tube.store, f"seed {seed}"
+            linker.finalize()
+            assert len(built) == len(with_store), f"seed {seed}"
+            assert {id(s) for s in built} == {id(s) for s in with_store.values()}, f"seed {seed}"
 
     @staticmethod
     def count_reads(monkeypatch) -> Counter:
         """Count ``SpillStore.__iter__`` calls per store, and under
-        ``"entries"`` the entries they yield."""
+        ``"entries"`` the pairs they yield."""
         reads: Counter = Counter()
         original = SpillStore.__iter__
 
         def counted(store):
             reads[store] += 1
-            entries = list(original(store))
-            reads["entries"] += len(entries)
-            return iter(entries)
+            pairs = list(original(store))
+            reads["entries"] += len(pairs)
+            return iter(pairs)
 
         monkeypatch.setattr(SpillStore, "__iter__", counted)
         return reads
 
     def test_store_read_once_per_emitted_tube(self, tmp_path, monkeypatch):
         reads = self.count_reads(monkeypatch)
+        emitted_stores = []
+        original_emit = OnlineLinker._emit
+
+        def emit(linker, tube):
+            emitted_stores.append(tube.store)
+            original_emit(linker, tube)
+
+        monkeypatch.setattr(OnlineLinker, "_emit", emit)
         for seed in range(40):
             stream, n_classes, cfg = random_stream(seed)
             emitted = []
@@ -370,14 +464,19 @@ class TestStores:
             for t in stream.ordered_frames():
                 linker.step(t, stream.boxes_at(t))
             linker.finalize()
-            # Every emitted tube reads its store once; pruned tubes and
-            # tubes with no labeled frame never read theirs.
-            per_store = [n for key, n in reads.items() if key != "entries"]
-            assert set(per_store) <= {1} and len(per_store) == len(emitted), f"seed {seed}"
+            # Only a tube with a labeled commit has a store, and such a tube
+            # is emitted or pruned: an emitted one reads its store once, a
+            # pruned one never does.
+            per_store = {key: n for key, n in reads.items() if key != "entries"}
+            assert set(per_store.values()) <= {1}, f"seed {seed}"
+            assert set(per_store) == {s for s in emitted_stores if s is not None}, f"seed {seed}"
+            assert len(per_store) <= len(emitted), f"seed {seed}"
             reads.clear()
+            emitted_stores.clear()
 
     def test_chain_tube_reads_its_spill_file_once(self, tmp_path, monkeypatch):
         reads = self.count_reads(monkeypatch)
+        mkstemp = count_mkstemp(monkeypatch)
         emitted = []
 
         def sink(video_id, class_id, t_start, t_end, score, count, entries):
@@ -389,14 +488,16 @@ class TestStores:
         for t, boxes in chain_stream_frames(2_000):
             linker.step(t, boxes)
         assert not reads
+        (tube,) = linker.live_tubes()
+        committed_labeled = tube.n_labeled
         linker.finalize()
         window = linker.config.window
-        assert len(emitted) == 1 and emitted[0][0] == emitted[0][1]
-        assert reads.pop("entries") == 2_000 - window and list(reads.values()) == [1]
+        assert len(emitted) == 1 and emitted[0][0] == emitted[0][1] == committed_labeled + window
+        assert reads.pop("entries") == committed_labeled and list(reads.values()) == [1]
+        # One tube past one chunk opens one file.
+        assert committed_labeled > CHUNK and mkstemp == [str(tmp_path)]
 
     def test_spill_store_cleans_up_files(self, tmp_path):
-        import os
-
         stream, n_classes, cfg = random_stream(3)
         linker = OnlineLinker(n_classes, cfg, store_factory=lambda: SpillStore(str(tmp_path)))
         for t in stream.ordered_frames():
@@ -409,46 +510,54 @@ class TestOnlineContract:
     def test_committed_labels_never_change(self):
         for seed in range(30):
             stream, n_classes, cfg = random_stream(seed)
-            linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+            linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
             committed: dict[tuple, int] = {}
             for t in stream.ordered_frames():
                 linker.step(t, stream.boxes_at(t))
-                for lane in linker._lanes.values():
-                    for tube in lane:
-                        for entry in tube.entries:
-                            if entry.frame <= t - cfg.window:
-                                key = (tube.seq, entry.frame)
-                                if key in committed:
-                                    assert committed[key] == entry.label, f"seed {seed}"
-                                else:
-                                    committed[key] = entry.label
+                for tube in linker.live_tubes():
+                    for entry in tube.entries:
+                        if entry.frame <= t - cfg.window:
+                            key = (tube.seq, entry.frame)
+                            if key in committed:
+                                assert committed[key] == entry.label, f"seed {seed}"
+                            else:
+                                committed[key] = entry.label
             linker.finalize()
 
     def test_prefix_run_reproduces_committed_labels(self):
         stream, n_classes, cfg = random_stream(11, max_frames=25)
         frames = stream.ordered_frames()
-        full = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+        full = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
         snapshots = {}
         for t in frames:
             full.step(t, stream.boxes_at(t))
             snapshots[t] = {
                 (tube.seq, e.frame): e.label
-                for lane in full._lanes.values()
-                for tube in lane
+                for tube in full.live_tubes()
                 for e in tube.entries
                 if e.frame <= t - cfg.window
             }
         for cut in frames[:: max(1, len(frames) // 5)]:
-            prefix = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+            prefix = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
             for t in frames:
                 if t > cut:
                     break
                 prefix.step(t, stream.boxes_at(t))
             got = {
                 (tube.seq, e.frame): e.label
-                for lane in prefix._lanes.values()
-                for tube in lane
+                for tube in prefix.live_tubes()
                 for e in tube.entries
                 if e.frame <= cut - cfg.window
             }
             assert got == snapshots[cut]
+
+    def test_live_tubes_without_audit_hide_committed_entries(self):
+        linker = OnlineLinker(1, LinkerConfig(window=2, alphas=1.0))
+        for t, boxes in chain_stream_frames(10):
+            linker.step(t, boxes)
+        (tube,) = linker.live_tubes()
+        assert tube.history is None and tube.n_labeled > 0
+        with pytest.raises(ValueError, match="audit"):
+            tube.entries
+        linker.finalize()
+        assert linker.live_tubes() == ()

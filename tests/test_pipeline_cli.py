@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,26 @@ class TestSettingsContract:
             if not isinstance(value, tuple):
                 with pytest.raises(ValueError, match=must_lie_in(key, interval)):
                     alpha_from_training_error(value)
+
+    @pytest.mark.parametrize("cls", [LinkerConfig, RunConfig])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("window", 2.5), ("max_tubes", 1.5), ("window", True), ("max_tubes", True), ("window", 2.0), ("max_tubes", 2.0)],
+    )
+    def test_integer_setting_must_be_an_int(self, cls, key, value):
+        # Each value lies in [1, inf); the linker would compare frame gaps against it.
+        with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be an integer, got {value!r}") + "$"):
+            cls(**{key: value})
+
+    def test_replace_resolves_the_new_rate_errors(self):
+        resolved = RunConfig(rate_errors=0.0)
+        assert replace(resolved, rate_errors=1.0).alphas == alpha_from_training_error(1.0)
+        assert replace(RunConfig(), rate_errors=(0.0, 0.1)).alphas == (1.0, alpha_from_training_error(0.1))
+        assert replace(resolved, rate_errors=None).alphas == LinkerConfig.alphas
+        # Given alphas still win over rate_errors, before and after replace.
+        assert replace(RunConfig(alphas=0.3), rate_errors=1.0).alphas == 0.3
+        assert replace(resolved, alphas=0.3, rate_errors=1.0).alphas == 0.3
+        assert replace(RunConfig(alphas=(0.2, 0.4)), iou_gate=0.5).alphas == (0.2, 0.4)
 
     def test_linker_config_copies_the_linking_settings(self):
         config = RunConfig(iou_gate=0.4, window=3, max_tubes=2, score_floor=0.1, rate_errors=0.1, nms_iou=0.3)
