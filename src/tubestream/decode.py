@@ -116,30 +116,16 @@ class DecodedGrid:
     confidence: np.ndarray  # (S, S, B, C): actionness * class_scores * progression
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class CandidateBox:
     """A per-class scored detection ready for linking.  Slotted, as decode and
     records build one per row; compared and hashed by value, so immutable by
     convention."""
 
-    __slots__ = ("class_id", "geometry", "confidence", "rate")
-
-    def __init__(self, class_id: int, geometry: Box, confidence: float, rate: float):
-        self.class_id = class_id
-        self.geometry = geometry
-        self.confidence = confidence
-        self.rate = rate
-
-    def _fields(self) -> tuple:
-        return (self.class_id, self.geometry, self.confidence, self.rate)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "CandidateBox(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
+    class_id: int
+    geometry: Box
+    confidence: float
+    rate: float
 
 
 def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:

@@ -27,11 +27,11 @@ tube covers the tightest interval around them, carries only those frames'
 boxes, and is rescored as their mean confidence.  Tubes with no labeled
 frame are dropped.  Because committed labels are final, a tube keeps of its
 committed entries only a running summary of those labeled 1 and their
-(frame, box) pairs, in a store built at the first of them.  A
-:class:`SpillStore` holds one chunk of pairs in memory and writes whole
-chunks to a temp file past that, which keeps memory per tube bounded on
-arbitrarily long streams; trimming reads a store once, and only for a tube
-that is emitted.
+(frame, box) pairs, in a :class:`SpillStore` built at the first of them.
+Every linker's stores hold one 8,000-byte chunk of pairs in memory and
+write whole chunks to an anonymous temp file past that, which keeps memory
+per tube bounded on arbitrarily long streams; trimming reads a store once,
+and only for a tube that is emitted.
 """
 
 from __future__ import annotations
@@ -55,11 +55,13 @@ class SequencingError(ValueError):
 
 def check_range(key: str, value, interval: str) -> None:
     """Raise unless ``value`` (or each value of a sequence; ``None`` is not set)
-    lies in ``interval``: ``[lo, hi]``, ``(`` or ``)`` at an open end, ``inf`` unbounded."""
+    is a number that lies in ``interval``: ``[lo, hi]``, ``(`` or ``)`` at an open end, ``inf`` unbounded."""
     if value is None:
         return
     lo, hi = (float(end) for end in interval[1:-1].split(", "))
     for v in value if isinstance(value, (tuple, list)) else (value,):
+        if not isinstance(v, (int, float)):
+            raise ValueError(f"{key} must be a number, got {v!r}")
         above = lo < v if interval[0] == "(" else lo <= v
         below = v < hi if interval[-1] == ")" else v <= hi
         if not (above and below):
@@ -119,33 +121,15 @@ class LinkerConfig:
         return self.alphas
 
 
+@dataclass(slots=True, eq=False)
 class TubeEntry:
     """One linked box inside a tube."""
 
-    __slots__ = ("frame", "box", "score", "rate", "label")
-
-    def __init__(self, frame: int, box: Box, score: float, rate: float, label: int):
-        self.frame = frame
-        self.box = box
-        self.score = score
-        self.rate = rate
-        self.label = label
-
-
-class MemoryStore:
-    """Committed labeled ``(frame, box)`` pairs in a plain list."""
-
-    def __init__(self):
-        self._items: list[tuple[int, Box]] = []
-
-    def append(self, entry: TubeEntry) -> None:
-        self._items.append((entry.frame, entry.box))
-
-    def __iter__(self) -> Iterator[tuple[int, Box]]:
-        return iter(self._items)
-
-    def discard(self) -> None:
-        self._items.clear()
+    frame: int
+    box: Box
+    score: float
+    rate: float
+    label: int
 
 
 _SPILL_RECORD = struct.Struct("<q4d")
@@ -160,28 +144,30 @@ class SpillStore:
     Keeps linker memory independent of stream length: committed pairs are
     immutable, so each full chunk of them is written out whole, unbuffered,
     and read back once when the tube is emitted.  The file is created only
-    when the first chunk fills; a shorter store never opens one.
+    when the first chunk fills; a shorter store never opens one.  It is an
+    anonymous ``tempfile.TemporaryFile`` in ``directory``, so it never
+    outlives its store, not even when the store is dropped without
+    ``discard`` or the process is killed.
     """
 
     def __init__(self, directory: str | None = None):
         self._dir = directory
         self._chunk = bytearray()
-        self._fd: int | None = None
-        self._path: str | None = None
+        self._file = None
 
     def append(self, entry: TubeEntry) -> None:
         x1, y1, x2, y2 = entry.box
         chunk = self._chunk
         chunk += _SPILL_RECORD.pack(entry.frame, x1, y1, x2, y2)
         if len(chunk) == _SPILL_CHUNK:
-            if self._fd is None:
-                self._fd, self._path = tempfile.mkstemp(suffix=".spill", dir=self._dir)
-            if os.write(self._fd, chunk) != _SPILL_CHUNK:
-                raise OSError(f"short write to spill file {self._path}")
+            if self._file is None:
+                self._file = tempfile.TemporaryFile(dir=self._dir, buffering=0)
+            if self._file.write(chunk) != _SPILL_CHUNK:
+                raise OSError("short write to a spill file")
             chunk.clear()
 
     def __iter__(self) -> Iterator[tuple[int, Box]]:
-        fd = self._fd
+        fd = None if self._file is None else self._file.fileno()
         spilled = () if fd is None else range(0, os.fstat(fd).st_size, _SPILL_CHUNK)
         chunks = chain((os.pread(fd, _SPILL_CHUNK, offset) for offset in spilled), (bytes(self._chunk),))
         for chunk in chunks:
@@ -189,11 +175,9 @@ class SpillStore:
                 yield frame, (x1, y1, x2, y2)
 
     def discard(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            os.unlink(self._path)
-            self._fd = None
-            self._path = None
+        if self._file is not None:
+            self._file.close()
+            self._file = None
         self._chunk.clear()
 
 
@@ -241,7 +225,7 @@ class TubeState:
         self.seq = seq
         self.t_start = frame
         self.t_end = frame
-        self.store: MemoryStore | SpillStore | None = None
+        self.store: SpillStore | None = None
         self.history: list[TubeEntry] | None = [] if keep_history else None
         self.window: list[TubeEntry] = [TubeEntry(frame, box, score, rate, 0)]
         self.n_up = 0
@@ -266,7 +250,7 @@ class TubeState:
             raise ValueError("a tube keeps its committed entries only with keep_history (audit mode)")
         return self.history + self.window
 
-    def commit_through(self, frame: int, new_store: Callable[[], MemoryStore | SpillStore]) -> None:
+    def commit_through(self, frame: int, new_store: Callable[[], SpillStore]) -> None:
         """Move entries at or before ``frame`` out of the mutable window; those
         labeled 1 go to the store, which ``new_store`` builds for the first."""
         window = self.window
@@ -383,9 +367,10 @@ class OnlineLinker:
     :meth:`finalize` once the stream ends.  Frame indices may skip (a frame
     with no candidates can be presented as an empty list or simply omitted;
     presenting it lets completions and the keep-best pruning take effect on
-    schedule rather than at the next populated frame).  By default finished tubes are
-    collected as :class:`FinalTube` objects.  Passing ``on_tube`` streams
-    them out instead: the callback receives
+    schedule rather than at the next populated frame).  Finished tubes go to
+    one sink, ``on_tube``, which by default collects them as
+    :class:`FinalTube` objects.  A given ``on_tube`` streams them out
+    instead: the callback receives
     ``(video_id, class_id, t_start, t_end, score, n_entries, entries)``
     where ``entries`` is a single-use iterator of (frame, box) pairs that
     must be consumed inside the callback.
@@ -393,7 +378,9 @@ class OnlineLinker:
     A step costs time in the live tubes and the frame's boxes, not in the
     stream length: committed entries are only touched when they leave the
     window and, once, when their tube is emitted.  ``store_factory`` builds
-    a tube's store at its first committed entry labeled 1.  ``audit`` keeps
+    a tube's store at its first committed entry labeled 1; the default is a
+    :class:`SpillStore` in the system temp directory, and a factory such as
+    ``lambda: SpillStore(directory)`` chooses another.  ``audit`` keeps
     every tube's committed entries too and logs a :class:`LinkAudit` per
     finished tube (for differential tests).
     """
@@ -403,7 +390,7 @@ class OnlineLinker:
         n_classes: int | None = None,
         config: LinkerConfig | None = None,
         video_id: str = "video",
-        store_factory: Callable[[], MemoryStore | SpillStore] | None = None,
+        store_factory: Callable[[], SpillStore] | None = None,
         on_tube: TubeSink | None = None,
         audit: bool = False,
     ):
@@ -412,8 +399,8 @@ class OnlineLinker:
         self.config = config if config is not None else LinkerConfig()
         self.video_id = video_id
         self.n_classes = n_classes
-        self._store_factory = store_factory if store_factory is not None else MemoryStore
-        self._on_tube = on_tube
+        self._store_factory = store_factory if store_factory is not None else SpillStore
+        self._on_tube = on_tube if on_tube is not None else self._collect
         # Lanes appear as their classes first show up in the stream;
         # ``_order`` holds (class_id, alpha, lane) in ascending class order.
         self._lanes: dict[int, list[TubeState]] = {}
@@ -504,7 +491,7 @@ class OnlineLinker:
 
     def finalize(self) -> list[FinalTube]:
         """Flush every live tube and return all finished tubes of the stream
-        (collection mode) or an empty list (sink mode)."""
+        when collecting, or an empty list when streaming through ``on_tube``."""
         if not self._finalized:
             self._finalized = True
             for _, _, lane in self._order:
@@ -610,21 +597,12 @@ class OnlineLinker:
         kept = ((e.frame, e.box) for e in tube.window if e.label)
         if store is not None:
             kept = chain(store, kept)
-        if self._on_tube is not None:
-            self._on_tube(self.video_id, tube.class_id, first, last, score, count, kept)
-        else:
-            self._results.append(
-                FinalTube(
-                    video_id=self.video_id,
-                    class_id=tube.class_id,
-                    t_start=first,
-                    t_end=last,
-                    score=score,
-                    entries=tuple(kept),
-                )
-            )
+        self._on_tube(self.video_id, tube.class_id, first, last, score, count, kept)
         if store is not None:
             store.discard()
+
+    def _collect(self, video_id, class_id, t_start, t_end, score, n_entries, entries) -> None:
+        self._results.append(FinalTube(video_id, class_id, t_start, t_end, score, tuple(entries)))
 
 
 def link_stream(

@@ -5,14 +5,15 @@ frame, thresholded and NMS-deduplicated per class, pushed through one
 :class:`~tubestream.linker.OnlineLinker` per video, and finished tubes are
 written out as they complete.  A tube keeps only its committed labeled
 (frame, box) pairs, in a :class:`~tubestream.linker.SpillStore` that
-writes them to a temp file past one chunk.  Memory is bounded by the
-linker window and the widest single frame, independent of stream length.
+writes them past one 8,000-byte chunk to an anonymous temp file in
+``spool_dir`` (``--spool-dir``; the system temp directory by default).
+Memory is bounded by the linker window and the widest single frame,
+independent of stream length.
 """
 
 from __future__ import annotations
 
 import csv
-import tempfile
 from typing import Iterable, Iterator
 
 from . import records
@@ -63,11 +64,7 @@ def run_link(
     The file appears only when every row linked."""
     count = 0
 
-    with (
-        records.replaced_on_success(tubes_path) as tmp,
-        records.TubeWriter(tmp) as writer,
-        tempfile.TemporaryDirectory(dir=spool_dir) as spool,
-    ):
+    with records.replaced_on_success(tubes_path) as tmp, records.TubeWriter(tmp) as writer:
 
         def sink(*tube_fields):
             nonlocal count
@@ -82,7 +79,7 @@ def run_link(
                 linker = OnlineLinker(
                     config=config,
                     video_id=video_id,
-                    store_factory=lambda: SpillStore(spool),
+                    store_factory=lambda: SpillStore(spool_dir),
                     on_tube=sink,
                 )
             linker.step(frame, nms_frame(boxes, config.score_threshold, config.nms_iou))

@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import json_settings
 from .decode import MIN_BOX_SIZE, CandidateBox
+from .geometry import box_iou
 from .linker import LinkAudit, LinkerConfig, check_range
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
@@ -100,7 +101,7 @@ class ScenarioSpec:
                 if min(box[2] - box[0], box[3] - box[1]) < MIN_BOX_SIZE:
                     raise ValueError(f"{key} {box} is narrower or lower than {MIN_BOX_SIZE:g}")
             for f in range(tr.t_start, tr.t_end):
-                if _iou(tr.box_at(f), tr.box_at(f + 1)) <= 0.5:
+                if box_iou(tr.box_at(f), tr.box_at(f + 1)) <= 0.5:
                     raise ValueError(f"track trajectory is discontinuous at frame {f}")
 
     def is_periodic(self, class_id: int) -> bool:

@@ -90,6 +90,15 @@ def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: fl
     ]
 
 
+def test_candidate_box_is_compared_hashed_and_printed_by_value():
+    box = CandidateBox(1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.5)
+    assert repr(box) == "CandidateBox(class_id=1, geometry=(0.1, 0.2, 0.3, 0.4), confidence=0.9, rate=0.5)"
+    twin = CandidateBox(1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.5)
+    assert twin is not box and twin == box and hash(twin) == hash(box) == hash((1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.5))
+    assert len({box, twin}) == 1 and box != CandidateBox(1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.6)
+    assert box != (1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.5) and not hasattr(box, "__dict__")
+
+
 class TestDecodeGrid:
     def test_zero_logits_symmetry(self):
         raw = RawGrid(2, 1, 1, np.zeros((2, 2, 1, 8)))

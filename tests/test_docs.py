@@ -1,10 +1,14 @@
 """README's configuration table is the settings contract: one row per
-settable ``RunConfig`` field, each with the interval its range table holds."""
+settable ``RunConfig`` field, each with the interval its range table holds.
+README's "Library use" block runs as written."""
 
 from dataclasses import fields
 from pathlib import Path
 
 from tubestream.config import ENV_PATHS, RunConfig
+from tubestream.linker import link_stream
+from tubestream.synthetic import ScenarioSpec, TrackSpec, generate
+from tubestream.tubes import FinalTube
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -32,3 +36,33 @@ def test_rows_are_the_settable_fields_in_order():
 def test_valid_range_cells_are_the_range_tables():
     ranges = {key: cells[1] for key, cells in config_table().items()}
     assert ranges == RunConfig.RANGES
+
+
+def python_block(section: str) -> str:
+    """The first python code block under README's ``## {section}`` heading."""
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index(f"\n## {section}\n") :]
+    start = after.index("```python\n") + len("```python\n")
+    return after[start : after.index("```", start)]
+
+
+def test_library_use_block_runs(capsys):
+    spec = ScenarioSpec(
+        n_frames=40,
+        n_classes=2,
+        tracks=(
+            TrackSpec(0, 5, 20, (0.1, 0.1, 0.4, 0.5), (0.2, 0.15, 0.5, 0.55)),
+            TrackSpec(1, 12, 34, (0.5, 0.4, 0.8, 0.9), (0.45, 0.35, 0.75, 0.85)),
+        ),
+        seed=3,
+        video_id="v1",
+    )
+    detections, ground_truth = generate(spec)
+    stream = [(t, detections.boxes_at(t)) for t in detections.ordered_frames()]
+    names = {"stream": stream, "ground_truth_tubes": ground_truth}
+    exec(python_block("Library use"), names)
+    tubes = names["tubes"]
+    assert tubes and all(isinstance(tube, FinalTube) for tube in tubes)
+    assert tubes == link_stream(stream, 2, names["linker"].config, video_id="v1")
+    assert capsys.readouterr().out == names["report"].table() + "\n"
+    assert names["report"].v_map[0.1] == 1.0

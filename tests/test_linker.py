@@ -1,11 +1,14 @@
 """Online linking: temporal labeling, lifecycle, trimming, online contract."""
 
 import functools
+import gc
 import math
 import operator
 import os
 import tempfile
 import tracemalloc
+import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -19,7 +22,6 @@ from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
 from tubestream.linker import (
     LinkerConfig,
-    MemoryStore,
     OnlineLinker,
     SequencingError,
     SpillStore,
@@ -30,7 +32,7 @@ from tubestream.linker import (
     temporal_label_step,
 )
 from tubestream.pipeline import run_link
-from tubestream.records import write_detections
+from tubestream.records import RecordError, write_detections
 from tubestream.synthetic import chain_stream_frames, score_only_link
 
 
@@ -327,48 +329,38 @@ class TestAlphaRegimes:
 CHUNK = linker_module._SPILL_CHUNK // linker_module._SPILL_RECORD.size
 
 
-def count_mkstemp(monkeypatch) -> list:
-    """Record every ``tempfile.mkstemp`` call from here on."""
+def count_temp_files(monkeypatch) -> list:
+    """Record every ``tempfile.TemporaryFile`` call from here on, as its
+    ``(dir, file)`` pair."""
     calls = []
-    original = tempfile.mkstemp
+    original = tempfile.TemporaryFile
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("dir"))
-        return original(*args, **kwargs)
+        calls.append((kwargs.get("dir"), original(*args, **kwargs)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(tempfile, "mkstemp", counted)
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
     return calls
 
 
 class TestStores:
-    def test_spill_store_matches_memory_store(self, tmp_path):
-        for seed in range(60):
-            stream, n_classes, cfg = random_stream(seed)
-            results = []
-            for factory in (MemoryStore, lambda: SpillStore(str(tmp_path))):
-                linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, store_factory=factory, audit=True)
-                for t in stream.ordered_frames():
-                    linker.step(t, stream.boxes_at(t))
-                results.append((linker.finalize(), linker.audit_log))
-            assert results[0] == results[1], f"seed {seed}"
-
-    def test_stores_yield_identical_entries(self, tmp_path):
+    def test_stores_yield_identical_entries(self, tmp_path, monkeypatch):
+        files = count_temp_files(monkeypatch)
         rng = np.random.default_rng(7)
         for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK):
             entries = [
                 TubeEntry(frame, tuple(float(x) for x in rng.uniform(0.0, 1.0, 4)), *rng.uniform(0.0, 1.0, 2), 1)
                 for frame in range(1, n + 1)
             ]
-            stores = MemoryStore(), SpillStore(str(tmp_path))
+            store = SpillStore(str(tmp_path))
             for e in entries:
-                for store in stores:
-                    store.append(e)
-            memory, spilled = (list(store) for store in stores)
-            assert spilled == memory == [(e.frame, e.box) for e in entries], n
-            # The file appears only once a whole chunk is held, and goes with the store.
-            assert len(os.listdir(tmp_path)) == (n >= CHUNK), n
-            stores[1].discard()
-            assert os.listdir(tmp_path) == [] and list(stores[1]) == [], n
+                store.append(e)
+            assert list(store) == [(e.frame, e.box) for e in entries], n
+            # The file is opened only once a whole chunk is held, and closes with the store.
+            assert [d for d, _ in files] == [str(tmp_path)] * (n >= CHUNK), n
+            store.discard()
+            assert all(f.closed for _, f in files) and list(store) == [], n
+            files.clear()
 
     def test_spill_store_memory_does_not_grow_with_entries(self, tmp_path):
         box = (0.1, 0.2, 0.3, 0.4)
@@ -398,10 +390,10 @@ class TestStores:
             original_append(store, entry)
 
         monkeypatch.setattr(SpillStore, "append", append)
-        mkstemp = count_mkstemp(monkeypatch)
+        files = count_temp_files(monkeypatch)
         n_tubes = run_link(RunConfig(alphas=0.3), str(det), str(tubes), str(tmp_path))
         assert n_tubes > 0 and len(appended) > 0 and max(appended.values()) < CHUNK
-        assert mkstemp == []
+        assert files == []
 
     def test_store_built_once_per_tube_with_a_labeled_commit(self):
         for seed in range(40):
@@ -409,7 +401,7 @@ class TestStores:
             built = []
 
             def factory():
-                built.append(MemoryStore())
+                built.append(SpillStore())
                 return built[-1]
 
             linker = OnlineLinker(n_classes, cfg, store_factory=factory)
@@ -476,7 +468,7 @@ class TestStores:
 
     def test_chain_tube_reads_its_spill_file_once(self, tmp_path, monkeypatch):
         reads = self.count_reads(monkeypatch)
-        mkstemp = count_mkstemp(monkeypatch)
+        files = count_temp_files(monkeypatch)
         emitted = []
 
         def sink(video_id, class_id, t_start, t_end, score, count, entries):
@@ -494,16 +486,62 @@ class TestStores:
         window = linker.config.window
         assert len(emitted) == 1 and emitted[0][0] == emitted[0][1] == committed_labeled + window
         assert reads.pop("entries") == committed_labeled and list(reads.values()) == [1]
-        # One tube past one chunk opens one file.
-        assert committed_labeled > CHUNK and mkstemp == [str(tmp_path)]
+        # One tube past one chunk opens one file, closed once the tube is emitted.
+        assert committed_labeled > CHUNK and [d for d, _ in files] == [str(tmp_path)] and files[0][1].closed
 
-    def test_spill_store_cleans_up_files(self, tmp_path):
-        stream, n_classes, cfg = random_stream(3)
-        linker = OnlineLinker(n_classes, cfg, store_factory=lambda: SpillStore(str(tmp_path)))
-        for t in stream.ordered_frames():
-            linker.step(t, stream.boxes_at(t))
-        linker.finalize()
+    def test_spill_store_cleans_up_files(self, monkeypatch):
+        # The default store of a tube past one chunk closes its file when the tube is pruned.
+        files = count_temp_files(monkeypatch)
+        linker = OnlineLinker(config=LinkerConfig(alphas=1.0, max_tubes=1), audit=True)
+        for t, boxes in chain_stream_frames(2_000):
+            linker.step(t, boxes)
+        # A more confident tube away from the chain outranks it, so the chain is pruned.
+        far = (0.8, 0.8, 0.95, 0.95)
+        linker.step(2_001, [CandidateBox(0, far, 1.0, 0.5)])
+        assert len(files) == 1 and not files[0][1].closed
+        linker.step(2_002, [CandidateBox(0, far, 1.0, 0.6)])
+        assert [a.outcome for a in linker.audit_log] == ["pruned"] and files[0][1].closed
+
+    def test_default_linker_memory_does_not_grow_with_stream(self):
+        def traced_peak(n_frames: int) -> int:
+            tracemalloc.start()
+            linker = OnlineLinker(config=LinkerConfig(alphas=1.0), on_tube=lambda *tube: sum(1 for _ in tube[-1]))
+            for t, boxes in chain_stream_frames(n_frames):
+                linker.step(t, boxes)
+            linker.finalize()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return peak
+
+        traced_peak(2_000)  # first calls build the temp-file machinery
+        short, long = traced_peak(2_000), traced_peak(20_000)
+        assert long <= 1.2 * short, (short, long)
+
+    def test_linker_dropped_without_finalize_leaves_nothing_on_disk(self, tmp_path, monkeypatch):
+        files = count_temp_files(monkeypatch)
+        linker = OnlineLinker(config=LinkerConfig(alphas=1.0), store_factory=lambda: SpillStore(str(tmp_path)))
+        for t, boxes in chain_stream_frames(2_000):
+            linker.step(t, boxes)
+        opened = [weakref.ref(f) for _, f in files]
+        files.clear()
+        del linker
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResourceWarning)  # the file closes unclosed, as intended
+            gc.collect()
         assert os.listdir(tmp_path) == []
+        assert len(opened) == 1 and opened[0]() is None
+
+    def test_failed_run_link_leaves_spool_dir_empty(self, tmp_path, monkeypatch):
+        det, tubes, spool = tmp_path / "det.txt", tmp_path / "tubes.txt", tmp_path / "spool"
+        spool.mkdir()
+        # One tube of rising rates, past one chunk of labeled pairs, then a zero-width box.
+        rows = [f"a {t} 0 0.1 0.1 0.5 0.5 0.9 {t / 400:.6f}" for t in range(1, 401)]
+        rows.append("a 401 0 0.5 0.1 0.5 0.5 0.9 0.5")
+        det.write_text("#tubestream detections v1\n" + "\n".join(rows) + "\n")
+        files = count_temp_files(monkeypatch)
+        with pytest.raises(RecordError, match=r"det\.txt:402: "):
+            run_link(RunConfig(alphas=1.0), str(det), str(tubes), str(spool))
+        assert [d for d, _ in files] == [str(spool)] and os.listdir(spool) == []
 
 
 class TestOnlineContract:

@@ -382,6 +382,17 @@ class TestSettingsContract:
         with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be an integer, got {value!r}") + "$"):
             cls(**{key: value})
 
+    @pytest.mark.parametrize(
+        "cls, required",
+        [(LinkerConfig, {}), (RunConfig, {}), (ScenarioSpec, {"n_frames": 10, "n_classes": 1, "tracks": ()})],
+        ids=["LinkerConfig", "RunConfig", "ScenarioSpec"],
+    )
+    def test_non_number_setting_names_its_key(self, cls, required):
+        for key in cls.RANGES:
+            for value in ("0.5", ("0.5",)):
+                with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be a number, got '0.5'") + "$"):
+                    cls(**{**required, key: value})
+
     def test_replace_resolves_the_new_rate_errors(self):
         resolved = RunConfig(rate_errors=0.0)
         assert replace(resolved, rate_errors=1.0).alphas == alpha_from_training_error(1.0)
