@@ -58,9 +58,11 @@ def golden_report(spec: ScenarioSpec, alpha: float, path: Path) -> None:
         for box in nms_frame(stream.boxes_at(t), SCORE_THRESHOLD, NMS_IOU):
             filtered.add(t, box)
     tubes, _ = oracle_link(filtered, spec.n_classes, cfg)
-    rows = [
-        (stream.video_id, t, box) for t in stream.ordered_frames() for box in stream.boxes_at(t)
-    ]
+    rows = (
+        (stream.video_id, t, box.class_id, box.confidence, box.geometry)
+        for t in stream.ordered_frames()
+        for box in stream.boxes_at(t)
+    )
     report = evaluate(tubes, gt, frame_detections=rows)
     write_report_csv(str(path), report)
 

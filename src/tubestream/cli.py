@@ -124,8 +124,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
         spec = ScenarioSpec.from_dict(json.load(fh))
     stream, gt = generate(spec)
-    records.write_detections(args.detections, [stream])
-    records.write_annotations(args.annotations, gt)
+    with records.replaced_on_success(args.detections) as det, records.replaced_on_success(args.annotations) as ann:
+        records.write_detections(det, [stream])
+        records.write_annotations(ann, gt)
     print(
         f"synthesized {stream.n_boxes()} boxes over {spec.n_frames} frames, "
         f"{len(gt)} ground-truth tubes -> {args.detections}, {args.annotations}"

@@ -56,9 +56,10 @@ class RunConfig(LinkerConfig):
     tubes: str | None = None
     report: str | None = None
 
+    # ``rate_errors`` comes first: the alphas resolved from it are checked after it.
     RANGES = {
-        **LinkerConfig.RANGES,
         "rate_errors": RATE_ERROR_RANGE,
+        **LinkerConfig.RANGES,
         "score_threshold": "[0, 1)",
         "nms_iou": "(0, 1)",
         "deltas": "[0, 1]",

@@ -54,12 +54,15 @@ class SequencingError(ValueError):
 
 
 def check_range(key: str, value, interval: str) -> None:
-    """Raise unless ``value`` (or each value of a sequence; ``None`` is not set)
+    """Raise unless ``value`` (or each value of a non-empty sequence; ``None`` is not set)
     is a number that lies in ``interval``: ``[lo, hi]``, ``(`` or ``)`` at an open end, ``inf`` unbounded."""
     if value is None:
         return
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    if not values:
+        raise ValueError(f"{key} must not be empty")
     lo, hi = (float(end) for end in interval[1:-1].split(", "))
-    for v in value if isinstance(value, (tuple, list)) else (value,):
+    for v in values:
         if not isinstance(v, (int, float)):
             raise ValueError(f"{key} must be a number, got {v!r}")
         above = lo < v if interval[0] == "(" else lo <= v

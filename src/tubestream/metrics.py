@@ -10,6 +10,11 @@ are excluded from every mean.
 Each (detection, ground truth) overlap is computed once; one matcher,
 :func:`average_precisions`, then matches every threshold on those overlaps.
 
+Frame-level scoring reads one row shape, ``(video_id, frame, class_id,
+score, box)`` in the detections record's field order, once and in order,
+so a file's rows can stream straight from the parser.  Without per-frame
+detections the rows are the tubes' boxes, each scored with its tube's score.
+
 Tube overlap multiplies the mean per-frame spatial IoU over the temporal
 intersection with the temporal IoU of the frame ranges; frames of the
 intersection where the detected tube has no box count as spatial IoU 0.
@@ -22,7 +27,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decode import CandidateBox
 from .geometry import Box, box_iou, box_iou_array, temporal_iou
 from .tubes import FinalTube, GroundTruthTube
 
@@ -109,34 +113,18 @@ def _mean(values: Iterable[float]) -> float:
     return sum(vals) / len(vals) if vals else 0.0
 
 
-FrameDetection = tuple[str, int, CandidateBox]
-# Frame detections by class, as (score, video, frame, box) rows in input order;
-# each class's rows are built only when that class is scored.
-ClassRows = dict[int, Iterable[tuple[float, str, int, Box]]]
-
-
 def frame_map(
-    detections: Sequence[FrameDetection],
+    detections: Iterable[tuple[str, int, int, float, Box]],
     gt_tubes: Sequence[GroundTruthTube],
     threshold: float = 0.5,
 ) -> tuple[float, dict[int, float]]:
-    """Frame-level mAP: per-class AP over all (video, frame) pooled boxes."""
-    by_class: dict[int, list[FrameDetection]] = {}
+    """Frame-level mAP: per-class AP over all (video, frame) pooled boxes.
+
+    ``detections`` holds ``(video_id, frame, class_id, score, box)`` rows, the
+    detections record's field order; it is read once, so it may be a stream."""
+    by_class: dict[int, list[tuple[str, int, int, float, Box]]] = {}
     for row in detections:
-        by_class.setdefault(row[2].class_id, []).append(row)
-    class_rows: ClassRows = {
-        c: ((bx.confidence, video_id, frame, bx.geometry) for video_id, frame, bx in rows)
-        for c, rows in by_class.items()
-    }
-    return _frame_map(class_rows, gt_tubes, threshold)
-
-
-def _frame_map(
-    by_class: ClassRows,
-    gt_tubes: Sequence[GroundTruthTube],
-    threshold: float,
-) -> tuple[float, dict[int, float]]:
-    """``frame_map`` on detections already grouped by class."""
+        by_class.setdefault(row[2], []).append(row)
     classes = sorted({t.class_id for t in gt_tubes})
     per_class: dict[int, float] = {}
     for class_id in classes:
@@ -147,16 +135,16 @@ def _frame_map(
                 for f, bx in enumerate(t.boxes, t.t_start):
                     at.setdefault((t.video_id, f), []).append(len(gt_boxes))
                     gt_boxes.append(bx)
-        rows = list(by_class.get(class_id, ()))
+        rows = by_class.get(class_id, [])
         det: list[int] = []
         gt: list[int] = []
-        for i, (_, video_id, frame, _) in enumerate(rows):
+        for i, (video_id, frame, _, _, _) in enumerate(rows):
             for j in at.get((video_id, frame), ()):
                 det.append(i)
                 gt.append(j)
-        det_boxes = np.array([rows[i][3] for i in det], dtype=np.float64).reshape(-1, 4)
+        det_boxes = np.array([rows[i][4] for i in det], dtype=np.float64).reshape(-1, 4)
         overlap = box_iou_array(det_boxes, np.array(gt_boxes, dtype=np.float64)[gt])
-        scores = [r[0] for r in rows]
+        scores = [r[3] for r in rows]
         per_class[class_id] = average_precisions(scores, (det, gt, overlap), len(gt_boxes), (threshold,))[0]
     return _mean(per_class.values()), per_class
 
@@ -268,7 +256,7 @@ def _fmt_thr(threshold: float) -> str:
 def evaluate(
     tubes: Sequence[FinalTube],
     gt_tubes: Sequence[GroundTruthTube],
-    frame_detections: Sequence[FrameDetection] | None = None,
+    frame_detections: Iterable[tuple[str, int, int, float, Box]] | None = None,
     tube_thresholds: Sequence[float] = DEFAULT_TUBE_THRESHOLDS,
     frame_threshold: float = 0.5,
 ) -> EvalReport:
@@ -278,12 +266,8 @@ def evaluate(
     over the tubes' retained boxes, each scored with its tube's score.
     """
     if frame_detections is None:
-        by_class: ClassRows = {}
-        for t in tubes:
-            by_class.setdefault(t.class_id, []).extend((t.score, t.video_id, f, bx) for f, bx in t.entries)
-        f_map_val, f_ap = _frame_map(by_class, gt_tubes, frame_threshold)
-    else:
-        f_map_val, f_ap = frame_map(frame_detections, gt_tubes, frame_threshold)
+        frame_detections = ((t.video_id, f, t.class_id, t.score, bx) for t in tubes for f, bx in t.entries)
+    f_map_val, f_ap = frame_map(frame_detections, gt_tubes, frame_threshold)
     v_map_val, v_ap = video_map(tubes, gt_tubes, tube_thresholds)
     if all(d in v_map_val for d in VMAP_AVG_BAND):
         v_map_avg = sum(v_map_val[d] for d in VMAP_AVG_BAND) / len(VMAP_AVG_BAND)

@@ -94,14 +94,17 @@ def run_eval(
     annotations_path: str,
     detections_path: str | None = None,
 ) -> EvalReport:
-    """Score a tubes file against annotations; optional detections feed the
-    frame-level metric as written, before link's threshold and NMS
+    """Score a tubes file against annotations; optional detections stream
+    into the frame-level metric as written, before link's threshold and NMS
     (otherwise it is computed from the tubes' boxes)."""
     tubes = records.parse_tubes(tubes_path)
     gt_tubes = records.parse_annotations(annotations_path)
     frame_rows = None
     if detections_path is not None:
-        frame_rows = list(records.iter_detection_rows(detections_path))
+        frame_rows = (
+            (video_id, frame, bx.class_id, bx.confidence, bx.geometry)
+            for video_id, frame, bx in records.iter_detection_rows(detections_path)
+        )
     report = evaluate(
         tubes,
         gt_tubes,
@@ -115,7 +118,8 @@ def run_eval(
 
 
 def write_report_csv(path: str, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write the report as CSV; the file appears only when it is whole."""
+    with records.replaced_on_success(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "class", "threshold", "value"])
         for metric, cls, thr, value in report.rows():

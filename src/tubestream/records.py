@@ -66,17 +66,17 @@ def fnum(x: float) -> str:
 @contextmanager
 def replaced_on_success(path: str) -> Iterator[str]:
     """Yield a temporary path beside ``path`` to write an output to.  When the
-    block completes it replaces ``path``; when the block raises it is
-    removed, so a failed stage leaves no output and keeps any earlier one.
-    ``path`` names a regular file or nothing yet."""
+    block completes it replaces ``path``; when the block or the replacing
+    raises it is removed, so a failed stage leaves no output and keeps any
+    earlier one.  ``path`` names a regular file or nothing yet."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         yield tmp
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def _check_header(fh: TextIO, path: str, expected: str) -> None:

@@ -11,7 +11,6 @@ import tracemalloc
 from pathlib import Path
 
 from helpers import random_stream
-from tubestream.decode import CandidateBox
 from tubestream.geometry import box_iou, temporal_iou
 from tubestream.linker import (
     LinkerConfig,
@@ -58,11 +57,11 @@ def test_metric_hand_cases():
         GroundTruthTube("v", 1, 4, 4, (g,)),
     ]
     dets = [
-        ("v", 1, CandidateBox(0, g, 0.9, 0.5)),
-        ("v", 3, CandidateBox(0, g, 0.8, 0.5)),
-        ("v", 2, CandidateBox(0, g, 0.7, 0.5)),
-        ("v", 4, CandidateBox(1, far, 0.95, 0.5)),
-        ("v", 4, CandidateBox(1, g, 0.5, 0.5)),
+        ("v", 1, 0, 0.9, g),
+        ("v", 3, 0, 0.8, g),
+        ("v", 2, 0, 0.7, g),
+        ("v", 4, 1, 0.95, far),
+        ("v", 4, 1, 0.5, g),
     ]
     f_map_val, f_ap = frame_map(dets, gt_tubes, threshold=0.5)
     checks.append(abs(f_ap[0] - 5 / 6) < 1e-9)

@@ -231,13 +231,13 @@ class TestAveragePrecision:
 class TestFrameMap:
     def test_perfect_detection(self):
         tubes = [gt("v", 0, 1, 3)]
-        dets = [("v", f, CandidateBox(0, (0.1, 0.1, 0.6, 0.6), 0.9, 0.5)) for f in (1, 2, 3)]
+        dets = [("v", f, 0, 0.9, (0.1, 0.1, 0.6, 0.6)) for f in (1, 2, 3)]
         value, per_class = frame_map(dets, tubes)
         assert value == 1.0 and per_class == {0: 1.0}
 
     def test_shifted_box_below_threshold_is_fp(self):
         tubes = [GroundTruthTube("v", 0, 1, 1, ((0.0, 0.0, 1.0, 1.0),))]
-        dets = [("v", 1, CandidateBox(0, (0.0, 0.0, 1.0, 0.49), 0.9, 0.5))]
+        dets = [("v", 1, 0, 0.9, (0.0, 0.0, 1.0, 0.49))]
         value, _ = frame_map(dets, tubes, threshold=0.5)
         assert value == 0.0
 
@@ -249,11 +249,11 @@ class TestFrameMap:
         far = (0.6, 0.6, 0.9, 0.9)
         tubes = [gt("v", 0, 1, 2, g), gt("v", 1, 4, 4, g)]
         dets = [
-            ("v", 1, CandidateBox(0, g, 0.9, 0.5)),
-            ("v", 3, CandidateBox(0, g, 0.8, 0.5)),
-            ("v", 2, CandidateBox(0, g, 0.7, 0.5)),
-            ("v", 4, CandidateBox(1, far, 0.95, 0.5)),
-            ("v", 4, CandidateBox(1, g, 0.5, 0.5)),
+            ("v", 1, 0, 0.9, g),
+            ("v", 3, 0, 0.8, g),
+            ("v", 2, 0, 0.7, g),
+            ("v", 4, 1, 0.95, far),
+            ("v", 4, 1, 0.5, g),
         ]
         value, per_class = frame_map(dets, tubes)
         assert per_class[0] == pytest.approx(5 / 6, abs=1e-9)
@@ -372,9 +372,12 @@ class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_report_rows_identical(self, data, frame_threshold, tube_thresholds):
         tubes, gt_tubes, rows = data
-        for frame_detections in (None, rows):
-            got = evaluate(tubes, gt_tubes, frame_detections, tube_thresholds, frame_threshold)
-            want = metrics_oracle.evaluate(tubes, gt_tubes, frame_detections, tube_thresholds, frame_threshold)
+        # The oracle reads (video, frame, CandidateBox) rows; evaluate reads
+        # them in the detections record's field order, as a list or a stream.
+        converted = [(v, f, bx.class_id, bx.confidence, bx.geometry) for v, f, bx in rows]
+        for ours, theirs in ((None, None), (converted, rows), (iter(converted), rows)):
+            got = evaluate(tubes, gt_tubes, ours, tube_thresholds, frame_threshold)
+            want = metrics_oracle.evaluate(tubes, gt_tubes, theirs, tube_thresholds, frame_threshold)
             assert got.rows() == want.rows()
             assert got == want
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from tubestream.cli import main
+from tubestream.cli import build_parser, main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import LinkerConfig, alpha_from_training_error
@@ -154,13 +154,13 @@ class TestFailedStageLeavesNoOutput:
     """A stage writes its output beside the target and moves it into place
     only on success, so a later stage never reads a partial file."""
 
-    def check(self, tmp_path, run, out):
+    def check(self, tmp_path, run, out, error=RecordError):
         inputs = sorted(p.name for p in tmp_path.iterdir())
-        with pytest.raises(RecordError):
+        with pytest.raises(error):
             run()
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
         out.write_text("earlier output\n")
-        with pytest.raises(RecordError):
+        with pytest.raises(error):
             run()
         assert out.read_text() == "earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + [out.name])
@@ -180,6 +180,25 @@ class TestFailedStageLeavesNoOutput:
         spool = tmp_path / "spool"
         spool.mkdir()
         self.check(tmp_path, lambda: run_link(RunConfig(alphas=1.0), str(det), str(tubes), str(spool)), tubes)
+
+    def test_output_path_naming_a_directory_leaves_no_temp_file(self, mech_paths, tmp_path):
+        det, ann = mech_paths
+        tubes, taken = tmp_path / "tubes.txt", tmp_path / "taken"
+        run_link(RunConfig(alphas=1.0), str(det), str(tubes))
+        taken.mkdir()
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(IsADirectoryError):
+            run_link(RunConfig(alphas=1.0), str(det), str(taken))
+        with pytest.raises(IsADirectoryError):
+            run_eval(RunConfig(report=str(taken)), str(tubes), str(ann))
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    def test_synth_with_annotations_in_a_missing_directory(self, tmp_path):
+        # The detections are whole before the annotations fail.
+        det, ann = tmp_path / "det.txt", tmp_path / "missing" / "ann.txt"
+        argv = ["synth", "--scenario", SCENARIOS / "mechanism.json", "--detections", det, "--annotations", ann]
+        args = build_parser().parse_args([str(a) for a in argv])
+        self.check(tmp_path, lambda: args.func(args), det, FileNotFoundError)
 
 
 class TestEvalCli:
@@ -280,14 +299,14 @@ class TestConfigPrecedence:
             ("nms_iou", (1e-9, 0.999), (0.0, 1.0)),
             ("score_floor", (0.0, 0.999), (-1e-9, 1.0)),
             ("frame_threshold", (0.0, 1.0), (-1e-9, 1.0 + 1e-9)),
-            ("deltas", ((0.0,), (1.0,)), ((0.5, -1e-9), (1.0 + 1e-9,))),
+            ("deltas", ((0.0,), (1.0,)), ((0.5, -1e-9), (1.0 + 1e-9,), ())),
         ],
     )
     def test_each_range_checked_at_both_ends(self, key, inside, outside):
         for value in inside:
             assert getattr(RunConfig(**{key: value}), key) == value
         for value in outside:
-            with pytest.raises(ValueError, match=f"^{key} must lie in "):
+            with pytest.raises(ValueError, match=out_of_range(key, RunConfig.RANGES[key], value)):
                 RunConfig(**{key: value})
 
     @pytest.mark.parametrize(
@@ -299,6 +318,7 @@ class TestConfigPrecedence:
             ("eval", ["--frame-threshold", "5"], "frame_threshold"),
             ("eval", ["--frame-threshold", "-1"], "frame_threshold"),
             ("eval", ["--deltas", "0.5,7"], "deltas"),
+            ("link", ["--alphas", ","], "alphas"),  # linking would fail only at the first box
         ],
     )
     def test_out_of_range_setting_is_one_error_line(self, mech_paths, tmp_path, capsys, command, flags, key):
@@ -310,7 +330,7 @@ class TestConfigPrecedence:
         }[command]
         assert run_cli(command, *paths, *flags) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {key} must lie in ")
+        assert len(err) == 1 and re.match(f"error: {key} must (lie in |not be empty$)", err[0])
         assert not (tmp_path / "t.txt").exists() and not (tmp_path / "d.txt").exists()
 
     def test_out_of_range_config_file_value_is_one_error_line(self, mech_paths, tmp_path, capsys):
@@ -336,13 +356,17 @@ LINKING_RANGES = [
     ("iou_gate", "(0, 1)", (1e-9, 1 - 1e-9), (0.0, 1.0)),
     ("window", "[1, inf)", (1, 10**9), (0, math.inf)),
     ("max_tubes", "[1, inf)", (1, 10**9), (0, math.inf)),
-    ("alphas", "[0, 1]", (0.0, 1.0, (0.0, 1.0)), (-1e-9, 1 + 1e-9, (0.5, 1.5))),
+    ("alphas", "[0, 1]", (0.0, 1.0, (0.0, 1.0)), (-1e-9, 1 + 1e-9, (0.5, 1.5), ())),
     ("score_floor", "[0, 1)", (0.0, 1 - 1e-9), (-1e-9, 1.0, 2)),  # 2 used to link nothing, silently
 ]
-RATE_ERRORS = ("rate_errors", "[0, inf)", (0.0, 1e6, (0.0, 2.0)), (-1e-9, math.inf, (0.1, -1.0)))
+RATE_ERRORS = ("rate_errors", "[0, inf)", (0.0, 1e6, (0.0, 2.0)), (-1e-9, math.inf, (0.1, -1.0), ()))
 
 
-def must_lie_in(key: str, interval: str) -> str:
+def out_of_range(key: str, interval: str, value) -> str:
+    """The message pattern for ``value`` outside ``key``'s interval; an empty
+    per-class list has no value to place in it."""
+    if value == ():
+        return "^" + re.escape(f"{key} must not be empty") + "$"
     return "^" + re.escape(f"{key} must lie in {interval}, got ")
 
 
@@ -356,7 +380,7 @@ class TestSettingsContract:
         for value in inside:
             assert getattr(cls(**{key: value}), key) == value
         for value in outside + (math.nan,):
-            with pytest.raises(ValueError, match=must_lie_in(key, interval)):
+            with pytest.raises(ValueError, match=out_of_range(key, interval, value)):
                 cls(**{key: value})
 
     def test_rate_errors_checked_at_both_ends(self):
@@ -366,10 +390,10 @@ class TestSettingsContract:
         for value in outside + (math.nan,):
             # checked even where ``alphas`` wins and the errors are not used
             for extra in ({}, {"alphas": 0.5}):
-                with pytest.raises(ValueError, match=must_lie_in(key, interval)):
+                with pytest.raises(ValueError, match=out_of_range(key, interval, value)):
                     RunConfig(rate_errors=value, **extra)
             if not isinstance(value, tuple):
-                with pytest.raises(ValueError, match=must_lie_in(key, interval)):
+                with pytest.raises(ValueError, match=out_of_range(key, interval, value)):
                     alpha_from_training_error(value)
 
     @pytest.mark.parametrize("cls", [LinkerConfig, RunConfig])
@@ -419,6 +443,7 @@ class TestSettingsContract:
             ("eval", {"rate_errors": [-1]}),
             ("link", {"max_tubes": 0}),
             ("eval", {"iou_gate": 5, "rate_errors": [-1]}),
+            ("eval", {"deltas": []}),  # the report would have no v_map rows
         ],
     )
     def test_out_of_range_config_value_fails_before_any_file(self, mech_paths, tmp_path, capsys, command, setting):
@@ -437,7 +462,7 @@ class TestSettingsContract:
         }[command]
         assert run_cli(command, "--config", cfg_path, *paths) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and re.match(r"error: (\w+) must lie in ", err[0])[1] in setting
+        assert len(err) == 1 and re.match(r"error: (\w+) must (lie in |not be empty$)", err[0])[1] in setting
         assert not out.exists()
         assert run_cli(command, *paths) == 0 and out.exists()
 

@@ -1,5 +1,6 @@
 """Runnable scripts still import and reproduce their committed numbers."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -25,3 +26,12 @@ def test_mechanism_study_prints_golden_numbers():
         printed[f"{name}_alpha0"] = float(alpha0)
     golden = json.loads((ROOT / "tests" / "data" / "mechanism_golden.json").read_text())
     assert printed == pytest.approx(golden, abs=5e-5)
+
+
+def test_write_golden_report_reproduces_the_committed_csv(tmp_path):
+    # The report half of ``mechanism_study.py --write-golden``, written aside.
+    spec = importlib.util.spec_from_file_location("mechanism_study", ROOT / "scripts" / "mechanism_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    study.golden_report(study.load_spec("mechanism.json"), 1.0, tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_bytes() == (ROOT / "tests" / "data" / "golden_report.csv").read_bytes()
