@@ -136,6 +136,7 @@ class TubeEntry:
 
 
 _SPILL_RECORD = struct.Struct("<q4d")
+FRAME_MIN, FRAME_MAX = -(2**63), 2**63 - 1  # the frames every reader accepts: what ``<q`` holds
 # Records held in memory before the file is opened, and written at a time
 # after: 8,000 bytes, about what a buffered writer holds.
 _SPILL_CHUNK = _SPILL_RECORD.size * 200

@@ -1,9 +1,12 @@
 """Line-oriented plain-text formats for detections, tubes, annotations, raw grids.
 
-Every file starts with a one-line versioned header.  Numbers are serialized
-with 9 significant digits (``%.9g``), which round-trips exactly through
-binary64, so ``serialize(parse(file)) == file`` for canonical files and
-pipeline outputs are bit-checkable.
+Every file is ASCII text: a one-line versioned header, then one record per
+non-empty line, its fields separated by single spaces.  Frame numbers are
+integers in ``[-2**63, 2**63)``, what the linker's spill record holds.  A bad
+record fails with its file and line.  Numbers are serialized with 9
+significant digits (``%.9g``), which round-trips exactly through binary64, so
+``serialize(parse(file)) == file`` for canonical files and pipeline outputs
+are bit-checkable.
 
 Detections (one candidate box per line, frames non-decreasing inside a
 video, each video one contiguous block)::
@@ -22,8 +25,8 @@ Annotations (one box per covered frame, count implied by the range)::
     <video_id> <class_id> <t_start> <t_end> <frame,x1,y1,x2,y2>...
 
 Raw grids (header declares the grid and anchor priors; one frame per line,
-values in ``[cell_y][cell_x][anchor][attribute]`` order; every number must be
-finite)::
+in the detections' frame order, values in ``[cell_y][cell_x][anchor][attribute]``
+order; every number must be finite)::
 
     #tubestream rawgrid v1
     grid <S> <B> <C>
@@ -34,14 +37,14 @@ finite)::
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from contextlib import AbstractContextManager, contextmanager
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from .geometry import Box
-from .linker import SequencingError
+from .linker import FRAME_MAX, FRAME_MIN, SequencingError
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 DETECTIONS_HEADER = "#tubestream detections v1"
@@ -68,21 +71,34 @@ def replaced_on_success(path: str) -> Iterator[str]:
     """Yield a temporary path beside ``path`` to write an output to.  When the
     block completes it replaces ``path``; when the block or the replacing
     raises it is removed, so a failed stage leaves no output and keeps any
-    earlier one.  ``path`` names a regular file or nothing yet."""
+    earlier one; an ``OSError`` on the temporary path is raised as one on
+    ``path``.  ``path`` names a regular file or nothing yet."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
-def _check_header(fh: TextIO, path: str, expected: str) -> None:
-    line = fh.readline().rstrip("\n")
-    if line != expected:
-        raise RecordError(path, 1, f"bad header {line!r}, expected {expected!r}")
+def _records(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield the line number and space-split fields of each non-empty line
+    after ``header``, which must be line 1.  Records are ASCII: any other
+    byte fails with its line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        line = fh.readline().rstrip("\n")
+        if line != header:
+            raise RecordError(path, 1, f"bad header {line!r}, expected {header!r}")
+        for line_no, line in enumerate(fh, start=2):
+            if not line.isascii():
+                raise RecordError(path, line_no, "not ASCII text")
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line.split(" ")
 
 
 def _unit_interval(value: str, path: str, line_no: int, name: str) -> float:
@@ -102,6 +118,34 @@ def _int_field(value: str, path: str, line_no: int, name: str) -> int:
         raise RecordError(path, line_no, f"field {name} is not an integer: {value!r}") from None
 
 
+def _frame_field(value: str, path: str, line_no: int, name: str) -> int:
+    frame = _int_field(value, path, line_no, name)
+    if not FRAME_MIN <= frame <= FRAME_MAX:
+        raise RecordError(path, line_no, f"field {name} out of range [{FRAME_MIN}, {FRAME_MAX}]: {frame}")
+    return frame
+
+
+def _file_order(path: str) -> Callable[[int, str, int], None]:
+    """A check that rows come in file order: frames non-decreasing inside a
+    video, each video one contiguous block."""
+    seen: set[str] = set()
+    cur_video: str | None = None
+    cur_frame = 0
+
+    def in_order(line_no: int, video_id: str, frame: int) -> None:
+        nonlocal cur_video, cur_frame
+        if video_id != cur_video:
+            if video_id in seen:
+                raise SequencingError(f"{path}:{line_no}: video {video_id!r} appears in two blocks")
+            seen.add(video_id)
+            cur_video = video_id
+        elif frame < cur_frame:
+            raise SequencingError(f"{path}:{line_no}: frame {frame} of video {video_id!r} after frame {cur_frame}")
+        cur_frame = frame
+
+    return in_order
+
+
 # -- detections --------------------------------------------------------------
 
 
@@ -109,52 +153,34 @@ def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
     """Stream (video_id, frame, box) rows with validation; constant memory.
     A row is converted and range-checked in one go; only a row that fails is
     checked field by field, to name what is wrong."""
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh, path, DETECTIONS_HEADER)
-        seen_videos: set[str] = set()
-        cur_video: str | None = None
-        cur_frame = 0
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                video_id, frame, class_id, x1, y1, x2, y2, conf, rate = line.split(" ")
-                frame, class_id = int(frame), int(class_id)
-                x1, y1, x2, y2, conf, rate = float(x1), float(y1), float(x2), float(y2), float(conf), float(rate)
-                valid = class_id >= 0 and 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
-                valid = valid and 0.0 <= conf <= 1.0 and 0.0 <= rate <= 1.0
-            except ValueError:
-                valid = False
-            if not valid:
-                parts = line.split(" ")
-                if len(parts) != 9:
-                    raise RecordError(path, line_no, f"expected 9 fields, got {len(parts)}")
-                video_id = parts[0]
-                frame = _int_field(parts[1], path, line_no, "frame")
-                class_id = _int_field(parts[2], path, line_no, "class_id")
-                if class_id < 0:
-                    raise RecordError(path, line_no, f"field class_id must be >= 0: {class_id}")
-                x1 = _unit_interval(parts[3], path, line_no, "x_min")
-                y1 = _unit_interval(parts[4], path, line_no, "y_min")
-                x2 = _unit_interval(parts[5], path, line_no, "x_max")
-                y2 = _unit_interval(parts[6], path, line_no, "y_max")
-                if x1 >= x2 or y1 >= y2:
-                    raise RecordError(path, line_no, f"degenerate box ({x1}, {y1}, {x2}, {y2})")
-                conf = _unit_interval(parts[7], path, line_no, "confidence")
-                rate = _unit_interval(parts[8], path, line_no, "rate")
-            if video_id != cur_video:
-                if video_id in seen_videos:
-                    raise SequencingError(f"{path}:{line_no}: video {video_id!r} appears in two blocks")
-                seen_videos.add(video_id)
-                cur_video = video_id
-                cur_frame = frame
-            elif frame < cur_frame:
-                raise SequencingError(
-                    f"{path}:{line_no}: frame {frame} of video {video_id!r} after frame {cur_frame}"
-                )
-            cur_frame = frame
-            yield video_id, frame, CandidateBox(class_id, (x1, y1, x2, y2), conf, rate)
+    in_order = _file_order(path)
+    for line_no, parts in _records(path, DETECTIONS_HEADER):
+        try:
+            video_id, frame, class_id, x1, y1, x2, y2, conf, rate = parts
+            frame, class_id = int(frame), int(class_id)
+            x1, y1, x2, y2, conf, rate = float(x1), float(y1), float(x2), float(y2), float(conf), float(rate)
+            valid = FRAME_MIN <= frame <= FRAME_MAX and class_id >= 0 and 0.0 <= conf <= 1.0 and 0.0 <= rate <= 1.0
+            valid = valid and 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
+        except ValueError:
+            valid = False
+        if not valid:
+            if len(parts) != 9:
+                raise RecordError(path, line_no, f"expected 9 fields, got {len(parts)}")
+            video_id = parts[0]
+            frame = _frame_field(parts[1], path, line_no, "frame")
+            class_id = _int_field(parts[2], path, line_no, "class_id")
+            if class_id < 0:
+                raise RecordError(path, line_no, f"field class_id must be >= 0: {class_id}")
+            x1 = _unit_interval(parts[3], path, line_no, "x_min")
+            y1 = _unit_interval(parts[4], path, line_no, "y_min")
+            x2 = _unit_interval(parts[5], path, line_no, "x_max")
+            y2 = _unit_interval(parts[6], path, line_no, "y_max")
+            if x1 >= x2 or y1 >= y2:
+                raise RecordError(path, line_no, f"degenerate box ({x1}, {y1}, {x2}, {y2})")
+            conf = _unit_interval(parts[7], path, line_no, "confidence")
+            rate = _unit_interval(parts[8], path, line_no, "rate")
+        in_order(line_no, video_id, frame)
+        yield video_id, frame, CandidateBox(class_id, (x1, y1, x2, y2), conf, rate)
 
 
 def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
@@ -162,8 +188,8 @@ def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
     return "%s %d %d %.9g %.9g %.9g %.9g %.9g %.9g" % (video_id, frame, box.class_id, x1, y1, x2, y2, conf, rate)
 
 
-class _RecordWriter:
-    """A records file with its header written."""
+class _RecordWriter(AbstractContextManager):
+    """A records file with its header written; a ``with`` block closes it."""
 
     header = ""
 
@@ -173,9 +199,6 @@ class _RecordWriter:
 
     def close(self) -> None:
         self._fh.close()
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc):
         self.close()
@@ -227,7 +250,7 @@ def _parse_entry(token: str, path: str, line_no: int) -> tuple[int, tuple[float,
     try:
         frame, x1, y1, x2, y2 = token.split(",")
         frame, x1, y1, x2, y2 = int(frame), float(x1), float(y1), float(x2), float(y2)
-        if 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0:
+        if FRAME_MIN <= frame <= FRAME_MAX and 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0:
             return frame, (x1, y1, x2, y2)
     except ValueError:
         pass
@@ -235,7 +258,7 @@ def _parse_entry(token: str, path: str, line_no: int) -> tuple[int, tuple[float,
     parts = token.split(",")
     if len(parts) != 5:
         raise RecordError(path, line_no, f"geometry entry needs 5 comma-separated values: {token!r}")
-    frame = _int_field(parts[0], path, line_no, "entry frame")
+    frame = _frame_field(parts[0], path, line_no, "entry frame")
     box = tuple(_unit_interval(p, path, line_no, "entry coordinate") for p in parts[1:])
     if box[0] >= box[2] or box[1] >= box[3]:
         raise RecordError(path, line_no, f"degenerate entry box {box}")
@@ -244,31 +267,25 @@ def _parse_entry(token: str, path: str, line_no: int) -> tuple[int, tuple[float,
 
 def parse_tubes(path: str) -> list[FinalTube]:
     tubes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh, path, TUBES_HEADER)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) < 6:
-                raise RecordError(path, line_no, f"expected at least 6 fields, got {len(parts)}")
-            video_id = parts[0]
-            class_id = _int_field(parts[1], path, line_no, "class_id")
-            t_start = _int_field(parts[2], path, line_no, "t_start")
-            t_end = _int_field(parts[3], path, line_no, "t_end")
-            score = _unit_interval(parts[4], path, line_no, "score")
-            count = _int_field(parts[5], path, line_no, "n")
-            if count < 1:
-                raise RecordError(path, line_no, f"field n must be >= 1: {count}")
-            if len(parts) != 6 + count:
-                raise RecordError(path, line_no, f"declared {count} entries, found {len(parts) - 6}")
-            entries = tuple(_parse_entry(tok, path, line_no) for tok in parts[6:])
-            if entries[0][0] != t_start or entries[-1][0] != t_end:
-                raise RecordError(path, line_no, "entry frames do not span the declared range")
-            if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
-                raise RecordError(path, line_no, "entry frames are not strictly increasing")
-            tubes.append(FinalTube(video_id, class_id, t_start, t_end, score, entries))
+    for line_no, parts in _records(path, TUBES_HEADER):
+        if len(parts) < 6:
+            raise RecordError(path, line_no, f"expected at least 6 fields, got {len(parts)}")
+        video_id = parts[0]
+        class_id = _int_field(parts[1], path, line_no, "class_id")
+        t_start = _frame_field(parts[2], path, line_no, "t_start")
+        t_end = _frame_field(parts[3], path, line_no, "t_end")
+        score = _unit_interval(parts[4], path, line_no, "score")
+        count = _int_field(parts[5], path, line_no, "n")
+        if count < 1:
+            raise RecordError(path, line_no, f"field n must be >= 1: {count}")
+        if len(parts) != 6 + count:
+            raise RecordError(path, line_no, f"declared {count} entries, found {len(parts) - 6}")
+        entries = tuple(_parse_entry(tok, path, line_no) for tok in parts[6:])
+        if entries[0][0] != t_start or entries[-1][0] != t_end:
+            raise RecordError(path, line_no, "entry frames do not span the declared range")
+        if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
+            raise RecordError(path, line_no, "entry frames are not strictly increasing")
+        tubes.append(FinalTube(video_id, class_id, t_start, t_end, score, entries))
     return tubes
 
 
@@ -286,29 +303,23 @@ def write_annotations(path: str, tubes: Iterable[GroundTruthTube]) -> None:
 
 def parse_annotations(path: str) -> list[GroundTruthTube]:
     tubes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh, path, ANNOTATIONS_HEADER)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) < 5:
-                raise RecordError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
-            video_id = parts[0]
-            class_id = _int_field(parts[1], path, line_no, "class_id")
-            t_start = _int_field(parts[2], path, line_no, "t_start")
-            t_end = _int_field(parts[3], path, line_no, "t_end")
-            span = t_end - t_start + 1
-            if len(parts) != 4 + span:
-                raise RecordError(path, line_no, f"range covers {span} frames, found {len(parts) - 4} boxes")
-            boxes = []
-            for k, tok in enumerate(parts[4:]):
-                frame, box = _parse_entry(tok, path, line_no)
-                if frame != t_start + k:
-                    raise RecordError(path, line_no, f"entry frame {frame} out of order, expected {t_start + k}")
-                boxes.append(box)
-            tubes.append(GroundTruthTube(video_id, class_id, t_start, t_end, tuple(boxes)))
+    for line_no, parts in _records(path, ANNOTATIONS_HEADER):
+        if len(parts) < 5:
+            raise RecordError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
+        video_id = parts[0]
+        class_id = _int_field(parts[1], path, line_no, "class_id")
+        t_start = _frame_field(parts[2], path, line_no, "t_start")
+        t_end = _frame_field(parts[3], path, line_no, "t_end")
+        span = t_end - t_start + 1
+        if len(parts) != 4 + span:
+            raise RecordError(path, line_no, f"range covers {span} frames, found {len(parts) - 4} boxes")
+        boxes = []
+        for k, tok in enumerate(parts[4:]):
+            frame, box = _parse_entry(tok, path, line_no)
+            if frame != t_start + k:
+                raise RecordError(path, line_no, f"entry frame {frame} out of order, expected {t_start + k}")
+            boxes.append(box)
+        tubes.append(GroundTruthTube(video_id, class_id, t_start, t_end, tuple(boxes)))
     return tubes
 
 
@@ -332,53 +343,40 @@ def write_rawgrids(
 
 
 def read_rawgrids(path: str) -> tuple[tuple[int, int, int], AnchorSet, Iterator[tuple[str, int, RawGrid]]]:
-    """Returns the grid dims, anchors, and a frame generator (consume fully
-    before closing; the generator owns the file handle)."""
-    fh = open(path, "r", encoding="utf-8")
+    """Returns the grid dims, anchors, and a frame generator, which reads
+    the rest of the file and closes it when consumed or dropped."""
+    lines = _records(path, RAWGRID_HEADER)
+    line_no, grid_line = next(lines, (2, []))
+    if len(grid_line) != 4 or grid_line[0] != "grid":
+        raise RecordError(path, line_no, "expected 'grid S B C'")
+    s, b, c = (_int_field(value, path, line_no, name) for value, name in zip(grid_line[1:], "SBC"))
+    if min(s, b, c) < 1:
+        raise RecordError(path, line_no, f"grid dimensions must be >= 1, got {s} {b} {c}")
+    line_no, anchor_line = next(lines, (line_no + 1, []))
+    if anchor_line[:1] != ["anchors"] or len(anchor_line) != 1 + b:
+        raise RecordError(path, line_no, f"expected 'anchors' with {b} w,h pairs")
+    for tok in anchor_line[1:]:
+        if tok.count(",") != 1:
+            raise RecordError(path, line_no, f"anchor must be w,h: {tok!r}")
     try:
-        _check_header(fh, path, RAWGRID_HEADER)
-        grid_line = fh.readline().rstrip("\n").split(" ")
-        if len(grid_line) != 4 or grid_line[0] != "grid":
-            raise RecordError(path, 2, "expected 'grid S B C'")
-        s = _int_field(grid_line[1], path, 2, "S")
-        b = _int_field(grid_line[2], path, 2, "B")
-        c = _int_field(grid_line[3], path, 2, "C")
-        if min(s, b, c) < 1:
-            raise RecordError(path, 2, f"grid dimensions must be >= 1, got {s} {b} {c}")
-        anchor_line = fh.readline().rstrip("\n").split(" ")
-        if anchor_line[0] != "anchors" or len(anchor_line) != 1 + b:
-            raise RecordError(path, 3, f"expected 'anchors' with {b} w,h pairs")
-        sizes = []
-        for tok in anchor_line[1:]:
-            w_h = tok.split(",")
-            if len(w_h) != 2:
-                raise RecordError(path, 3, f"anchor must be w,h: {tok!r}")
-            sizes.append(w_h)
-        try:
-            anchors = AnchorSet(tuple((float(w), float(h)) for w, h in sizes))
-        except ValueError as exc:
-            raise RecordError(path, 3, f"bad anchors: {exc}") from None
-    except Exception:
-        fh.close()
-        raise
+        anchors = AnchorSet(tuple(tuple(map(float, tok.split(","))) for tok in anchor_line[1:]))
+    except ValueError as exc:
+        raise RecordError(path, line_no, f"bad anchors: {exc}") from None
 
     n_values = s * s * b * attr_width(c)
 
     def frames() -> Iterator[tuple[str, int, RawGrid]]:
-        with fh:
-            for line_no, line in enumerate(fh, start=4):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if parts[0] != "frame" or len(parts) != 3 + n_values:
-                    raise RecordError(path, line_no, f"expected 'frame video t' plus {n_values} values")
-                video_id = parts[1]
-                frame = _int_field(parts[2], path, line_no, "frame")
-                try:
-                    grid = RawGrid(s, b, c, np.array(parts[3:], dtype=np.float64))
-                except ValueError as exc:
-                    raise RecordError(path, line_no, f"bad grid values: {exc}") from None
-                yield video_id, frame, grid
+        in_order = _file_order(path)
+        for line_no, parts in lines:
+            if parts[0] != "frame" or len(parts) != 3 + n_values:
+                raise RecordError(path, line_no, f"expected 'frame video t' plus {n_values} values")
+            video_id = parts[1]
+            frame = _frame_field(parts[2], path, line_no, "frame")
+            in_order(line_no, video_id, frame)
+            try:
+                grid = RawGrid(s, b, c, np.array(parts[3:], dtype=np.float64))
+            except ValueError as exc:
+                raise RecordError(path, line_no, f"bad grid values: {exc}") from None
+            yield video_id, frame, grid
 
     return (s, b, c), anchors, frames()

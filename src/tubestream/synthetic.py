@@ -86,8 +86,8 @@ class ScenarioSpec:
     def __post_init__(self):
         for key, interval in self.RANGES.items():
             check_range(key, getattr(self, key), interval)
-        if not self.video_id or " " in self.video_id or not self.video_id.isprintable():
-            raise ValueError(f"video_id must be printable, without whitespace, got {self.video_id!r}")
+        if not self.video_id or " " in self.video_id or not (self.video_id.isascii() and self.video_id.isprintable()):
+            raise ValueError(f"video_id must be printable, without whitespace, and ASCII, got {self.video_id!r}")
         if self.periodic and len(self.periodic) != self.n_classes:
             raise ValueError("periodic flags must have one entry per class")
         for tr in self.tracks:

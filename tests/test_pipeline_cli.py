@@ -201,6 +201,26 @@ class TestFailedStageLeavesNoOutput:
         self.check(tmp_path, lambda: args.func(args), det, FileNotFoundError)
 
 
+    @pytest.mark.parametrize("stage", ["decode", "link", "synth", "eval_report"])
+    def test_unwritable_output_names_the_target(self, mech_paths, tmp_path, capsys, stage):
+        det, ann = mech_paths
+        grids, tubes, target = tmp_path / "g.txt", tmp_path / "tubes.txt", tmp_path / "missing" / "out.txt"
+        TestDecodeCli().make_grid_file(grids)
+        run_link(RunConfig(alphas=1.0), str(det), str(tubes))
+        argv = {
+            "decode": ["decode", "--grids", grids, "--out", target],
+            "link": ["link", "--detections", det, "--tubes", target],
+            "synth": ["synth", "--scenario", SCENARIOS / "mechanism.json", "--detections", tmp_path / "d2.txt",
+                      "--annotations", target],
+            "eval_report": ["eval", "--tubes", tubes, "--annotations", ann, "--report", target],
+        }[stage]
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: [Errno 2] No such file or directory: '{target}'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 class TestEvalCli:
     def test_threshold_band_prints_ten_rows_plus_average(self, mech_paths, tmp_path, capsys):
         det, ann = mech_paths

@@ -1,6 +1,7 @@
 """File formats: round trips, validation errors, streaming parse."""
 
 import os
+import re
 import tempfile
 from collections import Counter
 
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
-from tubestream.linker import SequencingError
+from tubestream.linker import FRAME_MAX, FRAME_MIN, SequencingError
 from tubestream.config import RunConfig
-from tubestream.pipeline import run_decode
+from tubestream.pipeline import run_decode, run_link
 from tubestream.records import (
     ANNOTATIONS_HEADER,
     DETECTIONS_HEADER,
+    RAWGRID_HEADER,
     TUBES_HEADER,
     DetectionWriter,
     RecordError,
@@ -334,6 +336,23 @@ class TestRawGrids:
             list(reader)
         assert err.value.line_no == 5
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (("v 2", "v 1"), "frame 1 of video 'v' after frame 2"),
+            (("v 1", "w 1", "v 2"), "video 'v' appears in two blocks"),
+        ],
+        ids=["decreasing_frame", "split_video"],
+    )
+    def test_frames_out_of_file_order_name_their_line(self, tmp_path, frames, message):
+        # decode used to write them into a detections file that link rejects
+        path, det = tmp_path / "g.txt", tmp_path / "d.txt"
+        line = record_file(path, "grids", [f"frame {f} " + " ".join(["0.5"] * 8) for f in frames])
+        with pytest.raises(SequencingError) as err:
+            run_decode(RunConfig(score_threshold=0.0), str(path), str(det))
+        assert str(err.value) == f"{path}:{line + len(frames) - 1}: {message}"
+        assert not det.exists()
+
     @pytest.mark.parametrize("dims", ["0 1 1", "-1 1 1", "1 0 1", "1 1 0"])
     def test_grid_dimension_below_one_names_line_2(self, tmp_path, dims):
         path = tmp_path / "g.txt"
@@ -353,3 +372,193 @@ class TestRawGrids:
         with pytest.raises(RecordError) as err:
             read_rawgrids(str(path))
         assert err.value.line_no == 3
+
+
+HEADERS = {"det": DETECTIONS_HEADER, "tubes": TUBES_HEADER, "ann": ANNOTATIONS_HEADER, "grids": RAWGRID_HEADER}
+# A raw-grid file's own header lines: records start at line 4.
+_GRID_PREAMBLE = "grid 1 1 1\nanchors 1,1\n"
+
+
+def read_all(kind: str, path: str):
+    """Read a whole file of ``kind`` with its reader."""
+    if kind == "det":
+        return list(iter_detection_rows(path))
+    if kind == "grids":
+        return list(read_rawgrids(path)[2])
+    return {"tubes": parse_tubes, "ann": parse_annotations}[kind](path)
+
+
+def frames_of(kind: str, parsed) -> list[int]:
+    """Every frame number in what ``read_all`` returned."""
+    if kind in ("det", "grids"):
+        return [frame for _, frame, _ in parsed]
+    if kind == "tubes":
+        return [f for t in parsed for f in (t.t_start, t.t_end, *(frame for frame, _ in t.entries))]
+    return [f for t in parsed for f in (t.t_start, t.t_end)]
+
+
+def record_file(path, kind: str, records: list[str]) -> int:
+    """Write ``records`` under ``kind``'s header; returns the first record's line."""
+    preamble = _GRID_PREAMBLE if kind == "grids" else ""
+    path.write_text(f"{HEADERS[kind]}\n{preamble}" + "".join(r + "\n" for r in records))
+    return 2 + preamble.count("\n")
+
+
+_zeros = " ".join(["0"] * 8)
+# One valid record of each kind at frame ``{f}``.
+ONE_RECORD = {
+    "det": "v {f} 0 0.1 0.1 0.5 0.5 0.9 0.5",
+    "tubes": "v 0 {f} {f} 0.5 1 {f}," + _box,
+    "ann": "v 0 {f} {f} {f}," + _box,
+    "grids": "frame v {f} " + _zeros,
+}
+
+
+class TestFrameDomain:
+    """Every reader accepts frame numbers in [FRAME_MIN, FRAME_MAX], what the
+    spill record holds, and rejects any other with its line."""
+
+    RECORDS = {
+        "det_frame": ("det", "v {f} 0 0.1 0.1 0.5 0.5 0.9 0.5", "frame"),
+        "tube_t_start": ("tubes", "v 0 {f} 1 0.5 1 1," + _box, "t_start"),
+        "tube_t_end": ("tubes", "v 0 1 {f} 0.5 1 1," + _box, "t_end"),
+        "tube_entry": ("tubes", "v 0 1 1 0.5 1 {f}," + _box, "entry frame"),
+        "ann_t_start": ("ann", "v 0 {f} 1 1," + _box, "t_start"),
+        "ann_t_end": ("ann", "v 0 1 {f} 1," + _box, "t_end"),
+        "ann_entry": ("ann", "v 0 1 1 {f}," + _box, "entry frame"),
+        "grid_frame": ("grids", "frame v {f} " + _zeros, "frame"),
+    }
+
+    @pytest.mark.parametrize("frame", [FRAME_MAX + 1, FRAME_MIN - 1], ids=["2^63", "-2^63-1"])
+    @pytest.mark.parametrize("kind, record, name", RECORDS.values(), ids=RECORDS.keys())
+    def test_frame_outside_the_domain_names_field_and_line(self, tmp_path, kind, record, name, frame):
+        path = tmp_path / f"{kind}.txt"
+        line = record_file(path, kind, [record.format(f=frame)])
+        with pytest.raises(RecordError) as err:
+            read_all(kind, str(path))
+        assert str(err.value) == f"{path}:{line}: field {name} out of range [{FRAME_MIN}, {FRAME_MAX}]: {frame}"
+
+    @pytest.mark.parametrize("frame", [FRAME_MIN, FRAME_MAX])
+    @pytest.mark.parametrize("kind", HEADERS)
+    def test_frames_at_both_ends_of_the_domain_parse(self, tmp_path, kind, frame):
+        path = tmp_path / f"{kind}.txt"
+        record_file(path, kind, [ONE_RECORD[kind].format(f=frame)])
+        assert len(read_all(kind, str(path))) == 1
+
+    def test_frames_up_to_frame_max_link_through_a_spilled_chunk_and_round_trip(self, tmp_path, monkeypatch):
+        # A rising rate labels every frame, so 300 labeled pairs fill one
+        # 200-record spill chunk.
+        frames = range(FRAME_MAX - 299, FRAME_MAX + 1)
+        det, tubes = tmp_path / "det.txt", tmp_path / "tubes.txt"
+        record_file(det, "det", [f"v {t} 0 0.1 0.1 0.5 0.5 0.9 {k / 300:.9g}" for k, t in enumerate(frames)])
+        spill_files = []
+        temporary_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: spill_files.append(1) or temporary_file(**kw))
+        assert run_link(RunConfig(alphas=0.0), str(det), str(tubes), str(tmp_path)) == 1
+        assert spill_files == [1]
+        (tube,) = parse_tubes(str(tubes))
+        assert [f for f, _ in tube.entries] == list(frames)
+        again = tmp_path / "again.txt"
+        with TubeWriter(str(again)) as writer:
+            writer.write_tube(tube)
+        assert again.read_bytes() == tubes.read_bytes()
+
+
+class TestAsciiRecords:
+    """Records are ASCII: any other byte fails with its file and line."""
+
+    @pytest.mark.parametrize(
+        "bad", [b"\xff", "\u0661".encode(), "\u00e9".encode("latin-1")], ids=["ff", "arabic_one", "latin1"]
+    )
+    @pytest.mark.parametrize("kind", HEADERS)
+    def test_non_ascii_byte_names_its_line(self, tmp_path, kind, bad):
+        path = tmp_path / f"{kind}.txt"
+        line = record_file(path, kind, [ONE_RECORD[kind].format(f=1), ONE_RECORD[kind].format(f=7)])
+        data = path.read_bytes()
+        cut = data.rindex(b" 7")  # a frame field of the last record
+        path.write_bytes(data[: cut + 1] + bad + data[cut + 2 :])
+        with pytest.raises(RecordError) as err:
+            read_all(kind, str(path))
+        assert str(err.value) == f"{path}:{line + 1}: not ASCII text"
+
+
+def _valid_records(kind: str) -> list[str]:
+    """A small valid file's records; the detections link into tubes."""
+    if kind == "det":
+        rows = [f"a {t} 0 0.1 0.1 0.5 0.5 0.9 {t / 10:.9g}" for t in range(1, 9)]
+        return rows + [f"b {FRAME_MAX - k} 1 0.2 0.2 0.6 0.7 0.8 0.{9 - k}" for k in (3, 2, 1, 0)]
+    if kind == "grids":
+        return [f"frame v {t} " + " ".join(["0.5"] * 8) for t in (1, 2)]
+    if kind == "tubes":
+        return ["v 0 1 3 0.5 2 1,0.1,0.1,0.2,0.2 3,0.2,0.2,0.3,0.3", "w 1 -2 -2 0.25 1 -2," + _box]
+    return ["v 0 1 2 1,0.1,0.1,0.2,0.2 2,0.2,0.2,0.3,0.3", "w 1 -2 -2 -2," + _box]
+
+
+# What a mutation may splice into a file, or put in place of one field.
+_BOUNDS = [str(f).encode() for f in (FRAME_MAX + 1, FRAME_MIN - 1, FRAME_MAX, FRAME_MIN)]
+_HOSTILE = [b"\xff", "\u0661".encode(), b"\x00", b"\r\n", b"", b"-", b"nan", b"1e400"] + _BOUNDS
+# The fields of a record that hold a frame number.
+_FRAME_FIELDS = {"det": [1], "tubes": [2, 3], "ann": [2, 3], "grids": [2]}
+
+
+@st.composite
+def hostile_files(draw):
+    """A valid file of one of the four formats, mutated by byte flips,
+    truncation, splices, field replacements and frames at the domain's ends."""
+    kind = draw(st.sampled_from(sorted(HEADERS)))
+    preamble = _GRID_PREAMBLE if kind == "grids" else ""
+    records = [r.split(" ") for r in _valid_records(kind)]
+    if draw(st.booleans()):
+        fields = draw(st.sampled_from(records))
+        fields[draw(st.sampled_from(_FRAME_FIELDS[kind]))] = draw(st.sampled_from(_BOUNDS)).decode()
+    data = f"{HEADERS[kind]}\n{preamble}" + "".join(" ".join(r) + "\n" for r in records)
+    data = bytearray(data.encode())
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["flip", "truncate", "splice", "field"]))
+        if op == "flip" and data:
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        elif op == "truncate":
+            del data[draw(st.integers(0, len(data))) :]
+        elif op == "splice":
+            at = draw(st.integers(0, len(data)))
+            data[at:at] = draw(st.sampled_from(_HOSTILE))
+        elif op == "field":
+            fields = bytes(data).split(b" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_HOSTILE))
+            data = bytearray(b" ".join(fields))
+    return kind, bytes(data)
+
+
+class TestHostileBytes:
+    """Any bytes in, one located error out: each reader returns, or raises a
+    ``RecordError`` or ``SequencingError`` that begins ``<path>:<line>:``; a
+    stage that fails leaves no output, and one that succeeds writes what the
+    next stage reads."""
+
+    @given(hostile_files())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_returns_or_names_file_and_line(self, case):
+        kind, data = case
+        with tempfile.TemporaryDirectory() as work:
+            path, out = os.path.join(work, "in.txt"), os.path.join(work, "out.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            located = re.compile(re.escape(path) + r":[1-9][0-9]*: ")
+            try:
+                parsed = read_all(kind, path)
+            except (RecordError, SequencingError) as exc:
+                assert located.match(str(exc)), str(exc)
+                failed = True
+            else:
+                assert all(FRAME_MIN <= f <= FRAME_MAX for f in frames_of(kind, parsed))
+                failed = False
+            stages = {"det": (run_link, "tubes"), "grids": (run_decode, "det")}
+            if kind in stages:
+                run, next_kind = stages[kind]
+                try:
+                    run(RunConfig(), path, out)
+                except (RecordError, SequencingError) as exc:
+                    assert failed and located.match(str(exc)), str(exc)
+                assert sorted(os.listdir(work)) == sorted(["in.txt"] + ["out.txt"] * (not failed))
+                if not failed:
+                    read_all(next_kind, out)

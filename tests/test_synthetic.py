@@ -202,6 +202,7 @@ class TestScenarioChecks:
             ({**MINIMAL, "video_id": "tab\tbed"}, "video_id must be printable, without whitespace"),
             ({**MINIMAL, "video_id": ""}, "video_id must be printable, without whitespace"),
             ({**MINIMAL, "video_id": "\ud800"}, "video_id must be printable, without whitespace"),
+            ({**MINIMAL, "video_id": "vid\u00e9"}, "video_id must be printable, without whitespace, and ASCII"),
         ],
     )
     def test_spec_rejects_what_a_later_stage_would(self, data, message):
