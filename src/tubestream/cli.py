@@ -135,6 +135,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_losscheck(args: argparse.Namespace) -> int:
+    for flag in ("seeds", "grid", "anchors", "classes"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     worst = 0.0
     for seed in range(args.seeds):
         pred, target, weights = random_check_case(seed, args.grid, args.anchors, args.classes)

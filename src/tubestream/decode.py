@@ -10,10 +10,11 @@ the anchor prior), composes per-class confidences as
 per-class candidate lists via thresholding and greedy NMS.
 
 Threshold + NMS has one implementation, ``nms_indices``: it takes parallel
-sequences of class ids, confidences and geometries and returns the indices it
-keeps.  Decode feeds it the (slot, class) pairs of a threshold mask and builds
-a ``CandidateBox`` only for each survivor; ``link`` feeds it, through
-``nms_frame``, the fields of each frame's boxes.
+sequences of class ids, confidences and geometry ids into a box table and returns
+the indices it keeps.  Decode passes a threshold mask's (slot, class) pairs with
+slots as ids and builds a ``CandidateBox`` per survivor only; ``link`` passes each
+frame's boxes through ``nms_frame``.  Large classes share one mirrored overlap matrix
+of bitmask rows.
 
 Attribute layout along the last tensor axis::
 
@@ -23,6 +24,7 @@ Attribute layout along the last tensor axis::
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,21 +163,19 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
 def select_candidates(decoded: DecodedGrid, score_threshold: float, nms_iou: float) -> list[CandidateBox]:
     """Threshold + NMS of one decoded frame: ``nms_indices`` on the (slot,
     class) pairs a mask selects, class by class in slot order (cell_y, cell_x,
-    anchor), with a ``CandidateBox`` built only for each survivor.  All
-    classes of a slot share one geometry tuple.  Slots narrower or lower than
-    ``MIN_BOX_SIZE`` are dropped, so every box survives the records format."""
+    anchor), the slot being the geometry id, so a slot's classes share one box
+    tuple; a ``CandidateBox`` is built only for each survivor.  Slots narrower
+    or lower than ``MIN_BOX_SIZE`` are dropped, so every box survives the records format."""
     n_classes = decoded.confidence.shape[-1]
     conf = decoded.confidence.reshape(-1, n_classes).T  # (C, slots)
     boxes = decoded.geometry.reshape(-1, 4)
     sized = (boxes[:, 2] - boxes[:, 0] >= MIN_BOX_SIZE) & (boxes[:, 3] - boxes[:, 1] >= MIN_BOX_SIZE)
     class_ids, slots = np.nonzero((conf > score_threshold) & sized)
-    slot_geometry = [tuple(g) for g in boxes.tolist()]
-    classes = class_ids.tolist()
-    geometry = [slot_geometry[slot] for slot in slots.tolist()]
-    scores = conf[class_ids, slots].tolist()
-    keep = nms_indices(classes, scores, geometry, score_threshold, nms_iou)
+    geometry = [tuple(g) for g in boxes.tolist()]  # one tuple per slot
+    classes, scores = class_ids.tolist(), conf[class_ids, slots].tolist()
+    keep = nms_indices(classes, scores, slots, geometry, score_threshold, nms_iou)
     rates = decoded.rates.reshape(-1, n_classes).T[class_ids[keep], slots[keep]].tolist()
-    return [CandidateBox(classes[i], geometry[i], scores[i], rate) for i, rate in zip(keep, rates)]
+    return [CandidateBox(classes[i], geometry[s], scores[i], r) for i, s, r in zip(keep, slots[keep].tolist(), rates)]
 
 
 def _greedy(
@@ -202,63 +202,73 @@ def nms_boxes(candidates: list[CandidateBox], nms_iou: float) -> list[CandidateB
 
 def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
     """``over[i, j]`` is ``box_iou(geometry[i], geometry[j]) > nms_iou``, with
-    ``box_iou``'s arithmetic, for an (n, 4) array of finite boxes."""
+    ``box_iou``'s arithmetic, for an (n, 4) array of finite boxes.  Each operation of
+    ``box_iou`` commutes, so row blocks are computed from the diagonal rightwards and mirrored."""
     x1, y1, x2, y2 = geometry.T
     area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
     over = np.empty((len(geometry), len(geometry)), dtype=bool)
     for lo in range(0, len(geometry), OVERLAP_BLOCK):
-        rows = slice(lo, lo + OVERLAP_BLOCK)
-        ix = np.minimum(x2[rows, None], x2) - np.maximum(x1[rows, None], x1)
-        iy = np.minimum(y2[rows, None], y2) - np.maximum(y1[rows, None], y1)
+        rows, cols = slice(lo, lo + OVERLAP_BLOCK), slice(lo, None)
+        ix = np.minimum(x2[rows, None], x2[cols]) - np.maximum(x1[rows, None], x1[cols])
+        iy = np.minimum(y2[rows, None], y2[cols]) - np.maximum(y1[rows, None], y1[cols])
         inter = ix * iy
-        union = area[rows, None] + area - inter
+        union = area[rows, None] + area[cols] - inter
         with np.errstate(divide="ignore", invalid="ignore"):
-            over[rows] = (ix > 0.0) & (iy > 0.0) & (union > 0.0) & (inter / union > nms_iou)
+            over[rows, cols] = (ix > 0.0) & (iy > 0.0) & (union > 0.0) & (inter / union > nms_iou)
+        over[cols, rows] = over[rows, cols].T
     return over
 
 
 def nms_indices(
-    class_ids: Sequence[int], confidence: Sequence[float], geometry: Sequence[Box], score_threshold: float, nms_iou: float
+    class_ids: Sequence[int],
+    confidence: Sequence[float],
+    geometry_ids: Sequence[int] | None,
+    geometry: Sequence[Box],
+    score_threshold: float,
+    nms_iou: float,
 ) -> list[int]:
-    """Per-class threshold + greedy NMS over one frame's candidates, given as
-    parallel sequences: the indices of what ``nms_boxes`` keeps of each
-    class's candidates above ``score_threshold``, classes in ascending order.
-    Classes with more than ``SMALL_NMS`` candidates share one overlap matrix
-    over their distinct geometries.  Boxes must be finite."""
+    """Per-class threshold + greedy NMS over one frame's candidates, given as parallel
+    sequences, candidate ``i``'s box being ``geometry[geometry_ids[i]]`` (``geometry[i]`` if
+    ``geometry_ids`` is None): the indices of what ``nms_boxes`` keeps of each class's candidates
+    above ``score_threshold``, classes in ascending order.  If some class has more than ``SMALL_NMS``
+    candidates, their distinct boxes meet once, in one overlap matrix of bitmask rows.  Boxes must be finite."""
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
         raise ValueError("nms_iou must lie in (0, 1)")
-    by_class: dict[int, list[int]] = {}
-    for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
-        if score > score_threshold:
-            by_class.setdefault(class_id, []).append(i)
     out: list[int] = []
-    rows = None
-    for class_id in sorted(by_class):
-        group = by_class[class_id]
-        if len(group) <= SMALL_NMS:  # a lone candidate is kept without a sort
-            out.extend(_greedy(group, confidence, geometry, nms_iou) if len(group) > 1 else group)
-            continue
-        if rows is None:  # one matrix over the distinct geometries of every large class
-            index: dict[Box, int] = {}
-            rows = {
-                c: [index.setdefault(geometry[i], len(index)) for i in g]
-                for c, g in by_class.items()
-                if len(g) > SMALL_NMS
-            }
-            over = overlap_matrix(np.array(list(index), dtype=np.float64), nms_iou)
-        row = rows[class_id]
-        conf = np.fromiter((confidence[i] for i in group), dtype=np.float64, count=len(group))
-        suppressed = np.zeros(len(over), dtype=bool)
-        for j in np.argsort(-conf, kind="stable").tolist():
-            if not suppressed[row[j]]:
-                out.append(group[j])
-                suppressed |= over[row[j]]
+    if len(class_ids) <= SMALL_NMS or max(Counter(class_ids).values()) <= SMALL_NMS:  # no numpy call
+        by_class: dict[int, list[int]] = {}
+        for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
+            if score > score_threshold:
+                by_class.setdefault(class_id, []).append(i)
+        boxes = geometry if geometry_ids is None else [geometry[g] for g in geometry_ids]
+        for class_id in sorted(by_class):
+            group = by_class[class_id]  # a lone candidate is kept without a sort
+            out.extend(_greedy(group, confidence, boxes, nms_iou) if len(group) > 1 else group)
+        return out
+    classes, scores = np.asarray(class_ids), np.asarray(confidence, dtype=np.float64)
+    if classes.dtype.kind not in "iu":  # ids beyond 64 bits would turn float: compare them exactly
+        classes = np.asarray(class_ids, dtype=object)
+    passing = np.flatnonzero(scores > score_threshold)
+    order = passing[np.lexsort((-scores[passing], classes[passing]))]  # stable: ties keep input order
+    ids = np.arange(len(class_ids)) if geometry_ids is None else np.asarray(geometry_ids)
+    used, inverse = np.unique(ids[order], return_inverse=True)
+    index: dict[Box, int] = {}  # a matrix row per distinct value among the used boxes
+    rows = np.array([index.setdefault(geometry[g], len(index)) for g in used.tolist()])[inverse].tolist()
+    over = overlap_matrix(np.array(list(index), dtype=np.float64).reshape(-1, 4), nms_iou)
+    bits = [int.from_bytes(row, "little") for row in np.packbits(over, axis=1, bitorder="little")]
+    current, suppressed = None, 0
+    for i, class_id, row in zip(order.tolist(), classes[order].tolist(), rows):
+        if class_id != current:
+            current, suppressed = class_id, 0
+        if not suppressed >> row & 1:
+            out.append(i)
+            suppressed |= bits[row]
     return out
 
 
 def nms_frame(boxes: Sequence[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
     """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
-    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], [bx.geometry for bx in boxes]
+    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
     return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]

@@ -205,12 +205,19 @@ class _RecordWriter(AbstractContextManager):
 
 
 class DetectionWriter(_RecordWriter):
-    """Streaming detections writer; caller must append rows in file order."""
+    """Streaming detections writer, rows in file order; formats each geometry tuple once per frame."""
 
     header = DETECTIONS_HEADER
+    _frame: tuple[str, int] | None = None
 
     def add(self, video_id: str, frame: int, box: CandidateBox) -> None:
-        self._fh.write(detection_line(video_id, frame, box) + "\n")
+        if (video_id, frame) != self._frame:
+            self._frame, self._geometry = (video_id, frame), {}
+        g = box.geometry
+        cached = self._geometry.get(id(g))  # not by value: 0.0 == -0.0; the entry holds g, so its id stays g's
+        if cached is None:
+            cached = self._geometry[id(g)] = g, "%.9g %.9g %.9g %.9g" % g
+        self._fh.write("%s %d %d %s %.9g %.9g\n" % (video_id, frame, box.class_id, cached[1], box.confidence, box.rate))
 
 
 def write_detections(path: str, streams: Iterable[DetectionStream]) -> None:

@@ -360,6 +360,20 @@ class TestNmsFrameOracle:
         want = per_class_nms(boxes, 1e-3, 0.45)
         assert [id(b) for b in got] == [id(b) for b in want]
 
+    @pytest.mark.parametrize(
+        "class_ids", [(2**63, 2**63 + 1, 0), (2**63, 2**63 + 1), (10**30, 10**30 + 1, 7), (-(2**64), -(2**64) - 1, 0)]
+    )
+    def test_class_ids_beyond_64_bits_stay_apart(self, class_ids):
+        # Mixed with small ints, 2**63 and 2**63 + 1 both become the float 2**63.
+        rng = np.random.default_rng(4)
+        boxes = []
+        for k in range(20 * len(class_ids)):
+            x1, y1 = rng.uniform(0.0, 0.5, 2).tolist()
+            score = float(rng.choice([0.3, rng.uniform()]))
+            boxes.append(CandidateBox(class_ids[k % len(class_ids)], (x1, y1, x1 + 0.3, y1 + 0.3), score, 0.5))
+        got = nms_frame(boxes, 1e-3, 0.45)
+        assert [id(b) for b in got] == [id(b) for b in per_class_nms(boxes, 1e-3, 0.45)]
+
     def test_run_decode_matches_scalar_decode_and_nms(self, tmp_path, monkeypatch):
         # The wide workload's shape: 13x13 cells, 5 anchors, 24 classes.
         rng = np.random.default_rng(2024)
@@ -367,6 +381,47 @@ class TestNmsFrameOracle:
         anchors = AnchorSet(tuple((float(w), float(h)) for w, h in rng.uniform(1.0, 11.0, size=(b, 2))))
         grid = RawGrid(s, b, c, rng.standard_normal(s * s * b * attr_width(c)))
         assert decode_matches_scalar_oracle(tmp_path, monkeypatch, grid, anchors, RunConfig()) > 1000
+
+
+def wide_grid(seed: int, n_classes: int = 8) -> tuple[RawGrid, AnchorSet]:
+    """A random-logit 13x13x5 grid, the ``wide`` workload's shape, whose 4x4
+    top-left cells copy one slot's non-box logits: those 80 slots tie in every
+    class's confidence, and many of their boxes overlap."""
+    rng = np.random.default_rng(seed)
+    s, b = 13, 5
+    values = rng.standard_normal((s, s, b, attr_width(n_classes)))
+    values[:4, :4, :, ATTR_ACT:] = values[0, 0, 0, ATTR_ACT:]
+    anchors = AnchorSet(tuple((float(w), float(h)) for w, h in rng.uniform(1.0, 11.0, size=(b, 2))))
+    return RawGrid(s, b, n_classes, values), anchors
+
+
+class TestWideShapedNms:
+    """Threshold + NMS on frames of the ``wide`` shape, where every class takes
+    the overlap-matrix path, against the scalar oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_select_candidates_and_nms_frame_match_scalar_nms(self, seed):
+        config = RunConfig()
+        decoded = decode_grid(*wide_grid(seed))
+        candidates = scalar_candidates(decoded, config.score_threshold)
+        per_class = Counter(bx.class_id for bx in candidates)
+        assert len(per_class) == 8 and min(per_class.values()) > 40 * decode.SMALL_NMS
+        tied = [bx for bx in candidates if bx.class_id == 0 and bx.confidence == candidates[0].confidence]
+        assert len(tied) == 80 and any(box_iou(a.geometry, tied[0].geometry) > config.nms_iou for a in tied[1:])
+        want = per_class_nms(candidates, config.score_threshold, config.nms_iou)
+        assert select_candidates(decoded, config.score_threshold, config.nms_iou) == want
+        got = nms_frame(candidates, config.score_threshold, config.nms_iou)
+        assert [id(bx) for bx in got] == [id(bx) for bx in want]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overlap_matrix_is_box_iou_pair_by_pair(self, seed):
+        # 300 of the 845 slots: four full row blocks and a partial one.
+        geometry = decode_grid(*wide_grid(seed)).geometry.reshape(-1, 4)[:300]
+        assert 300 // decode.OVERLAP_BLOCK == 4 and 300 % decode.OVERLAP_BLOCK
+        over = decode.overlap_matrix(geometry, 0.45)
+        boxes = [tuple(g) for g in geometry.tolist()]
+        assert over.tolist() == [[box_iou(a, b) > 0.45 for b in boxes] for a in boxes]
+        assert (over == over.T).all() and 0 < over.sum() < over.size
 
 
 def decode_matches_scalar_oracle(tmp_path, monkeypatch, grid: RawGrid, anchors: AnchorSet, config: RunConfig) -> int:

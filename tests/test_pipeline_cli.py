@@ -1,9 +1,13 @@
 """End-to-end pipeline stages and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import HEADERS, hostile_files, valid_records
 from tubestream.cli import build_parser, main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
@@ -221,6 +226,42 @@ class TestFailedStageLeavesNoOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
+class TestHostileCliInput:
+    """Any bytes in through the command line: ``decode``, ``link`` and
+    ``eval`` exit 0, or exit 1 with exactly one ``error: <path>:<line>:`` line
+    and no output file; an exception that escapes ``main`` fails the test."""
+
+    @given(hostile_files())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_zero_or_one_located_error_line(self, case):
+        kind, data = case
+        with tempfile.TemporaryDirectory() as work:
+            path, out = os.path.join(work, "in.txt"), os.path.join(work, "out.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            if kind == "grids":
+                argv = ["decode", "--grids", path, "--out", out]
+            elif kind == "det":
+                argv = ["link", "--detections", path, "--tubes", out]
+            else:  # eval, its other input valid
+                other = "ann" if kind == "tubes" else "tubes"
+                paths = {kind: path, other: os.path.join(work, f"{other}.txt")}
+                with open(paths[other], "w", encoding="ascii") as fh:
+                    fh.write(HEADERS[other] + "\n" + "".join(r + "\n" for r in valid_records(other)))
+                argv = ["eval", "--tubes", paths["tubes"], "--annotations", paths["ann"], "--report", out]
+            inputs = sorted(os.listdir(work))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [] and sorted(os.listdir(work)) == sorted(inputs + ["out.txt"])
+            else:
+                assert code == 1 and len(lines) == 1, lines
+                assert re.match(re.escape(f"error: {path}:") + r"[1-9][0-9]*: ", lines[0]), lines[0]
+                assert sorted(os.listdir(work)) == inputs
+
+
 class TestEvalCli:
     def test_threshold_band_prints_ten_rows_plus_average(self, mech_paths, tmp_path, capsys):
         det, ann = mech_paths
@@ -268,6 +309,34 @@ class TestLosscheckCli:
     def test_fails_at_absurd_tolerance(self, capsys):
         assert run_cli("losscheck", "--seeds", "3", "--tolerance", "1e-18") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seeds", "0", "--seeds must be >= 1, got 0"),
+            ("--grid", "0", "--grid must be >= 1, got 0"),
+            ("--anchors", "-1", "--anchors must be >= 1, got -1"),
+            ("--classes", "0", "--classes must be >= 1, got 0"),
+            ("--tolerance", "0", "--tolerance must be finite and > 0, got 0.0"),
+            ("--tolerance", "-1e-4", "--tolerance must be finite and > 0, got -0.0001"),
+            ("--tolerance", "nan", "--tolerance must be finite and > 0, got nan"),
+            ("--tolerance", "inf", "--tolerance must be finite and > 0, got inf"),
+        ],
+    )
+    def test_check_that_checks_nothing_is_one_error_line(self, capsys, flag, value, message):
+        assert run_cli("losscheck", "--seeds", "1", f"{flag}={value}") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"]
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        det, ann = tmp_path / "det.txt", tmp_path / "ann.txt"
+        argv = ["synth", "--scenario", SCENARIOS / "mechanism.json", "--detections", det, "--annotations", ann]
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, "-m", "tubestream", *map(str, argv)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("synthesized ") and det.exists() and ann.exists()
 
 
 class TestConfigPrecedence:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import GRID_PREAMBLE, HEADERS, hostile_files
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import FRAME_MAX, FRAME_MIN, SequencingError
 from tubestream.config import RunConfig
@@ -17,7 +18,6 @@ from tubestream.pipeline import run_decode, run_link
 from tubestream.records import (
     ANNOTATIONS_HEADER,
     DETECTIONS_HEADER,
-    RAWGRID_HEADER,
     TUBES_HEADER,
     DetectionWriter,
     RecordError,
@@ -117,6 +117,47 @@ class TestDetections:
         path.write_text(DETECTIONS_HEADER + "\nv 1 0 0.5 0.1 0.5 0.5 0.9 0.5\n")
         with pytest.raises(RecordError, match="degenerate"):
             list(iter_detection_rows(str(path)))
+
+
+class TestGeometryTextCache:
+    """``DetectionWriter`` formats a geometry tuple once per frame and reuses
+    the text for the frame's other rows; each row must still be
+    ``detection_line``'s, and the cache must hold one frame's tuples at most."""
+
+    def written_rows(self, path, rows):
+        with DetectionWriter(str(path)) as writer:
+            frame, tuples = None, set()
+            for video_id, t, box in rows:
+                if (video_id, t) != frame:
+                    frame, tuples = (video_id, t), set()
+                tuples.add(id(box.geometry))
+                writer.add(video_id, t, box)
+                assert len(writer._geometry) <= len(tuples)
+        return path.read_text(encoding="utf-8").splitlines()
+
+    def test_one_tuple_across_classes_frames_and_videos(self, tmp_path):
+        shared = (0.125, 0.25, 0.5, 0.75)
+        zero, minus_zero = (0.0, 0.1, 0.5, 0.6), (-0.0, 0.1, 0.5, 0.6)
+        assert zero == minus_zero
+        rows = [("a", 1, CandidateBox(c, shared, 0.9 - c / 10, c / 10)) for c in range(4)]
+        rows += [("a", 1, CandidateBox(4, zero, 0.5, 0.5)), ("a", 1, CandidateBox(4, minus_zero, 0.4, 0.5))]
+        rows += [("a", 1, CandidateBox(5, (0.125, 0.25, 0.5, 0.75 + 1e-9), 0.3, 0.5))]
+        rows += [("a", 2, CandidateBox(0, shared, 0.2, 0.1)), ("a", 2, CandidateBox(1, minus_zero, 0.2, 0.1))]
+        rows += [("b", 2, CandidateBox(0, minus_zero, 0.7, 0.3)), ("b", 2, CandidateBox(3, shared, 0.6, 0.2))]
+        rows += [("b", 3, CandidateBox(2, shared, 0.1, 0.0)), ("c", 3, CandidateBox(2, zero, 0.1, 0.0))]
+        written = self.written_rows(tmp_path / "d.txt", rows)
+        assert written == [DETECTIONS_HEADER] + [detection_line(*row) for row in rows]
+        assert written[6].split(" ")[3] == "-0" and written[5].split(" ")[3] == "0"
+
+    def test_tuples_built_per_row(self, tmp_path):
+        # Each tuple is freed after its row unless the writer holds it, so an
+        # identity key alone would hand a later tuple an earlier one's text.
+        def one_at_a_time():
+            for k in range(100):
+                yield "v", 1 + k // 50, CandidateBox(0, (k / 1000, 0.1, 0.5, 0.6 + k / 1000), 0.5, 0.5)
+
+        expected = [DETECTIONS_HEADER] + [detection_line(*row) for row in one_at_a_time()]
+        assert self.written_rows(tmp_path / "d.txt", one_at_a_time()) == expected
 
 
 def fnum_detection_line(video_id, frame, box):
@@ -374,11 +415,6 @@ class TestRawGrids:
         assert err.value.line_no == 3
 
 
-HEADERS = {"det": DETECTIONS_HEADER, "tubes": TUBES_HEADER, "ann": ANNOTATIONS_HEADER, "grids": RAWGRID_HEADER}
-# A raw-grid file's own header lines: records start at line 4.
-_GRID_PREAMBLE = "grid 1 1 1\nanchors 1,1\n"
-
-
 def read_all(kind: str, path: str):
     """Read a whole file of ``kind`` with its reader."""
     if kind == "det":
@@ -399,7 +435,7 @@ def frames_of(kind: str, parsed) -> list[int]:
 
 def record_file(path, kind: str, records: list[str]) -> int:
     """Write ``records`` under ``kind``'s header; returns the first record's line."""
-    preamble = _GRID_PREAMBLE if kind == "grids" else ""
+    preamble = GRID_PREAMBLE if kind == "grids" else ""
     path.write_text(f"{HEADERS[kind]}\n{preamble}" + "".join(r + "\n" for r in records))
     return 2 + preamble.count("\n")
 
@@ -480,53 +516,6 @@ class TestAsciiRecords:
         with pytest.raises(RecordError) as err:
             read_all(kind, str(path))
         assert str(err.value) == f"{path}:{line + 1}: not ASCII text"
-
-
-def _valid_records(kind: str) -> list[str]:
-    """A small valid file's records; the detections link into tubes."""
-    if kind == "det":
-        rows = [f"a {t} 0 0.1 0.1 0.5 0.5 0.9 {t / 10:.9g}" for t in range(1, 9)]
-        return rows + [f"b {FRAME_MAX - k} 1 0.2 0.2 0.6 0.7 0.8 0.{9 - k}" for k in (3, 2, 1, 0)]
-    if kind == "grids":
-        return [f"frame v {t} " + " ".join(["0.5"] * 8) for t in (1, 2)]
-    if kind == "tubes":
-        return ["v 0 1 3 0.5 2 1,0.1,0.1,0.2,0.2 3,0.2,0.2,0.3,0.3", "w 1 -2 -2 0.25 1 -2," + _box]
-    return ["v 0 1 2 1,0.1,0.1,0.2,0.2 2,0.2,0.2,0.3,0.3", "w 1 -2 -2 -2," + _box]
-
-
-# What a mutation may splice into a file, or put in place of one field.
-_BOUNDS = [str(f).encode() for f in (FRAME_MAX + 1, FRAME_MIN - 1, FRAME_MAX, FRAME_MIN)]
-_HOSTILE = [b"\xff", "\u0661".encode(), b"\x00", b"\r\n", b"", b"-", b"nan", b"1e400"] + _BOUNDS
-# The fields of a record that hold a frame number.
-_FRAME_FIELDS = {"det": [1], "tubes": [2, 3], "ann": [2, 3], "grids": [2]}
-
-
-@st.composite
-def hostile_files(draw):
-    """A valid file of one of the four formats, mutated by byte flips,
-    truncation, splices, field replacements and frames at the domain's ends."""
-    kind = draw(st.sampled_from(sorted(HEADERS)))
-    preamble = _GRID_PREAMBLE if kind == "grids" else ""
-    records = [r.split(" ") for r in _valid_records(kind)]
-    if draw(st.booleans()):
-        fields = draw(st.sampled_from(records))
-        fields[draw(st.sampled_from(_FRAME_FIELDS[kind]))] = draw(st.sampled_from(_BOUNDS)).decode()
-    data = f"{HEADERS[kind]}\n{preamble}" + "".join(" ".join(r) + "\n" for r in records)
-    data = bytearray(data.encode())
-    for _ in range(draw(st.integers(0, 3))):
-        op = draw(st.sampled_from(["flip", "truncate", "splice", "field"]))
-        if op == "flip" and data:
-            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
-        elif op == "truncate":
-            del data[draw(st.integers(0, len(data))) :]
-        elif op == "splice":
-            at = draw(st.integers(0, len(data)))
-            data[at:at] = draw(st.sampled_from(_HOSTILE))
-        elif op == "field":
-            fields = bytes(data).split(b" ")
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_HOSTILE))
-            data = bytearray(b" ".join(fields))
-    return kind, bytes(data)
 
 
 class TestHostileBytes:
