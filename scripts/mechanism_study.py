@@ -20,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from tubestream.linker import LinkerConfig, link_stream  # noqa: E402
+from tubestream.linker import LinkerConfig, OnlineLinker  # noqa: E402
 from tubestream.metrics import average_temporal_iou, evaluate  # noqa: E402
 from tubestream.pipeline import nms_frame, write_report_csv  # noqa: E402
 from tubestream.synthetic import ScenarioSpec, generate, oracle_link  # noqa: E402
@@ -41,10 +41,10 @@ def load_spec(name: str) -> ScenarioSpec:
 def mean_tiou(spec: ScenarioSpec, alpha: float) -> float:
     stream, gt = generate(spec)
     cfg = LinkerConfig(alphas=alpha, **LINK_CFG)
-    frames = [
-        (t, nms_frame(stream.boxes_at(t), SCORE_THRESHOLD, NMS_IOU)) for t in stream.ordered_frames()
-    ]
-    tubes = link_stream(frames, spec.n_classes, cfg, video_id=spec.video_id)
+    linker = OnlineLinker(spec.n_classes, cfg, video_id=spec.video_id)
+    for t in stream.ordered_frames():
+        linker.step(t, nms_frame(stream.boxes_at(t), SCORE_THRESHOLD, NMS_IOU))
+    tubes = linker.finalize()
     per_class, _ = average_temporal_iou(tubes, gt)
     return sum(per_class.values()) / len(per_class)
 

@@ -13,7 +13,6 @@ from .linker import (
     OnlineLinker,
     TubeState,
     alpha_from_training_error,
-    link_stream,
     temporal_label_step,
 )
 from .losses import (
@@ -51,7 +50,6 @@ __all__ = [
     "decode_grid",
     "evaluate",
     "frame_map",
-    "link_stream",
     "loss_gradient",
     "loss_terms",
     "temporal_label_step",

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import fields
 
 from . import records
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_json
 from .linker import SequencingError
 from .losses import check_gradients, random_check_case
 from .pipeline import run_decode, run_eval, run_link
@@ -121,8 +120,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        spec = ScenarioSpec.from_dict(json.load(fh))
+    spec = read_json(args.scenario, ScenarioSpec.from_dict)
     stream, gt = generate(spec)
     with records.replaced_on_success(args.detections) as det, records.replaced_on_success(args.annotations) as ann:
         records.write_detections(det, [stream])

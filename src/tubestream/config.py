@@ -133,18 +133,24 @@ def json_settings(data, cls, what: str) -> dict:
     return out
 
 
+def read_json(path: str, build):
+    """``build`` applied to the JSON value in the file at ``path``; a file that
+    is not UTF-8 JSON, or that ``build`` rejects, is a ``ValueError`` naming ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | None = None, overrides: dict | None = None, env: dict | None = None) -> RunConfig:
     """Build a RunConfig with precedence: defaults < config file < env paths < overrides."""
     env = os.environ if env is None else env
     values: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                values = json_settings(json.load(fh), RunConfig, "config")
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        values = read_json(path, lambda data: json_settings(data, RunConfig, "config"))
     for field_name, var in ENV_PATHS.items():
         if var in env:
             values[field_name] = env[var]

@@ -150,7 +150,8 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     rate = expit(v[..., 5 + 2 * c : 5 + 3 * c])
 
     prior = np.asarray(anchors.sizes, dtype=np.float64)  # (B, 2)
-    half = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s / 2.0  # (S, S, B, 2)
+    with np.errstate(over="ignore"):  # an infinite half-size clips to the unit square
+        half = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s / 2.0  # (S, S, B, 2)
     np.maximum(half, MIN_HALF_SIZE, out=half)
 
     grid_x = np.arange(s, dtype=np.float64)[None, :, None]

@@ -608,15 +608,3 @@ class OnlineLinker:
     def _collect(self, video_id, class_id, t_start, t_end, score, n_entries, entries) -> None:
         self._results.append(FinalTube(video_id, class_id, t_start, t_end, score, tuple(entries)))
 
-
-def link_stream(
-    frames: Iterable[tuple[int, list[CandidateBox]]],
-    n_classes: int | None = None,
-    config: LinkerConfig | None = None,
-    video_id: str = "video",
-) -> list[FinalTube]:
-    """Run the linker over an in-memory (frame, boxes) sequence."""
-    linker = OnlineLinker(n_classes, config, video_id=video_id)
-    for frame, boxes in frames:
-        linker.step(frame, boxes)
-    return linker.finalize()

@@ -1,44 +1,29 @@
 """Pipeline stages gluing decode, linking, and evaluation to the file formats.
 
-The link stage is strictly streaming: detection rows are read frame by
-frame, thresholded and NMS-deduplicated per class, pushed through one
-:class:`~tubestream.linker.OnlineLinker` per video, and finished tubes are
-written out as they complete.  A tube keeps only its committed labeled
-(frame, box) pairs, in a :class:`~tubestream.linker.SpillStore` that
-writes them past one 8,000-byte chunk to an anonymous temp file in
-``spool_dir`` (``--spool-dir``; the system temp directory by default).
-Memory is bounded by the linker window and the widest single frame,
-independent of stream length.
+The link stage is strictly streaming: ``run_link``, the one driver of
+:class:`~tubestream.linker.OnlineLinker` over a stream, groups rows by video
+and then by frame, thresholds and NMS-deduplicates each frame per class,
+steps it through its video's linker (finalized when the video's rows end)
+and writes finished tubes out as they complete.  A tube keeps only its
+committed labeled (frame, box) pairs, in a
+:class:`~tubestream.linker.SpillStore` that writes them past one
+8,000-byte chunk to an anonymous temp file in ``spool_dir``
+(``--spool-dir``; the system temp directory by default).  Memory is
+bounded by the linker window and the widest single frame, independent of
+stream length.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Iterator
+from itertools import groupby
+from operator import itemgetter
 
 from . import records
 from .config import RunConfig
-from .decode import CandidateBox, decode_grid, nms_frame, select_candidates
+from .decode import decode_grid, nms_frame, select_candidates
 from .linker import OnlineLinker, SpillStore
 from .metrics import EvalReport, evaluate
-
-
-def iter_frames(
-    rows: Iterable[tuple[str, int, CandidateBox]],
-) -> Iterator[tuple[str, int, list[CandidateBox]]]:
-    """Group a row stream into (video, frame, boxes) groups, preserving order."""
-    cur: tuple[str, int] | None = None
-    bucket: list[CandidateBox] = []
-    for video_id, frame, box in rows:
-        key = (video_id, frame)
-        if key != cur:
-            if cur is not None:
-                yield cur[0], cur[1], bucket
-            cur = key
-            bucket = []
-        bucket.append(box)
-    if cur is not None:
-        yield cur[0], cur[1], bucket
 
 
 def run_decode(config: RunConfig, grids_path: str, out_path: str) -> int:
@@ -71,19 +56,15 @@ def run_link(
             writer.write(*tube_fields)
             count += 1
 
-        linker: OnlineLinker | None = None
-        for video_id, frame, boxes in iter_frames(records.iter_detection_rows(detections_path)):
-            if linker is None or linker.video_id != video_id:
-                if linker is not None:
-                    linker.finalize()
-                linker = OnlineLinker(
-                    config=config,
-                    video_id=video_id,
-                    store_factory=lambda: SpillStore(spool_dir),
-                    on_tube=sink,
-                )
-            linker.step(frame, nms_frame(boxes, config.score_threshold, config.nms_iou))
-        if linker is not None:
+        for video_id, video_rows in groupby(records.iter_detection_rows(detections_path), itemgetter(0)):
+            linker = OnlineLinker(
+                config=config,
+                video_id=video_id,
+                store_factory=lambda: SpillStore(spool_dir),
+                on_tube=sink,
+            )
+            for frame, rows in groupby(video_rows, itemgetter(1)):
+                linker.step(frame, nms_frame([box for _, _, box in rows], config.score_threshold, config.nms_iou))
             linker.finalize()
     return count
 

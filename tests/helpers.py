@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from tubestream.decode import CandidateBox
+from tubestream.decode import CandidateBox, nms_boxes
 from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkerConfig
 from tubestream.records import ANNOTATIONS_HEADER, DETECTIONS_HEADER, RAWGRID_HEADER, TUBES_HEADER
 from tubestream.tubes import DetectionStream
@@ -60,6 +60,16 @@ def chain_frames(n_frames: int, rates, scores=None, box=(0.2, 0.2, 0.6, 0.6), cl
     return [
         (t, [CandidateBox(class_id, box, float(scores[t - 1]), float(rates[t - 1]))])
         for t in range(1, n_frames + 1)
+    ]
+
+
+def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+    """The scalar oracle of ``nms_frame``: ``nms_boxes`` class by class."""
+    classes = sorted({bx.class_id for bx in boxes})
+    return [
+        kept
+        for c in classes
+        for kept in nms_boxes([bx for bx in boxes if bx.class_id == c and bx.confidence > score_threshold], nms_iou)
     ]
 
 

@@ -17,7 +17,6 @@ from tubestream.linker import (
     OnlineLinker,
     SpillStore,
     alpha_from_training_error,
-    link_stream,
 )
 from tubestream.losses import check_gradients, random_check_case
 from tubestream.metrics import average_temporal_iou, frame_map, tube_iou, video_map
@@ -129,12 +128,10 @@ def test_differential_linking():
 def mechanism_tiou(spec: ScenarioSpec, alpha: float) -> float:
     stream, gt = generate(spec)
     cfg = LinkerConfig(alphas=alpha, **LINK_CFG)
-    tubes = link_stream(
-        [(t, stream.boxes_at(t)) for t in stream.ordered_frames()],
-        spec.n_classes,
-        cfg,
-        video_id=spec.video_id,
-    )
+    linker = OnlineLinker(spec.n_classes, cfg, video_id=spec.video_id)
+    for t in stream.ordered_frames():
+        linker.step(t, stream.boxes_at(t))
+    tubes = linker.finalize()
     per_class, _ = average_temporal_iou(tubes, gt)
     return sum(per_class.values()) / len(per_class)
 

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import per_class_nms
 from tubestream import decode
 from tubestream.config import RunConfig
 from tubestream.decode import (
@@ -78,16 +80,6 @@ def scalar_candidates(decoded, score_threshold: float) -> list[CandidateBox]:
                     if score > score_threshold and sized:
                         out.append(CandidateBox(class_id, geometry, score, float(decoded.rates[cy, cx, j, class_id])))
     return out
-
-
-def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
-    """The scalar oracle of ``nms_frame``: ``nms_boxes`` class by class."""
-    classes = sorted({bx.class_id for bx in boxes})
-    return [
-        kept
-        for c in classes
-        for kept in nms_boxes([bx for bx in boxes if bx.class_id == c and bx.confidence > score_threshold], nms_iou)
-    ]
 
 
 def test_candidate_box_is_compared_hashed_and_printed_by_value():
@@ -527,8 +519,7 @@ class TestDecodeOutputParses:
         with tempfile.TemporaryDirectory() as work:
             grids, det = os.path.join(work, "g.txt"), os.path.join(work, "det.txt")
             write_rawgrids(grids, anchors, [("v", 1, RawGrid(*dims, values))], dims)
-            with np.errstate(over="ignore"):
-                n = run_decode(RunConfig(score_threshold=0.0), grids, det)
+            n = run_decode(RunConfig(score_threshold=0.0), grids, det)
             assert sum(1 for _ in iter_detection_rows(det)) == n
             return n
 
@@ -546,6 +537,15 @@ class TestDecodeOutputParses:
         half = decode.MIN_HALF_SIZE
         assert decode_grid(RawGrid(1, 1, 1, values), anchors).geometry.tolist() == [[[[0.5 - half, 0.0, 0.5 + half, 1.0]]]]
         assert self.decode_and_parse((1, 1, 1), anchors, values) == 0
+
+    def test_overflowing_width_is_full_width_without_warning(self):
+        # A w-logit of 1000 overflows exp; the infinite half-width clips to the unit square.
+        values = np.zeros(attr_width(1))
+        values[2] = 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geometry = decode_grid(RawGrid(1, 1, 1, values), AnchorSet(((1.0, 1.0),))).geometry
+        assert geometry.tolist() == [[[[0.0, 0.0, 1.0, 1.0]]]]
 
 
 _unit_open_high = st.floats(0.0, 1.0, exclude_max=True)

@@ -6,8 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from tubestream.config import ENV_PATHS, RunConfig
-from tubestream.linker import link_stream
-from tubestream.synthetic import ScenarioSpec, TrackSpec, generate
+from tubestream.synthetic import ScenarioSpec, TrackSpec, generate, oracle_link
 from tubestream.tubes import FinalTube
 
 README = Path(__file__).parents[1] / "README.md"
@@ -63,6 +62,6 @@ def test_library_use_block_runs(capsys):
     exec(python_block("Library use"), names)
     tubes = names["tubes"]
     assert tubes and all(isinstance(tube, FinalTube) for tube in tubes)
-    assert tubes == link_stream(stream, 2, names["linker"].config, video_id="v1")
+    assert tubes == oracle_link(detections, 2, names["linker"].config)[0]
     assert capsys.readouterr().out == names["report"].table() + "\n"
     assert names["report"].v_map[0.1] == 1.0

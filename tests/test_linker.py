@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_frames, random_stream
+from helpers import chain_frames, per_class_nms, random_stream
 from tubestream import linker as linker_module
 from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
@@ -28,12 +28,12 @@ from tubestream.linker import (
     TubeEntry,
     TubeState,
     alpha_from_training_error,
-    link_stream,
     temporal_label_step,
 )
 from tubestream.pipeline import run_link
-from tubestream.records import RecordError, write_detections
-from tubestream.synthetic import chain_stream_frames, score_only_link
+from tubestream.records import RecordError, TubeWriter, iter_detection_rows, write_detections
+from tubestream.synthetic import chain_stream_frames, oracle_link, score_only_link
+from tubestream.tubes import DetectionStream
 
 
 class TestAlphaFromTrainingError:
@@ -53,6 +53,14 @@ class TestAlphaFromTrainingError:
 
 
 BOX = (0.2, 0.2, 0.6, 0.6)
+
+
+def link(frames, config):
+    """The tubes a one-class linker emits over in-memory (frame, boxes) pairs."""
+    linker = OnlineLinker(1, config)
+    for t, boxes in frames:
+        linker.step(t, boxes)
+    return linker.finalize()
 
 
 def fresh_tube(score=0.1, rate=0.1, frame=1):
@@ -139,7 +147,7 @@ class TestTemporalLabelStep:
 class TestLinkerStep:
     def test_single_chain_labels_from_second_frame(self):
         rates = [t / 10 for t in range(1, 11)]
-        tubes = link_stream(chain_frames(10, rates, scores=[0.05] * 10), 1, LinkerConfig(window=3, alphas=1.0))
+        tubes = link(chain_frames(10, rates, scores=[0.05] * 10), LinkerConfig(window=3, alphas=1.0))
         assert len(tubes) == 1
         tube = tubes[0]
         assert (tube.t_start, tube.t_end) == (2, 10)
@@ -246,7 +254,7 @@ class TestLinkerStep:
 class TestFinalize:
     def run_pattern(self, labels_wanted_rates, alpha=1.0, window=3, scores=None):
         frames = chain_frames(len(labels_wanted_rates), labels_wanted_rates, scores=scores)
-        return link_stream(frames, 1, LinkerConfig(window=window, alphas=alpha))
+        return link(frames, LinkerConfig(window=window, alphas=alpha))
 
     def test_interior_segment_trimmed(self):
         # Rates rise over frames 2..5 and fall after; labels become
@@ -291,7 +299,7 @@ class TestAlphaRegimes:
         # Oscillating rates never saturate the counters; with alpha=1 even
         # perfect scores cannot label, so the tube dies empty.
         rates = [0.5, 0.6, 0.4, 0.6, 0.4, 0.6, 0.4]
-        tubes = link_stream(chain_frames(7, rates, scores=[1.0] * 7), 1, LinkerConfig(window=3, alphas=1.0))
+        tubes = link(chain_frames(7, rates, scores=[1.0] * 7), LinkerConfig(window=3, alphas=1.0))
         assert tubes == []
 
     @given(st.integers(0, 2_000))
@@ -317,9 +325,7 @@ class TestAlphaRegimes:
         scores = [float(rng.uniform(0.1, 1.0)) for _ in range(n)]
         frames = chain_frames(n, rates, scores=scores)
         cfg = LinkerConfig(window=window, alphas=0.0)
-        got = link_stream(frames, 1, cfg)
-        from tubestream.tubes import DetectionStream
-
+        got = link(frames, cfg)
         stream = DetectionStream(video_id="video", frames={t: list(b) for t, b in frames})
         want = score_only_link(stream, 1, cfg)
         assert got == want
@@ -599,3 +605,27 @@ class TestOnlineContract:
             tube.entries
         linker.finalize()
         assert linker.live_tubes() == ()
+
+
+class TestRunLinkOracle:
+    """``run_link`` on a file of several videos writes what the reference
+    linker writes over each video's rows as read back, after per-class NMS."""
+
+    @pytest.mark.parametrize("config", [RunConfig(alphas=0.3), RunConfig(alphas=0.0, window=3, max_tubes=2)])
+    def test_tubes_file_is_the_oracles(self, tmp_path, config):
+        det, tubes, want = tmp_path / "det.txt", tmp_path / "tubes.txt", tmp_path / "want.txt"
+        write_detections(str(det), [random_stream(seed, max_frames=40)[0] for seed in range(10)])
+        videos: dict[str, dict[int, list[CandidateBox]]] = {}
+        for video_id, frame, box in iter_detection_rows(str(det)):
+            videos.setdefault(video_id, {}).setdefault(frame, []).append(box)
+        # Videos share frame numbers, skip frames and mix classes in a frame.
+        assert sum(1 in frames for frames in videos.values()) > 1
+        assert any(max(frames) - min(frames) >= len(frames) for frames in videos.values())
+        assert any(len({bx.class_id for bx in boxes}) > 1 for frames in videos.values() for boxes in frames.values())
+        with TubeWriter(str(want)) as writer:
+            for video_id, frames in videos.items():
+                kept = {t: per_class_nms(boxes, config.score_threshold, config.nms_iou) for t, boxes in frames.items()}
+                for tube in oracle_link(DetectionStream(video_id, kept), 3, config)[0]:
+                    writer.write_tube(tube)
+        n_tubes = run_link(config, str(det), str(tubes), str(tmp_path))
+        assert n_tubes > 0 and tubes.read_bytes() == want.read_bytes()

@@ -33,6 +33,14 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m tubestream`` in a child process, outside pytest's warning capture."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "tubestream", *map(str, argv)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture()
 def mech_paths(tmp_path):
     det = tmp_path / "det.txt"
@@ -153,6 +161,16 @@ class TestDecodeCli:
         assert run_cli("decode", "--grids", grid_file, "--out", lo, "--score-threshold", "1e-3") == 0
         assert run_cli("decode", "--grids", grid_file, "--out", hi, "--score-threshold", "0.5") == 0
         assert len(list(iter_detection_rows(str(hi)))) <= len(list(iter_detection_rows(str(lo))))
+
+    def test_overflowing_size_logit_writes_no_warning(self, tmp_path):
+        values = np.zeros(attr_width(1))
+        values[2] = 1000.0  # exp overflows; the box clips to the full width
+        grid_file, out = tmp_path / "g.txt", tmp_path / "d.txt"
+        write_rawgrids(str(grid_file), AnchorSet(((1.0, 1.0),)), [("v", 1, RawGrid(1, 1, 1, values))], (1, 1, 1))
+        done = run_module("decode", "--grids", grid_file, "--out", out)
+        assert (done.returncode, done.stderr) == (0, "")
+        [(_, _, box)] = iter_detection_rows(str(out))
+        assert box.geometry == (0.0, 0.0, 1.0, 1.0)
 
 
 class TestFailedStageLeavesNoOutput:
@@ -330,11 +348,7 @@ class TestLosscheckCli:
 
     def test_package_runs_as_a_module(self, tmp_path):
         det, ann = tmp_path / "det.txt", tmp_path / "ann.txt"
-        argv = ["synth", "--scenario", SCENARIOS / "mechanism.json", "--detections", det, "--annotations", ann]
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        command = [sys.executable, "-m", "tubestream", *map(str, argv)]
-        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        done = run_module("synth", "--scenario", SCENARIOS / "mechanism.json", "--detections", det, "--annotations", ann)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("synthesized ") and det.exists() and ann.exists()
 
@@ -582,6 +596,43 @@ class TestSynthCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not det.exists() and not ann.exists()
+
+
+@st.composite
+def damaged_scenarios(draw):
+    """``scenarios/mechanism.json`` with at most one byte replaced (``\\xff``
+    and NUL among the bytes) and cut short or not; no number grows past
+    three digits, so no run grows large."""
+    data = bytearray((SCENARIOS / "mechanism.json").read_bytes())
+    if draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.sampled_from([0xFF, 0x00]) | st.integers(0, 255))
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))) :]
+    return bytes(data)
+
+
+class TestSynthHostileScenario:
+    """Any damaged scenario through ``synth``: exit 0 with files that ``link``
+    and ``eval`` accept, or exit 1 with one ``error: <scenario>: `` line and no file."""
+
+    @given(damaged_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_exit_zero_or_one_error_line_naming_the_scenario(self, data):
+        with tempfile.TemporaryDirectory() as work:
+            path, det, ann, tubes = (os.path.join(work, n) for n in ("s.json", "det.txt", "ann.txt", "tubes.txt"))
+            with open(path, "wb") as fh:
+                fh.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["synth", "--scenario", path, "--detections", det, "--annotations", ann])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == []
+                run_link(RunConfig(), det, tubes, work)
+                run_eval(RunConfig(), tubes, ann, det)
+            else:
+                assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+                assert sorted(os.listdir(work)) == ["s.json"]
 
 
 _fraction = st.floats(0.0, 1.0)
