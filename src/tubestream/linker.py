@@ -36,6 +36,7 @@ and only for a tube that is emitted.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import struct
@@ -381,8 +382,12 @@ class OnlineLinker:
 
     A step costs time in the live tubes and the frame's boxes, not in the
     stream length: committed entries are only touched when they leave the
-    window and, once, when their tube is emitted.  ``store_factory`` builds
-    a tube's store at its first committed entry labeled 1; the default is a
+    window and, once, when their tube is emitted.  A frame seeds at most
+    ``max_tubes`` tubes per class, from its most confident unmatched boxes:
+    the next keep-best prune would drop any other seed before it could link.
+    With ``audit`` a frame after the first seeds every unmatched box, so the
+    log records those prunes.  ``store_factory`` builds a tube's store at
+    its first committed entry labeled 1; the default is a
     :class:`SpillStore` in the system temp directory, and a factory such as
     ``lambda: SpillStore(directory)`` chooses another.  ``audit`` keeps
     every tube's committed entries too and logs a :class:`LinkAudit` per
@@ -450,6 +455,7 @@ class OnlineLinker:
         window = cfg.window
         horizon = frame - window
         new_store = self._store_factory
+        keep_history = self.audit_log is not None
         for class_id, alpha, lane in self._order:
             remaining = by_class.get(class_id)
             if first:
@@ -458,7 +464,10 @@ class OnlineLinker:
                     key=lambda b: -b.confidence,
                 )
                 for bx in eligible[: cfg.max_tubes]:
-                    lane.append(self._new_tube(class_id, frame, bx))
+                    lane.append(
+                        TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq, keep_history)
+                    )
+                    self._seq += 1
                 continue
 
             if lane:
@@ -487,9 +496,19 @@ class OnlineLinker:
                     lane[:] = [tb for tb in lane if tb.t_end > horizon]
 
             if remaining:
-                for bx in remaining:
-                    if bx.confidence > cfg.score_floor:
-                        lane.append(self._new_tube(class_id, frame, bx))
+                fresh = [bx for bx in remaining if bx.confidence > cfg.score_floor]
+                seq = self._seq
+                self._seq += len(fresh)
+                seeds = range(len(fresh))
+                if len(fresh) > cfg.max_tubes and not keep_history:
+                    # The next prune ranks fresh tubes by (-confidence, seq) and
+                    # keeps at most max_tubes of them: build only those.
+                    seeds = sorted(heapq.nsmallest(cfg.max_tubes, seeds, key=lambda i: -fresh[i].confidence))
+                for i in seeds:
+                    bx = fresh[i]
+                    lane.append(
+                        TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, seq + i, keep_history)
+                    )
 
         return self._results[emitted_before:]
 
@@ -506,7 +525,9 @@ class OnlineLinker:
 
     def live_tubes(self) -> tuple[TubeState, ...]:
         """The tubes not yet finished, by class and then lane order: a snapshot
-        to read, not to modify.  Their ``entries`` need ``audit``."""
+        to read, not to modify.  Their ``entries`` need ``audit``.  Without
+        ``audit`` the last frame's seeds that the next prune would drop were
+        never built, so they are not listed."""
         return tuple(tb for _, _, lane in self._order for tb in lane)
 
     # -- internals ---------------------------------------------------------
@@ -544,19 +565,6 @@ class OnlineLinker:
                             best = i
                             best_score = conf
         return best
-
-    def _new_tube(self, class_id: int, frame: int, bx: CandidateBox) -> TubeState:
-        tube = TubeState(
-            class_id,
-            frame,
-            bx.geometry,
-            bx.confidence,
-            bx.rate,
-            seq=self._seq,
-            keep_history=self.audit_log is not None,
-        )
-        self._seq += 1
-        return tube
 
     def _audit_tube(self, tube: TubeState, outcome: str) -> None:
         entries = tube.entries

@@ -40,12 +40,14 @@ def tube_iou(det: FinalTube, gt: GroundTruthTube) -> float:
     t_hi = min(det.t_end, gt.t_end)
     if t_lo > t_hi:
         return 0.0
-    det_boxes = dict(det.entries)
+    # Entries are chronological: the sum runs in frame order.
+    gt_boxes, g0 = gt.boxes, gt.t_start
     total = 0.0
-    for f in range(t_lo, t_hi + 1):
-        bx = det_boxes.get(f)
-        if bx is not None:
-            total += box_iou(bx, gt.box_at(f))
+    for f, bx in det.entries:
+        if f > t_hi:
+            break
+        if f >= t_lo:
+            total += box_iou(bx, gt_boxes[f - g0])
     spatial = total / (t_hi - t_lo + 1)
     return spatial * temporal_iou((det.t_start, det.t_end), (gt.t_start, gt.t_end))
 

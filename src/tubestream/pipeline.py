@@ -8,9 +8,10 @@ and writes finished tubes out as they complete.  A tube keeps only its
 committed labeled (frame, box) pairs, in a
 :class:`~tubestream.linker.SpillStore` that writes them past one
 8,000-byte chunk to an anonymous temp file in ``spool_dir``
-(``--spool-dir``; the system temp directory by default).  Memory is
-bounded by the linker window and the widest single frame, independent of
-stream length.
+(``--spool-dir``; the system temp directory by default).  Live tubes are
+bounded per class (at most ``2 * max_tubes`` between frames), not by frame
+width, so memory is bounded by the linker window, ``max_tubes`` and the
+widest single frame's rows, independent of stream length.
 """
 
 from __future__ import annotations

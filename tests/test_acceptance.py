@@ -8,6 +8,7 @@ import json
 import math
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 from helpers import random_stream
@@ -122,6 +123,38 @@ def test_differential_linking():
         "differential linking",
         mismatches == 0 and elapsed < 30.0,
         f"{mismatches} mismatches over 1000 streams in {elapsed:.2f}s",
+    )
+
+
+def test_differential_linking_without_audit():
+    """The same 1000 streams through a linker without audit, which seeds at
+    most ``max_tubes`` tubes per class and frame: the same tubes as the oracle."""
+    t0 = time.perf_counter()
+    mismatches = 0
+    overflows = 0  # (frame, class) pairs past the first frame that must leave seeds unbuilt
+    for seed in range(1000):
+        stream, n_classes, cfg = random_stream(seed, max_frames=30, max_boxes=5)
+        linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+        frames = stream.ordered_frames()
+        for t in frames:
+            if t > frames[0]:
+                seeds = Counter(bx.class_id for bx in stream.boxes_at(t) if bx.confidence > cfg.score_floor)
+                overflows += sum(n - cfg.max_tubes > cfg.max_tubes for n in seeds.values())
+            linker.step(t, stream.boxes_at(t))
+        got = linker.finalize()
+        want, _ = oracle_link(stream, n_classes, cfg)
+        same = len(got) == len(want) and all(
+            (a.video_id, a.class_id, a.t_start, a.t_end, a.entries)
+            == (b.video_id, b.class_id, b.t_start, b.t_end, b.entries)
+            and abs(a.score - b.score) <= 1e-9
+            for a, b in zip(got, want)
+        )
+        mismatches += 0 if same else 1
+    elapsed = time.perf_counter() - t0
+    verdict(
+        "differential linking without audit",
+        mismatches == 0 and overflows > 0 and elapsed < 30.0,
+        f"{mismatches} mismatches over 1000 streams ({overflows} capped seedings) in {elapsed:.2f}s",
     )
 
 

@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import tempfile
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -181,6 +182,46 @@ class TestLinkerStep:
         linker.step(3, [])
         pruned = [rec for rec in linker.audit_log if rec.outcome == "pruned"]
         assert len(pruned) == 1 and pruned[0].t_start == 2
+
+    def test_wide_frame_seeds_at_most_max_tubes_per_class(self):
+        """24 classes of 300 disjoint boxes, then a frame whose boxes match
+        none of them: without audit a frame builds only the seeds the next
+        prune keeps, and the sinks see what an audit linker's see."""
+        t0 = time.perf_counter()
+        cfg = LinkerConfig(window=6, max_tubes=10, alphas=0.0)
+        rng = np.random.default_rng(0)
+
+        def wide_frame(x0, lo, hi):
+            # A 20 x 15 grid of disjoint cells over [x0, x0 + 0.5] x [0, 1];
+            # two-digit scores, so seeds tie and the seed order breaks the ties.
+            cells = [(x0 + 0.025 * (i % 20), (i // 20) / 15) for i in range(300)]
+            return [
+                CandidateBox(c, (x + 0.002, y + 0.002, x + 0.023, y + 1 / 15 - 0.002), s, 0.5)
+                for c in range(24)
+                for (x, y), s in zip(cells, np.round(rng.uniform(lo, hi, 300), 2).tolist())
+            ]
+
+        frames = [(1, wide_frame(0.0, 0.1, 0.4)), (2, wide_frame(0.5, 0.5, 0.99))]
+        frames.append((3, frames[1][1]))  # the kept frame-2 seeds link and emit
+        runs = {}
+        for audit in (False, True):
+            calls = []
+            linker = OnlineLinker(
+                24, cfg, audit=audit, on_tube=lambda *args: calls.append(args[:-1] + (tuple(args[-1]),))
+            )
+            linker.step(*frames[0])
+            linker.step(*frames[1])
+            per_class = Counter(tb.class_id for tb in linker.live_tubes())
+            linker.step(*frames[2])
+            linker.finalize()
+            runs[audit] = (per_class, calls, linker.audit_log)
+
+        (bounded, calls, _), (unbounded, audit_calls, audit_log) = runs[False], runs[True]
+        assert set(bounded.values()) == {2 * cfg.max_tubes} and set(unbounded.values()) == {cfg.max_tubes + 300}
+        assert len(calls) == 24 * cfg.max_tubes and calls == audit_calls
+        pruned = Counter((rec.class_id, rec.t_start) for rec in audit_log if rec.outcome == "pruned")
+        assert pruned == {(c, t): n for c in range(24) for t, n in ((1, cfg.max_tubes), (2, 300 - cfg.max_tubes))}
+        assert time.perf_counter() - t0 < 1.0
 
     def test_tube_completes_after_window_unlinked_frames(self):
         cfg = LinkerConfig(window=3, alphas=0.0)
