@@ -6,7 +6,6 @@ import math
 import operator
 import os
 import tempfile
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -187,7 +186,6 @@ class TestLinkerStep:
         """24 classes of 300 disjoint boxes, then a frame whose boxes match
         none of them: without audit a frame builds only the seeds the next
         prune keeps, and the sinks see what an audit linker's see."""
-        t0 = time.perf_counter()
         cfg = LinkerConfig(window=6, max_tubes=10, alphas=0.0)
         rng = np.random.default_rng(0)
 
@@ -221,7 +219,6 @@ class TestLinkerStep:
         assert len(calls) == 24 * cfg.max_tubes and calls == audit_calls
         pruned = Counter((rec.class_id, rec.t_start) for rec in audit_log if rec.outcome == "pruned")
         assert pruned == {(c, t): n for c in range(24) for t, n in ((1, cfg.max_tubes), (2, 300 - cfg.max_tubes))}
-        assert time.perf_counter() - t0 < 1.0
 
     def test_tube_completes_after_window_unlinked_frames(self):
         cfg = LinkerConfig(window=3, alphas=0.0)
