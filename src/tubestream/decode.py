@@ -7,7 +7,10 @@ progress rate).  This module activates those logits, applies the anchor
 decode (sigmoid center offsets inside the owning cell, exponential sizes on
 the anchor prior), composes per-class confidences as
 ``actionness * class_score * progression``, and reduces the result to
-per-class candidate lists via thresholding and greedy NMS.
+per-class candidate lists via thresholding and greedy NMS.  Activations are the
+sigmoid ``1 / (1 + exp(-x))`` and the softmax ``exp(x - max(x))`` normalised over
+classes.  An overflowing ``exp`` gives the limit: sigmoid 0.0 below a logit of about
+-709, class score 0.0 where ``x - max(x)`` overflows, and a box clipped to [0, 1].
 
 Threshold + NMS has one implementation, ``nms_indices``: it takes parallel
 sequences of class ids, confidences and geometry ids into a box table and returns
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from .geometry import Box, box_iou
 
@@ -133,24 +135,23 @@ class CandidateBox:
 def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     """Activate a raw grid and decode every (cell, anchor) slot to a box.
 
-    Pure function: identical inputs produce bit-identical outputs.  Geometry
-    is clamped to the unit square and every box has a positive width and
-    height.  A very negative size logit makes a box narrower than
-    ``MIN_BOX_SIZE``; ``select_candidates`` drops such slots.
+    Pure function: on one host, identical inputs produce bit-identical outputs;
+    numpy picks its ``exp`` routine by CPU features, so another CPU may round an
+    activation 1 ulp differently.  Geometry is clamped to the unit square and every
+    box has a positive width and height.  A very negative size logit makes a box
+    narrower than ``MIN_BOX_SIZE``; ``select_candidates`` drops such slots.
     """
     if len(anchors) != raw.n_anchors:
         raise ValueError(f"anchor set has {len(anchors)} entries, grid declares {raw.n_anchors}")
     s, c = raw.s_cells, raw.n_classes
     v = raw.values
 
-    sig_xy = expit(v[..., ATTR_X : ATTR_Y + 1])
-    act = expit(v[..., ATTR_ACT])
-    cls = softmax(v[..., 5 : 5 + c], axis=-1)
-    prog = expit(v[..., 5 + c : 5 + 2 * c])
-    rate = expit(v[..., 5 + 2 * c : 5 + 3 * c])
-
     prior = np.asarray(anchors.sizes, dtype=np.float64)  # (B, 2)
-    with np.errstate(over="ignore"):  # an infinite half-size clips to the unit square
+    with np.errstate(over="ignore"):  # inf gives each limit; see the module docstring
+        logits = v[..., ATTR_X : ATTR_Y + 1], v[..., ATTR_ACT], v[..., 5 + c : 5 + 2 * c], v[..., 5 + 2 * c :]
+        sig_xy, act, prog, rate = (1.0 / (1.0 + np.exp(-x)) for x in logits)
+        cls = np.exp(v[..., 5 : 5 + c] - v[..., 5 : 5 + c].max(axis=-1, keepdims=True))
+        cls /= cls.sum(axis=-1, keepdims=True)
         half = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s / 2.0  # (S, S, B, 2)
     np.maximum(half, MIN_HALF_SIZE, out=half)
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import per_class_nms
@@ -524,6 +524,7 @@ class TestDecodeOutputParses:
             return n
 
     @given(finite_grids())
+    @example(((1, 1, 2), AnchorSet(((1.0, 1.0),)), np.array([0.0] * 5 + [-1.7e308, 1.7e308] + [0.0] * 4)))
     @settings(max_examples=150, deadline=None)
     def test_any_finite_grid(self, grid):
         self.decode_and_parse(*grid)
@@ -546,6 +547,22 @@ class TestDecodeOutputParses:
             warnings.simplefilter("error")
             geometry = decode_grid(RawGrid(1, 1, 1, values), AnchorSet(((1.0, 1.0),))).geometry
         assert geometry.tolist() == [[[[0.0, 0.0, 1.0, 1.0]]]]
+
+    @pytest.mark.parametrize("logit, limit", [(1000.0, 1.0), (-1000.0, 0.0)])
+    def test_overflowing_activations_are_exact_limits_without_warning(self, logit, limit):
+        # exp(-x) overflows below about -709 and x - max(x) overflows for the two
+        # class logits; each inf gives the exact limit.
+        values = np.zeros(attr_width(2))
+        values[[0, 1, ATTR_ACT, 7, 8, 9, 10]] = logit
+        values[5:7] = -1.7e308, 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = decode_grid(RawGrid(1, 1, 2, values), AnchorSet(((1.0, 1.0),)))
+        assert decoded.actionness.tolist() == [[[limit]]]
+        assert decoded.progression.tolist() == decoded.rates.tolist() == [[[[limit, limit]]]]
+        assert decoded.class_scores.tolist() == [[[[0.0, 1.0]]]]
+        low = 0.5 * limit  # the center is a cell corner; the clipped box is a quarter of the cell
+        assert decoded.geometry.tolist() == [[[[low, low, low + 0.5, low + 0.5]]]]
 
 
 _unit_open_high = st.floats(0.0, 1.0, exclude_max=True)

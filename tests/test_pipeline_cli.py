@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,12 +34,32 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """``python -m tubestream`` in a child process, outside pytest's warning capture."""
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a child process that imports this checkout's
+    ``tubestream``, outside pytest's warning capture."""
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, "-m", "tubestream", *map(str, argv)]
+    command = [sys.executable, *map(str, argv)]
     return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    return run_python("-m", "tubestream", *argv)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Of the modules that importing the package and its CLI adds, only numpy's
+    come from site-packages."""
+    code = """
+        import sys, sysconfig
+        before = set(sys.modules)
+        import tubestream.cli
+        site = (sysconfig.get_path("purelib"), sysconfig.get_path("platlib"))
+        added = [(m, getattr(sys.modules[m], "__file__", None) or "") for m in set(sys.modules) - before]
+        print(sorted({m.split(".")[0] for m, path in added if path.startswith(site)}))
+    """
+    done = run_python("-c", textwrap.dedent(code))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['numpy']\n", "")
 
 
 @pytest.fixture()
@@ -171,6 +192,15 @@ class TestDecodeCli:
         assert (done.returncode, done.stderr) == (0, "")
         [(_, _, box)] = iter_detection_rows(str(out))
         assert box.geometry == (0.0, 0.0, 1.0, 1.0)
+
+    def test_overflowing_class_logits_write_no_warning(self, tmp_path):
+        values = np.zeros(attr_width(2))
+        values[5:7] = -1.7e308, 1.7e308  # x - max(x) overflows; the low class scores 0.0
+        grid_file, out = tmp_path / "g.txt", tmp_path / "d.txt"
+        write_rawgrids(str(grid_file), AnchorSet(((1.0, 1.0),)), [("v", 1, RawGrid(1, 1, 2, values))], (1, 1, 2))
+        done = run_module("decode", "--grids", grid_file, "--out", out)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert out.read_text().splitlines()[-1] == "v 1 1 0 0 1 1 0.25 0.5"
 
 
 class TestFailedStageLeavesNoOutput:
