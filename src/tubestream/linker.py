@@ -64,7 +64,7 @@ def check_range(key: str, value, interval: str) -> None:
         raise ValueError(f"{key} must not be empty")
     lo, hi = (float(end) for end in interval[1:-1].split(", "))
     for v in values:
-        if not isinstance(v, (int, float)):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"{key} must be a number, got {v!r}")
         above = lo < v if interval[0] == "(" else lo <= v
         below = v < hi if interval[-1] == ")" else v <= hi
@@ -343,7 +343,10 @@ def temporal_label_step(
 
 @dataclass(frozen=True)
 class LinkAudit:
-    """Full pre-trim state of a tube at its terminal event (for differential tests)."""
+    """Full pre-trim state of a tube at its terminal event (for differential tests).
+
+    An audited linker builds the same seeds as any other, so a seed that the
+    ``max_tubes`` cap leaves unbuilt leaves no record."""
 
     class_id: int
     seq: int
@@ -385,13 +388,12 @@ class OnlineLinker:
     window and, once, when their tube is emitted.  A frame seeds at most
     ``max_tubes`` tubes per class, from its most confident unmatched boxes:
     the next keep-best prune would drop any other seed before it could link.
-    With ``audit`` a frame after the first seeds every unmatched box, so the
-    log records those prunes.  ``store_factory`` builds a tube's store at
-    its first committed entry labeled 1; the default is a
-    :class:`SpillStore` in the system temp directory, and a factory such as
-    ``lambda: SpillStore(directory)`` chooses another.  ``audit`` keeps
-    every tube's committed entries too and logs a :class:`LinkAudit` per
-    finished tube (for differential tests).
+    ``store_factory`` builds a tube's store at its first committed entry
+    labeled 1; the default is a :class:`SpillStore` in the system temp
+    directory, and a factory such as ``lambda: SpillStore(directory)``
+    chooses another.  ``audit`` changes what the linker records, never what
+    it builds: it keeps every tube's committed entries too and logs a
+    :class:`LinkAudit` per finished tube (for differential tests).
     """
 
     def __init__(
@@ -500,7 +502,7 @@ class OnlineLinker:
                 seq = self._seq
                 self._seq += len(fresh)
                 seeds = range(len(fresh))
-                if len(fresh) > cfg.max_tubes and not keep_history:
+                if len(fresh) > cfg.max_tubes:
                     # The next prune ranks fresh tubes by (-confidence, seq) and
                     # keeps at most max_tubes of them: build only those.
                     seeds = sorted(heapq.nsmallest(cfg.max_tubes, seeds, key=lambda i: -fresh[i].confidence))
@@ -525,9 +527,7 @@ class OnlineLinker:
 
     def live_tubes(self) -> tuple[TubeState, ...]:
         """The tubes not yet finished, by class and then lane order: a snapshot
-        to read, not to modify.  Their ``entries`` need ``audit``.  Without
-        ``audit`` the last frame's seeds that the next prune would drop were
-        never built, so they are not listed."""
+        to read, not to modify.  Their ``entries`` need ``audit``."""
         return tuple(tb for _, _, lane in self._order for tb in lane)
 
     # -- internals ---------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 from hypothesis import strategies as st
 
 from tubestream.decode import CandidateBox, nms_boxes
-from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkerConfig
+from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkAudit, LinkerConfig
 from tubestream.records import ANNOTATIONS_HEADER, DETECTIONS_HEADER, RAWGRID_HEADER, TUBES_HEADER
 from tubestream.tubes import DetectionStream
 
@@ -51,6 +53,26 @@ def random_stream(seed: int, max_frames: int = 30, max_boxes: int = 5) -> tuple[
         score_floor=1e-3,
     )
     return stream, n_classes, config
+
+
+def built_audit(audits: list[LinkAudit], first_frame: int | None, max_tubes: int) -> list[LinkAudit]:
+    """The reference linker's audit records minus the seeds that a linker
+    never builds.  After the first frame a frame seeds at most ``max_tubes``
+    tubes per class, the first by (-confidence, seed order), because the next
+    keep-best prune ranks one frame's seeds that way and keeps at most
+    ``max_tubes`` of them.  Each dropped record must be such a one-frame
+    tube: pruned at the next step, or emptied at ``finalize``.
+    ``first_frame`` is None for a stream with no frames."""
+    seeds = defaultdict(list)
+    for rec in audits:
+        if rec.t_start > first_frame:
+            seeds[rec.class_id, rec.t_start].append(rec)
+    unbuilt = set()
+    for group in seeds.values():
+        for rec in sorted(group, key=lambda r: (-r.scores[0], r.seq))[max_tubes:]:
+            assert rec.frames == (rec.t_start,) and rec.outcome in ("pruned", "empty"), rec
+            unbuilt.add(rec.seq)
+    return [rec for rec in audits if rec.seq not in unbuilt]
 
 
 def chain_frames(n_frames: int, rates, scores=None, box=(0.2, 0.2, 0.6, 0.6), class_id: int = 0):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_frames, per_class_nms, random_stream
+from helpers import built_audit, chain_frames, per_class_nms, random_stream
 from tubestream import linker as linker_module
 from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
@@ -184,8 +184,8 @@ class TestLinkerStep:
 
     def test_wide_frame_seeds_at_most_max_tubes_per_class(self):
         """24 classes of 300 disjoint boxes, then a frame whose boxes match
-        none of them: without audit a frame builds only the seeds the next
-        prune keeps, and the sinks see what an audit linker's see."""
+        none of them: a frame builds only the seeds the next prune keeps, and
+        the audit log is the reference's without the seeds left unbuilt."""
         cfg = LinkerConfig(window=6, max_tubes=10, alphas=0.0)
         rng = np.random.default_rng(0)
 
@@ -201,24 +201,25 @@ class TestLinkerStep:
 
         frames = [(1, wide_frame(0.0, 0.1, 0.4)), (2, wide_frame(0.5, 0.5, 0.99))]
         frames.append((3, frames[1][1]))  # the kept frame-2 seeds link and emit
-        runs = {}
-        for audit in (False, True):
-            calls = []
-            linker = OnlineLinker(
-                24, cfg, audit=audit, on_tube=lambda *args: calls.append(args[:-1] + (tuple(args[-1]),))
-            )
-            linker.step(*frames[0])
-            linker.step(*frames[1])
-            per_class = Counter(tb.class_id for tb in linker.live_tubes())
-            linker.step(*frames[2])
-            linker.finalize()
-            runs[audit] = (per_class, calls, linker.audit_log)
+        calls = []
+        linker = OnlineLinker(24, cfg, audit=True, on_tube=lambda *args: calls.append(args[:-1] + (tuple(args[-1]),)))
+        linker.step(*frames[0])
+        linker.step(*frames[1])
+        per_class = Counter(tb.class_id for tb in linker.live_tubes())
+        linker.step(*frames[2])
+        linker.finalize()
 
-        (bounded, calls, _), (unbounded, audit_calls, audit_log) = runs[False], runs[True]
-        assert set(bounded.values()) == {2 * cfg.max_tubes} and set(unbounded.values()) == {cfg.max_tubes + 300}
-        assert len(calls) == 24 * cfg.max_tubes and calls == audit_calls
-        pruned = Counter((rec.class_id, rec.t_start) for rec in audit_log if rec.outcome == "pruned")
-        assert pruned == {(c, t): n for c in range(24) for t, n in ((1, cfg.max_tubes), (2, 300 - cfg.max_tubes))}
+        want, want_audit = oracle_link(DetectionStream("video", dict(frames)), 24, cfg, collect_audit=True)
+        built = built_audit(want_audit, 1, cfg.max_tubes)
+        assert set(per_class.values()) == {2 * cfg.max_tubes}
+        # Unbuilt per class: 290 seeds at frame 2, and at frame 3 all but 10 of
+        # the 290 boxes the kept frame-2 tubes leave unmatched.
+        assert len(want_audit) - len(built) == 24 * (290 + 280)
+        assert linker.audit_log == built
+        pruned = Counter((rec.class_id, rec.t_start) for rec in linker.audit_log if rec.outcome == "pruned")
+        assert pruned == {(c, 1): cfg.max_tubes for c in range(24)}
+        assert len(calls) == 24 * cfg.max_tubes
+        assert [call[1:4] + call[-1:] for call in calls] == [(w.class_id, w.t_start, w.t_end, w.entries) for w in want]
 
     def test_tube_completes_after_window_unlinked_frames(self):
         cfg = LinkerConfig(window=3, alphas=0.0)

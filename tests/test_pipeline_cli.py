@@ -493,6 +493,9 @@ LINKING_RANGES = [
     ("score_floor", "[0, 1)", (0.0, 1 - 1e-9), (-1e-9, 1.0, 2)),  # 2 used to link nothing, silently
 ]
 RATE_ERRORS = ("rate_errors", "[0, inf)", (0.0, 1e6, (0.0, 2.0)), (-1e-9, math.inf, (0.1, -1.0), ()))
+# Every range-checked setting of the run's settings, and one of a scenario's.
+CHECKED_SETTINGS = [(cls, key) for cls in (LinkerConfig, RunConfig) for key in cls.RANGES]
+CHECKED_SETTINGS.append((ScenarioSpec, "rate_noise"))
 
 
 def out_of_range(key: str, interval: str, value) -> str:
@@ -532,12 +535,21 @@ class TestSettingsContract:
     @pytest.mark.parametrize("cls", [LinkerConfig, RunConfig])
     @pytest.mark.parametrize(
         "key, value",
-        [("window", 2.5), ("max_tubes", 1.5), ("window", True), ("max_tubes", True), ("window", 2.0), ("max_tubes", 2.0)],
+        [("window", 2.5), ("max_tubes", 1.5), ("window", 2.0), ("max_tubes", 2.0)],
     )
     def test_integer_setting_must_be_an_int(self, cls, key, value):
         # Each value lies in [1, inf); the linker would compare frame gaps against it.
         with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be an integer, got {value!r}") + "$"):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("cls, key", CHECKED_SETTINGS, ids=[f"{c.__name__}-{k}" for c, k in CHECKED_SETTINGS])
+    def test_boolean_setting_is_not_a_number(self, cls, key):
+        # isinstance(True, int) holds, but a JSON config rejects booleans, and so does the library.
+        required = {"n_frames": 10, "n_classes": 1, "tracks": ()} if cls is ScenarioSpec else {}
+        for value in (True, False, (True,)):
+            got = value[0] if isinstance(value, tuple) else value
+            with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be a number, got {got!r}") + "$"):
+                cls(**{**required, key: value})
 
     @pytest.mark.parametrize(
         "cls, required",

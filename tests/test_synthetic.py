@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_stream
+from helpers import built_audit, random_stream
 from tubestream.linker import LinkerConfig, OnlineLinker, alpha_from_training_error
 from tubestream.synthetic import (
     ScenarioSpec,
@@ -223,7 +223,7 @@ class TestOracleLink:
             linker.step(t, stream.boxes_at(t))
         got = linker.finalize()
         want, want_audit = oracle_link(stream, n_classes, cfg, collect_audit=True)
-        return got, linker.audit_log, want, want_audit
+        return got, linker.audit_log, want, built_audit(want_audit, min(stream.frames, default=None), cfg.max_tubes)
 
     def assert_equal(self, got, got_audit, want, want_audit):
         assert len(got) == len(want)
@@ -246,6 +246,9 @@ class TestOracleLink:
         stream = DetectionStream(video_id="empty", frames={1: [], 2: [], 3: []})
         got, _, want, _ = self.link_both(stream, 1, LinkerConfig())
         assert got == [] and want == []
+
+    def test_stream_without_frames_both_empty(self):
+        assert self.link_both(DetectionStream(video_id="none"), 1, LinkerConfig()) == ([], [], [], [])
 
     def test_randomized_differential(self):
         for seed in range(250):
