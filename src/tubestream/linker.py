@@ -187,13 +187,12 @@ class SpillStore:
 
 
 class TubeState:
-    """A live tube: committed entries, the mutable trailing window, counters.
+    """A live tube: a summary of its committed entries, the mutable trailing window, counters.
 
     ``first_labeled``, ``last_labeled``, ``labeled_sum`` and ``n_labeled``
     summarize the committed entries labeled 1, in commit order, and ``store``
     holds their (frame, box) pairs; it is ``None`` until the first of them.
-    Committed labels never change, so the summary stays exact.  ``history``
-    keeps every committed entry when ``keep_history`` is set (audit mode).
+    Committed labels never change, so the summary stays exact.
     """
 
     __slots__ = (
@@ -202,7 +201,6 @@ class TubeState:
         "t_start",
         "t_end",
         "store",
-        "history",
         "window",
         "n_up",
         "n_down",
@@ -224,14 +222,12 @@ class TubeState:
         score: float,
         rate: float,
         seq: int = 0,
-        keep_history: bool = True,
     ):
         self.class_id = class_id
         self.seq = seq
         self.t_start = frame
         self.t_end = frame
         self.store: SpillStore | None = None
-        self.history: list[TubeEntry] | None = [] if keep_history else None
         self.window: list[TubeEntry] = [TubeEntry(frame, box, score, rate, 0)]
         self.n_up = 0
         self.n_down = 0
@@ -247,13 +243,6 @@ class TubeState:
     @property
     def avg_score(self) -> float:
         return self.score_sum / self.n_linked
-
-    @property
-    def entries(self) -> list[TubeEntry]:
-        """Every entry of the tube, committed ones first; needs ``history``."""
-        if self.history is None:
-            raise ValueError("a tube keeps its committed entries only with keep_history (audit mode)")
-        return self.history + self.window
 
     def commit_through(self, frame: int, new_store: Callable[[], SpillStore]) -> None:
         """Move entries at or before ``frame`` out of the mutable window; those
@@ -272,8 +261,6 @@ class TubeState:
                 self.labeled_sum += e.score
                 self.n_labeled += 1
                 self.store.append(e)
-        if self.history is not None:
-            self.history += window[:n]
         del window[:n]
 
 
@@ -341,25 +328,6 @@ def temporal_label_step(
             e.label = 1
 
 
-@dataclass(frozen=True)
-class LinkAudit:
-    """Full pre-trim state of a tube at its terminal event (for differential tests).
-
-    An audited linker builds the same seeds as any other, so a seed that the
-    ``max_tubes`` cap leaves unbuilt leaves no record."""
-
-    class_id: int
-    seq: int
-    t_start: int
-    frames: tuple[int, ...]
-    boxes: tuple[Box, ...]
-    scores: tuple[float, ...]
-    rates: tuple[float, ...]
-    labels: tuple[int, ...]
-    avg_score: float
-    outcome: str  # "emitted" | "empty" | "pruned"
-
-
 TubeSink = Callable[[str, int, int, int, float, int, Iterator[tuple[int, Box]]], None]
 
 
@@ -391,9 +359,8 @@ class OnlineLinker:
     ``store_factory`` builds a tube's store at its first committed entry
     labeled 1; the default is a :class:`SpillStore` in the system temp
     directory, and a factory such as ``lambda: SpillStore(directory)``
-    chooses another.  ``audit`` changes what the linker records, never what
-    it builds: it keeps every tube's committed entries too and logs a
-    :class:`LinkAudit` per finished tube (for differential tests).
+    chooses another.  The linker keeps no record of finished tubes; the
+    differential tests watch it through ``AuditedLinker`` (``tests/helpers.py``).
     """
 
     def __init__(
@@ -403,10 +370,9 @@ class OnlineLinker:
         video_id: str = "video",
         store_factory: Callable[[], SpillStore] | None = None,
         on_tube: TubeSink | None = None,
-        audit: bool = False,
     ):
-        if n_classes is not None and n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+        if n_classes is not None and (type(n_classes) is not int or n_classes < 1):
+            raise ValueError(f"n_classes must be an integer >= 1, got {n_classes!r}")
         self.config = config if config is not None else LinkerConfig()
         self.video_id = video_id
         self.n_classes = n_classes
@@ -419,7 +385,6 @@ class OnlineLinker:
         self._head: int | None = None
         self._seq = 0
         self._results: list[FinalTube] = []
-        self.audit_log: list[LinkAudit] | None = [] if audit else None
         self._finalized = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -430,6 +395,8 @@ class OnlineLinker:
         rejected leaves the linker unchanged."""
         if self._finalized:
             raise SequencingError("linker already finalized")
+        if type(frame) is not int or not FRAME_MIN <= frame <= FRAME_MAX:
+            raise ValueError(f"frame {frame!r} is not an integer in [{FRAME_MIN}, {FRAME_MAX}]")
         if self._head is not None and frame <= self._head:
             raise SequencingError(f"frame {frame} not after stream head {self._head}")
 
@@ -457,7 +424,6 @@ class OnlineLinker:
         window = cfg.window
         horizon = frame - window
         new_store = self._store_factory
-        keep_history = self.audit_log is not None
         for class_id, alpha, lane in self._order:
             remaining = by_class.get(class_id)
             if first:
@@ -466,9 +432,7 @@ class OnlineLinker:
                     key=lambda b: -b.confidence,
                 )
                 for bx in eligible[: cfg.max_tubes]:
-                    lane.append(
-                        TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq, keep_history)
-                    )
+                    lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq))
                     self._seq += 1
                 continue
 
@@ -508,9 +472,7 @@ class OnlineLinker:
                     seeds = sorted(heapq.nsmallest(cfg.max_tubes, seeds, key=lambda i: -fresh[i].confidence))
                 for i in seeds:
                     bx = fresh[i]
-                    lane.append(
-                        TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, seq + i, keep_history)
-                    )
+                    lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, seq + i))
 
         return self._results[emitted_before:]
 
@@ -527,7 +489,7 @@ class OnlineLinker:
 
     def live_tubes(self) -> tuple[TubeState, ...]:
         """The tubes not yet finished, by class and then lane order: a snapshot
-        to read, not to modify.  Their ``entries`` need ``audit``."""
+        to read, not to modify."""
         return tuple(tb for _, _, lane in self._order for tb in lane)
 
     # -- internals ---------------------------------------------------------
@@ -566,26 +528,8 @@ class OnlineLinker:
                             best_score = conf
         return best
 
-    def _audit_tube(self, tube: TubeState, outcome: str) -> None:
-        entries = tube.entries
-        self.audit_log.append(
-            LinkAudit(
-                class_id=tube.class_id,
-                seq=tube.seq,
-                t_start=tube.t_start,
-                frames=tuple(e.frame for e in entries),
-                boxes=tuple(e.box for e in entries),
-                scores=tuple(e.score for e in entries),
-                rates=tuple(e.rate for e in entries),
-                labels=tuple(e.label for e in entries),
-                avg_score=tube.avg_score,
-                outcome=outcome,
-            )
-        )
-
+    # Tests audit the linker through ``_retire`` and ``_emit`` (``tests/helpers.py``).
     def _retire(self, tube: TubeState, outcome: str) -> None:
-        if self.audit_log is not None:
-            self._audit_tube(tube, outcome)
         if tube.store is not None:
             tube.store.discard()
 
@@ -602,8 +546,6 @@ class OnlineLinker:
         if count == 0:
             self._retire(tube, "empty")
             return
-        if self.audit_log is not None:
-            self._audit_tube(tube, "emitted")
         store = tube.store
         score = score_sum / count
         kept = ((e.frame, e.box) for e in tube.window if e.label)

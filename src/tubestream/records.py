@@ -3,10 +3,11 @@
 Every file is ASCII text: a one-line versioned header, then one record per
 non-empty line, its fields separated by single spaces.  Frame numbers are
 integers in ``[-2**63, 2**63)``, what the linker's spill record holds.  A bad
-record fails with its file and line.  Numbers are serialized with 9
-significant digits (``%.9g``), which round-trips exactly through binary64, so
-``serialize(parse(file)) == file`` for canonical files and pipeline outputs
-are bit-checkable.
+record fails with its file and line.  Readers accept any number spelling
+that ``int()`` or ``float()`` accepts in a field (``01``, ``+2``, ``1_0``, tab
+or vertical-tab padding); writers emit only ``%d`` and ``%.9g``, whose 9
+significant digits round-trip binary64 exactly.  So pipeline outputs are
+bit-checkable; ``serialize(parse(file)) == file`` for canonical files only.
 
 Detections (one candidate box per line, frames non-decreasing inside a
 video, each video one contiguous block)::

@@ -30,8 +30,8 @@ import numpy as np
 
 from .config import json_settings
 from .decode import MIN_BOX_SIZE, CandidateBox
-from .geometry import box_iou
-from .linker import LinkAudit, LinkerConfig, check_range
+from .geometry import Box, box_iou
+from .linker import LinkerConfig, check_range
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 
@@ -200,6 +200,23 @@ def generate(spec: ScenarioSpec) -> tuple[DetectionStream, list[GroundTruthTube]
 # ---------------------------------------------------------------------------
 # Reference linkers (differential oracles).
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinkAudit:
+    """Full pre-trim state of a tube at its terminal event, as the reference linker
+    and ``AuditedLinker`` in ``tests/helpers.py`` log it (for differential tests)."""
+
+    class_id: int
+    seq: int
+    t_start: int
+    frames: tuple[int, ...]
+    boxes: tuple[Box, ...]
+    scores: tuple[float, ...]
+    rates: tuple[float, ...]
+    labels: tuple[int, ...]
+    avg_score: float
+    outcome: str  # "emitted" | "empty" | "pruned"
 
 
 def _iou(a, b):

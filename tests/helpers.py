@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tubestream.decode import CandidateBox, nms_boxes
-from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkAudit, LinkerConfig
+from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkerConfig, OnlineLinker, TubeEntry, TubeState
 from tubestream.records import ANNOTATIONS_HEADER, DETECTIONS_HEADER, RAWGRID_HEADER, TUBES_HEADER
+from tubestream.synthetic import LinkAudit
 from tubestream.tubes import DetectionStream
 
 HEADERS = {"det": DETECTIONS_HEADER, "tubes": TUBES_HEADER, "ann": ANNOTATIONS_HEADER, "grids": RAWGRID_HEADER}
@@ -53,6 +54,56 @@ def random_stream(seed: int, max_frames: int = 30, max_boxes: int = 5) -> tuple[
         score_floor=1e-3,
     )
     return stream, n_classes, config
+
+
+class AuditedLinker(OnlineLinker):
+    """An ``OnlineLinker`` that also logs a ``LinkAudit`` per finished tube, in
+    the order tubes finish, and reads every entry of a live tube.  It only
+    watches: after each step it keeps each live tube's window entries newer
+    than those it holds.  They are the linker's own ``TubeEntry`` objects, so
+    their labels are final by the time the tube finishes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.audit_log: list[LinkAudit] = []
+        self._entries: dict[int, list[TubeEntry]] = {}
+
+    def step(self, frame, boxes):
+        done = super().step(frame, boxes)
+        for tube in self.live_tubes():
+            held = self._entries.setdefault(tube.seq, [])
+            held += [e for e in tube.window if not held or e.frame > held[-1].frame]
+        return done
+
+    def entries(self, tube: TubeState) -> list[TubeEntry]:
+        """Every entry of a live tube, committed ones first."""
+        return self._entries[tube.seq]
+
+    def _retire(self, tube: TubeState, outcome: str) -> None:
+        self._log(tube, outcome)
+        super()._retire(tube, outcome)
+
+    def _emit(self, tube: TubeState) -> None:
+        if any(e.label for e in self._entries[tube.seq]):
+            self._log(tube, "emitted")
+        super()._emit(tube)  # an empty tube goes on to ``_retire``
+
+    def _log(self, tube: TubeState, outcome: str) -> None:
+        entries = self._entries.pop(tube.seq)
+        self.audit_log.append(
+            LinkAudit(
+                class_id=tube.class_id,
+                seq=tube.seq,
+                t_start=tube.t_start,
+                frames=tuple(e.frame for e in entries),
+                boxes=tuple(e.box for e in entries),
+                scores=tuple(e.score for e in entries),
+                rates=tuple(e.rate for e in entries),
+                labels=tuple(e.label for e in entries),
+                avg_score=tube.avg_score,
+                outcome=outcome,
+            )
+        )
 
 
 def built_audit(audits: list[LinkAudit], first_frame: int | None, max_tubes: int) -> list[LinkAudit]:

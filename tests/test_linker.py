@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import built_audit, chain_frames, per_class_nms, random_stream
+from helpers import AuditedLinker, built_audit, chain_frames, per_class_nms, random_stream
 from tubestream import linker as linker_module
 from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
 from tubestream.linker import (
+    FRAME_MIN,
     LinkerConfig,
     OnlineLinker,
     SequencingError,
@@ -68,7 +69,7 @@ def fresh_tube(score=0.1, rate=0.1, frame=1):
 
 
 def labels(tube):
-    return [e.label for e in tube.entries]
+    return [e.label for e in tube.window]
 
 
 class TestTemporalLabelStep:
@@ -161,7 +162,7 @@ class TestLinkerStep:
         b = (0.2333, 0.1, 0.4333, 0.3)  # IoU vs a = 0.2 < gate
         assert box_iou(a, b) == pytest.approx(0.2, abs=1e-3)
         assert box_iou(a, b) < cfg.iou_gate
-        linker = OnlineLinker(1, cfg, audit=True)
+        linker = AuditedLinker(1, cfg)
         linker.step(1, [CandidateBox(0, a, 0.9, 0.1)])
         linker.step(2, [CandidateBox(0, b, 0.8, 0.2)])
         linker.finalize()
@@ -171,7 +172,7 @@ class TestLinkerStep:
     def test_keep_m_drops_weaker_live_tube(self):
         cfg = LinkerConfig(iou_gate=0.3, window=6, max_tubes=1, alphas=1.0)
         strong, weak = (0.1, 0.1, 0.3, 0.3), (0.6, 0.6, 0.9, 0.9)
-        linker = OnlineLinker(1, cfg, audit=True)
+        linker = AuditedLinker(1, cfg)
         linker.step(1, [CandidateBox(0, strong, 0.9, 0.1), CandidateBox(0, weak, 0.4, 0.1)])
         # Only the best box seeds at the first frame under max_tubes=1.
         assert len(linker.audit_log) == 0
@@ -202,7 +203,7 @@ class TestLinkerStep:
         frames = [(1, wide_frame(0.0, 0.1, 0.4)), (2, wide_frame(0.5, 0.5, 0.99))]
         frames.append((3, frames[1][1]))  # the kept frame-2 seeds link and emit
         calls = []
-        linker = OnlineLinker(24, cfg, audit=True, on_tube=lambda *args: calls.append(args[:-1] + (tuple(args[-1]),)))
+        linker = AuditedLinker(24, cfg, on_tube=lambda *args: calls.append(args[:-1] + (tuple(args[-1]),)))
         linker.step(*frames[0])
         linker.step(*frames[1])
         per_class = Counter(tb.class_id for tb in linker.live_tubes())
@@ -243,7 +244,7 @@ class TestLinkerStep:
     def test_greedy_exclusivity_no_box_linked_twice(self):
         for seed in range(25):
             stream, n_classes, cfg = random_stream(seed)
-            linker = OnlineLinker(n_classes, cfg, audit=True)
+            linker = AuditedLinker(n_classes, cfg)
             for t in stream.ordered_frames():
                 linker.step(t, stream.boxes_at(t))
             linker.finalize()
@@ -256,23 +257,33 @@ class TestLinkerStep:
                     assert key not in used, f"box linked twice (seed {seed})"
                     used[key] = rec.seq
 
-    @pytest.mark.parametrize("bad_frame", [1, 2])
+    @pytest.mark.parametrize("at", [1, 2])
     @pytest.mark.parametrize(
-        "n_classes, alphas, bad_class", [(None, (0.5, 0.5), 3), (2, 0.5, 2), (None, 0.5, -1)]
+        "n_classes, alphas, bad_class, bad_frame",
+        [(None, (0.5, 0.5), 3, None), (2, 0.5, 2, None), (None, 0.5, -1, None)]
+        + [(None, 0.5, None, frame) for frame in (3.0, True, 2**63, FRAME_MIN - 1)],
     )
-    def test_rejected_frame_leaves_linker_unchanged(self, n_classes, alphas, bad_class, bad_frame):
+    def test_rejected_frame_leaves_linker_unchanged(self, n_classes, alphas, bad_class, bad_frame, at):
         cfg = LinkerConfig(window=2, alphas=alphas)
         frames = chain_frames(6, [0.1 * t for t in range(1, 7)], scores=[0.9] * 6)
-        linker = OnlineLinker(n_classes, cfg, audit=True)
+        linker = AuditedLinker(n_classes, cfg)
         for t, boxes in frames:
-            if t == bad_frame:
+            if t == at and bad_frame is None:
                 with pytest.raises(ValueError, match=f"class {bad_class}"):
                     linker.step(t, boxes + [CandidateBox(bad_class, BOX, 0.9, 0.5)])
+            elif t == at:
+                with pytest.raises(ValueError, match=f"frame {bad_frame!r} is not an integer"):
+                    linker.step(bad_frame, boxes)
             linker.step(t, boxes)
-        clean = OnlineLinker(n_classes, cfg, audit=True)
+        clean = AuditedLinker(n_classes, cfg)
         for t, boxes in frames:
             clean.step(t, boxes)
         assert (linker.finalize(), linker.audit_log) == (clean.finalize(), clean.audit_log)
+
+    @pytest.mark.parametrize("n_classes", [0, True, 1.5])
+    def test_n_classes_must_be_a_positive_int(self, n_classes):
+        with pytest.raises(ValueError, match=f"n_classes must be an integer >= 1, got {n_classes!r}"):
+            OnlineLinker(n_classes)
 
     def test_determinism_including_tie_breaks(self):
         box = (0.1, 0.1, 0.3, 0.3)
@@ -283,7 +294,7 @@ class TestLinkerStep:
         ]
         runs = []
         for _ in range(2):
-            linker = OnlineLinker(1, LinkerConfig(window=2, alphas=0.4), audit=True)
+            linker = AuditedLinker(1, LinkerConfig(window=2, alphas=0.4))
             for t, boxes in frames:
                 linker.step(t, boxes)
             runs.append((linker.finalize(), linker.audit_log))
@@ -537,7 +548,7 @@ class TestStores:
     def test_spill_store_cleans_up_files(self, monkeypatch):
         # The default store of a tube past one chunk closes its file when the tube is pruned.
         files = count_temp_files(monkeypatch)
-        linker = OnlineLinker(config=LinkerConfig(alphas=1.0, max_tubes=1), audit=True)
+        linker = AuditedLinker(config=LinkerConfig(alphas=1.0, max_tubes=1))
         for t, boxes in chain_stream_frames(2_000):
             linker.step(t, boxes)
         # A more confident tube away from the chain outranks it, so the chain is pruned.
@@ -593,12 +604,12 @@ class TestOnlineContract:
     def test_committed_labels_never_change(self):
         for seed in range(30):
             stream, n_classes, cfg = random_stream(seed)
-            linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
+            linker = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
             committed: dict[tuple, int] = {}
             for t in stream.ordered_frames():
                 linker.step(t, stream.boxes_at(t))
                 for tube in linker.live_tubes():
-                    for entry in tube.entries:
+                    for entry in linker.entries(tube):
                         if entry.frame <= t - cfg.window:
                             key = (tube.seq, entry.frame)
                             if key in committed:
@@ -610,18 +621,18 @@ class TestOnlineContract:
     def test_prefix_run_reproduces_committed_labels(self):
         stream, n_classes, cfg = random_stream(11, max_frames=25)
         frames = stream.ordered_frames()
-        full = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
+        full = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
         snapshots = {}
         for t in frames:
             full.step(t, stream.boxes_at(t))
             snapshots[t] = {
                 (tube.seq, e.frame): e.label
                 for tube in full.live_tubes()
-                for e in tube.entries
+                for e in full.entries(tube)
                 if e.frame <= t - cfg.window
             }
         for cut in frames[:: max(1, len(frames) // 5)]:
-            prefix = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
+            prefix = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
             for t in frames:
                 if t > cut:
                     break
@@ -629,21 +640,10 @@ class TestOnlineContract:
             got = {
                 (tube.seq, e.frame): e.label
                 for tube in prefix.live_tubes()
-                for e in tube.entries
+                for e in prefix.entries(tube)
                 if e.frame <= cut - cfg.window
             }
             assert got == snapshots[cut]
-
-    def test_live_tubes_without_audit_hide_committed_entries(self):
-        linker = OnlineLinker(1, LinkerConfig(window=2, alphas=1.0))
-        for t, boxes in chain_stream_frames(10):
-            linker.step(t, boxes)
-        (tube,) = linker.live_tubes()
-        assert tube.history is None and tube.n_labeled > 0
-        with pytest.raises(ValueError, match="audit"):
-            tube.entries
-        linker.finalize()
-        assert linker.live_tubes() == ()
 
 
 class TestRunLinkOracle:

@@ -143,6 +143,17 @@ class TestLinkCli:
         assert len(err) == 1 and err[0].startswith("error:") and "class 3" in err[0]
         assert not tubes.exists()
 
+    @pytest.mark.parametrize("spool", ["missing", "file"])
+    def test_spool_dir_that_is_not_a_directory_is_an_error_line(self, tmp_path, capsys, spool):
+        det, tubes, spool_dir = tmp_path / "d.txt", tmp_path / "t.txt", tmp_path / spool
+        det.write_text(HEADERS["det"] + "\n" + "\n".join(valid_records("det")) + "\n")
+        if spool == "file":
+            spool_dir.write_text("")
+        assert run_cli("link", "--detections", det, "--tubes", tubes, "--spool-dir", spool_dir) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(spool_dir) in err[0]
+        assert not tubes.exists()
+
     def test_missing_required_paths(self, capsys):
         assert run_cli("link") == 2
 

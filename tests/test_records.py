@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GRID_PREAMBLE, HEADERS, hostile_files
+from helpers import GRID_PREAMBLE, HEADERS, hostile_files, valid_records
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import FRAME_MAX, FRAME_MIN, SequencingError
 from tubestream.config import RunConfig
@@ -66,6 +66,23 @@ class TestDetections:
             for row in iter_detection_rows(str(path)):
                 writer.add(*row)
         assert path2.read_bytes() == first
+
+    def test_lenient_spellings_read_as_their_canonical_twin(self, tmp_path):
+        # A reader takes any spelling int() and float() take inside a field;
+        # the writers emit only canonical numbers, so both files link to the same bytes.
+        def spelled(record):
+            video_id, frame, class_id, *values = record.split(" ")
+            frame = f"+{frame[0]}_{frame[1:]}" if len(frame) > 1 else f"0{frame}"
+            return " ".join([video_id, frame, f"+0{class_id}", *(f"\t{v}\x0b" for v in values)])
+
+        canonical, lenient = tmp_path / "canonical.txt", tmp_path / "lenient.txt"
+        records = valid_records("det")
+        canonical.write_text(DETECTIONS_HEADER + "\n" + "".join(r + "\n" for r in records))
+        lenient.write_text(DETECTIONS_HEADER + "\n" + "".join(spelled(r) + "\n" for r in records))
+        assert list(iter_detection_rows(str(lenient))) == list(iter_detection_rows(str(canonical)))
+        assert run_link(RunConfig(), str(canonical), str(tmp_path / "t1.txt")) > 0
+        run_link(RunConfig(), str(lenient), str(tmp_path / "t2.txt"))
+        assert (tmp_path / "t2.txt").read_bytes() == (tmp_path / "t1.txt").read_bytes()
 
     def test_three_video_fixture_counts(self, tmp_path):
         path = tmp_path / "d.txt"

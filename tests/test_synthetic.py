@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import built_audit, random_stream
+from helpers import AuditedLinker, built_audit, random_stream
 from tubestream.linker import LinkerConfig, OnlineLinker, alpha_from_training_error
 from tubestream.synthetic import (
     ScenarioSpec,
@@ -218,7 +218,7 @@ class TestScenarioChecks:
 
 class TestOracleLink:
     def link_both(self, stream, n_classes, cfg):
-        linker = OnlineLinker(n_classes, cfg, video_id=stream.video_id, audit=True)
+        linker = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
         for t in stream.ordered_frames():
             linker.step(t, stream.boxes_at(t))
         got = linker.finalize()
