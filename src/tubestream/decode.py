@@ -19,7 +19,7 @@ slots as ids and builds a ``CandidateBox`` per survivor only; ``link`` passes ea
 frame's boxes through ``nms_frame``.  Large classes share one mirrored overlap matrix
 of bitmask rows.
 
-Attribute layout along the last tensor axis::
+Attribute layout along the last tensor axis, sliced only by ``split_attributes``::
 
     [x, y, w, h, actionness, class_0..C-1, progression_0..C-1, rate_0..C-1]
 """
@@ -58,6 +58,15 @@ MIN_HALF_SIZE = 1e-15
 
 def attr_width(n_classes: int) -> int:
     return 5 + 3 * n_classes
+
+
+def split_attributes(tensor: np.ndarray, n_classes: int):
+    """Views of the blocks of the last axis, in layout order: box ``(x, y, w, h)``,
+    actionness (that axis dropped), class scores, progression and rates.  The one
+    place the layout is sliced; writing through a view writes ``tensor``."""
+    c = n_classes
+    box, act = tensor[..., ATTR_X : ATTR_H + 1], tensor[..., ATTR_ACT]
+    return box, act, tensor[..., 5 : 5 + c], tensor[..., 5 + c : 5 + 2 * c], tensor[..., 5 + 2 * c : 5 + 3 * c]
 
 
 @dataclass(frozen=True)
@@ -143,16 +152,15 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     """
     if len(anchors) != raw.n_anchors:
         raise ValueError(f"anchor set has {len(anchors)} entries, grid declares {raw.n_anchors}")
-    s, c = raw.s_cells, raw.n_classes
-    v = raw.values
+    s = raw.s_cells
+    box, act, cls, prog, rate = split_attributes(raw.values, raw.n_classes)
 
     prior = np.asarray(anchors.sizes, dtype=np.float64)  # (B, 2)
     with np.errstate(over="ignore"):  # inf gives each limit; see the module docstring
-        logits = v[..., ATTR_X : ATTR_Y + 1], v[..., ATTR_ACT], v[..., 5 + c : 5 + 2 * c], v[..., 5 + 2 * c :]
-        sig_xy, act, prog, rate = (1.0 / (1.0 + np.exp(-x)) for x in logits)
-        cls = np.exp(v[..., 5 : 5 + c] - v[..., 5 : 5 + c].max(axis=-1, keepdims=True))
+        sig_xy, act, prog, rate = (1.0 / (1.0 + np.exp(-x)) for x in (box[..., :2], act, prog, rate))
+        cls = np.exp(cls - cls.max(axis=-1, keepdims=True))
         cls /= cls.sum(axis=-1, keepdims=True)
-        half = prior * np.exp(v[..., ATTR_W : ATTR_H + 1]) / s / 2.0  # (S, S, B, 2)
+        half = prior * np.exp(box[..., 2:]) / s / 2.0  # (S, S, B, 2)
     np.maximum(half, MIN_HALF_SIZE, out=half)
 
     grid_x = np.arange(s, dtype=np.float64)[None, :, None]

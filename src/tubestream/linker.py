@@ -72,6 +72,17 @@ def check_range(key: str, value, interval: str) -> None:
             raise ValueError(f"{key} must lie in {interval}, got {v!r}")
 
 
+def check_settings(settings) -> None:
+    """The one check of a settings dataclass, run when it is built: each value
+    must lie in its class's ``RANGES`` interval (``check_range``), and a field
+    annotated ``int`` must be an ``int`` (not a ``bool``)."""
+    for key, interval in settings.RANGES.items():
+        check_range(key, getattr(settings, key), interval)
+    for f in fields(settings):
+        if f.type == "int" and type(getattr(settings, f.name)) is not int:
+            raise ValueError(f"{f.name} must be an integer, got {getattr(settings, f.name)!r}")
+
+
 # The valid values of each per-class mean progress-rate training error.
 RATE_ERROR_RANGE = "[0, inf)"
 
@@ -89,9 +100,7 @@ def alpha_from_training_error(rate_error: float) -> float:
 
 @dataclass(frozen=True)
 class LinkerConfig:
-    """Settings of the online linker, each checked when built: every value
-    must lie in its ``RANGES`` interval, and a field annotated ``int`` must
-    be an ``int`` (not a ``bool``).
+    """Settings of the online linker, each checked when built by ``check_settings``.
 
     ``alphas`` may be a single float applied to every class or a sequence
     with one entry per class.
@@ -113,11 +122,7 @@ class LinkerConfig:
     }
 
     def __post_init__(self):
-        for key, interval in self.RANGES.items():
-            check_range(key, getattr(self, key), interval)
-        for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        check_settings(self)
 
     def alpha_for(self, class_id: int) -> float:
         if isinstance(self.alphas, (tuple, list)):
@@ -152,10 +157,13 @@ class SpillStore:
     when the first chunk fills; a shorter store never opens one.  It is an
     anonymous ``tempfile.TemporaryFile`` in ``directory``, so it never
     outlives its store, not even when the store is dropped without
-    ``discard`` or the process is killed.
+    ``discard`` or the process is killed.  A ``directory`` that is not one
+    fails when the store is built, not when its first chunk fills.
     """
 
     def __init__(self, directory: str | None = None):
+        if directory is not None and not os.path.isdir(directory):
+            raise NotADirectoryError(f"spool directory {directory!r} is not a directory")
         self._dir = directory
         self._chunk = bytearray()
         self._file = None
@@ -239,10 +247,6 @@ class TubeState:
         self.last_labeled = 0
         self.labeled_sum = 0.0
         self.n_labeled = 0
-
-    @property
-    def avg_score(self) -> float:
-        return self.score_sum / self.n_linked
 
     def commit_through(self, frame: int, new_store: Callable[[], SpillStore]) -> None:
         """Move entries at or before ``frame`` out of the mutable window; those

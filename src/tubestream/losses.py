@@ -1,9 +1,9 @@
 """Training objective for the progress-aware grid detector, as pure numeric kernels.
 
-The loss compares an *activated* attribute grid (same layout the decoder
-produces, see :mod:`tubestream.decode`) against a per-cell/per-anchor target
-assignment.  Five squared-error terms are summed over every cell i and
-anchor j:
+The loss compares an *activated* attribute grid against a per-cell/per-anchor
+target assignment.  The grid has the raw grids' layout, whose one owner is
+:func:`tubestream.decode.split_attributes`: every block is sliced there.  Five
+squared-error terms are summed over every cell i and anchor j:
 
 * ``coord``  - box offsets, only at responsible (i, j) slots;
 * ``conf``   - actionness pulled to 1 at responsible slots and to 0 at
@@ -27,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import ATTR_ACT, ATTR_H, ATTR_W, ATTR_X, AnchorSet, attr_width
+from .decode import ATTR_H, ATTR_W, AnchorSet, attr_width, split_attributes
 from .geometry import shape_iou
+from .linker import check_settings
 from .tubes import GroundTruthTube
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights and the progression negative-mining gate."""
+    """Term weights and the progression negative-mining gate, checked by ``check_settings``."""
 
     coord: float = 5.0
     act: float = 10.0
@@ -44,12 +45,11 @@ class LossWeights:
     rate: float = 5.0
     neg_gate: float = 0.2  # theta: mine progression negatives only where actionness exceeds this
 
+    # Valid values of each setting, in the text ``check_range`` reads.
+    RANGES = dict.fromkeys(("coord", "act", "noact", "cls", "progression", "rate"), "[0, inf)") | {"neg_gate": "[0, 1]"}
+
     def __post_init__(self):
-        for name in ("coord", "act", "noact", "cls", "progression", "rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be non-negative")
-        if not 0.0 <= self.neg_gate <= 1.0:
-            raise ValueError("neg_gate must lie in [0, 1]")
+        check_settings(self)
 
 
 @dataclass
@@ -146,25 +146,21 @@ def build_targets(
     return ta
 
 
-def _split(pred: np.ndarray, c: int):
-    xywh = pred[..., ATTR_X : ATTR_H + 1]
-    act = pred[..., ATTR_ACT]
-    cls = pred[..., 5 : 5 + c]
-    prog = pred[..., 5 + c : 5 + 2 * c]
-    rate = pred[..., 5 + 2 * c : 5 + 3 * c]
-    return xywh, act, cls, prog, rate
+def _inputs(pred: np.ndarray, target: TargetAssignment, weights: LossWeights):
+    """``pred`` as float64 and checked against the target grid, its blocks, and
+    the positive, negative and mined-negative masks."""
+    s, b, c = target.s_cells, target.n_anchors, target.n_classes
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.shape != (s, s, b, attr_width(c)):
+        raise ValueError(f"prediction shape {pred.shape} does not match target grid ({s}, {s}, {b}, {attr_width(c)})")
+    blocks, neg = split_attributes(pred, c), target.noact_mask
+    return pred, blocks, target.act_mask, neg, neg * (blocks[1] > weights.neg_gate)
 
 
 def loss_terms(pred: np.ndarray, target: TargetAssignment, weights: LossWeights) -> LossBreakdown:
     """Evaluate every loss term over the grid; ``pred`` is the activated
     attribute tensor of shape (S, S, B, 5 + 3C)."""
-    s, b, c = target.s_cells, target.n_anchors, target.n_classes
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != (s, s, b, attr_width(c)):
-        raise ValueError(f"prediction shape {pred.shape} does not match target grid ({s}, {s}, {b}, {attr_width(c)})")
-    xywh, act, cls, prog, rate = _split(pred, c)
-    pos, neg = target.act_mask, target.noact_mask
-    gate = neg * (act > weights.neg_gate)
+    _, (xywh, act, cls, prog, rate), pos, neg, gate = _inputs(pred, target, weights)
 
     coord = weights.coord * float(np.sum(pos[..., None] * (xywh - target.target_offsets) ** 2))
     conf = weights.act * float(np.sum(pos * (act - 1.0) ** 2)) + weights.noact * float(np.sum(neg * act**2))
@@ -178,22 +174,15 @@ def loss_terms(pred: np.ndarray, target: TargetAssignment, weights: LossWeights)
 
 def loss_gradient(pred: np.ndarray, target: TargetAssignment, weights: LossWeights) -> np.ndarray:
     """Analytic gradient of the total loss with respect to every predicted attribute."""
-    s, b, c = target.s_cells, target.n_anchors, target.n_classes
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != (s, s, b, attr_width(c)):
-        raise ValueError(f"prediction shape {pred.shape} does not match target grid ({s}, {s}, {b}, {attr_width(c)})")
-    xywh, act, cls, prog, rate = _split(pred, c)
-    pos, neg = target.act_mask, target.noact_mask
-    gate = neg * (act > weights.neg_gate)
+    pred, (xywh, act, cls, prog, rate), pos, neg, gate = _inputs(pred, target, weights)
 
     grad = np.zeros_like(pred)
-    grad[..., ATTR_X : ATTR_H + 1] = 2.0 * weights.coord * pos[..., None] * (xywh - target.target_offsets)
-    grad[..., ATTR_ACT] = 2.0 * weights.act * pos * (act - 1.0) + 2.0 * weights.noact * neg * act
-    grad[..., 5 : 5 + c] = 2.0 * weights.cls * pos[..., None] * (cls - target.target_class)
-    grad[..., 5 + c : 5 + 2 * c] = (
-        2.0 * weights.progression * target.class_act_mask * (prog - 1.0) + 2.0 * gate[..., None] * prog
-    )
-    grad[..., 5 + 2 * c : 5 + 3 * c] = 2.0 * weights.rate * target.class_act_mask * (rate - target.target_rate)
+    g_xywh, g_act, g_cls, g_prog, g_rate = split_attributes(grad, target.n_classes)
+    g_xywh[...] = 2.0 * weights.coord * pos[..., None] * (xywh - target.target_offsets)
+    g_act[...] = 2.0 * weights.act * pos * (act - 1.0) + 2.0 * weights.noact * neg * act
+    g_cls[...] = 2.0 * weights.cls * pos[..., None] * (cls - target.target_class)
+    g_prog[...] = 2.0 * weights.progression * target.class_act_mask * (prog - 1.0) + 2.0 * gate[..., None] * prog
+    g_rate[...] = 2.0 * weights.rate * target.class_act_mask * (rate - target.target_rate)
     return grad
 
 

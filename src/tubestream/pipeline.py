@@ -17,7 +17,6 @@ widest single frame's rows, independent of stream length.
 from __future__ import annotations
 
 import csv
-import os
 from itertools import groupby
 from operator import itemgetter
 
@@ -49,8 +48,7 @@ def run_link(
 ) -> int:
     """Link a detections file into a tubes file, streaming; returns tube count.
     The file appears only when every row linked."""
-    if spool_dir is not None and not os.path.isdir(spool_dir):
-        raise NotADirectoryError(f"spool directory {spool_dir!r} is not a directory")
+    SpillStore(spool_dir)  # checks spool_dir before the output is opened
     count = 0
 
     with records.replaced_on_success(tubes_path) as tmp, records.TubeWriter(tmp) as writer:

@@ -184,11 +184,6 @@ def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
         yield video_id, frame, CandidateBox(class_id, (x1, y1, x2, y2), conf, rate)
 
 
-def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
-    (x1, y1, x2, y2), conf, rate = box.geometry, box.confidence, box.rate
-    return "%s %d %d %.9g %.9g %.9g %.9g %.9g %.9g" % (video_id, frame, box.class_id, x1, y1, x2, y2, conf, rate)
-
-
 class _RecordWriter(AbstractContextManager):
     """A records file with its header written; a ``with`` block closes it."""
 

@@ -31,19 +31,24 @@ import numpy as np
 from .config import json_settings
 from .decode import MIN_BOX_SIZE, CandidateBox
 from .geometry import Box, box_iou
-from .linker import LinkerConfig, check_range
+from .linker import LinkerConfig, check_settings
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 
 @dataclass(frozen=True)
 class TrackSpec:
-    """One scripted action instance: a box sliding from start_box to end_box."""
+    """One scripted action instance: a box sliding from start_box to end_box, checked by ``check_settings``."""
 
     class_id: int
     t_start: int
     t_end: int
     start_box: tuple[float, float, float, float]
     end_box: tuple[float, float, float, float]
+
+    RANGES = dict.fromkeys(("start_box", "end_box"), "[0, 1]")  # as ``check_range`` reads them
+
+    def __post_init__(self):
+        check_settings(self)
 
     @property
     def length(self) -> int:
@@ -84,8 +89,7 @@ class ScenarioSpec:
     }
 
     def __post_init__(self):
-        for key, interval in self.RANGES.items():
-            check_range(key, getattr(self, key), interval)
+        check_settings(self)
         if not self.video_id or " " in self.video_id or not (self.video_id.isascii() and self.video_id.isprintable()):
             raise ValueError(f"video_id must be printable, without whitespace, and ASCII, got {self.video_id!r}")
         if self.periodic and len(self.periodic) != self.n_classes:
@@ -97,7 +101,6 @@ class ScenarioSpec:
                 raise ValueError(f"track class {tr.class_id} out of range")
             for key in ("start_box", "end_box"):
                 box = getattr(tr, key)
-                check_range(key, box, "[0, 1]")
                 if min(box[2] - box[0], box[3] - box[1]) < MIN_BOX_SIZE:
                     raise ValueError(f"{key} {box} is narrower or lower than {MIN_BOX_SIZE:g}")
             for f in range(tr.t_start, tr.t_end):

@@ -100,7 +100,7 @@ class AuditedLinker(OnlineLinker):
                 scores=tuple(e.score for e in entries),
                 rates=tuple(e.rate for e in entries),
                 labels=tuple(e.label for e in entries),
-                avg_score=tube.avg_score,
+                avg_score=tube.score_sum / tube.n_linked,
                 outcome=outcome,
             )
         )
@@ -144,6 +144,12 @@ def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: fl
         for c in classes
         for kept in nms_boxes([bx for bx in boxes if bx.class_id == c and bx.confidence > score_threshold], nms_iou)
     ]
+
+
+def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
+    """A detections row from one format string: the oracle of ``DetectionWriter``."""
+    (x1, y1, x2, y2), conf, rate = box.geometry, box.confidence, box.rate
+    return "%s %d %d %.9g %.9g %.9g %.9g %.9g %.9g" % (video_id, frame, box.class_id, x1, y1, x2, y2, conf, rate)
 
 
 def valid_records(kind: str) -> list[str]:

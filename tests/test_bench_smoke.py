@@ -1,9 +1,12 @@
 """The benchmark still runs on the library: one short pass of each workload.
 
 ``perfbench/run.py`` drives the library through its public names, so a
-library change that breaks it fails here before the benchmark runs."""
+library change that breaks it fails here before the benchmark runs, and so
+does a run that no longer reports each end-to-end metric ``BENCHMARK.json``
+declares as a finite positive value."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parents[1]
+END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
 @pytest.mark.parametrize("workload", ["wide", "chain", "eval"])
@@ -20,3 +24,7 @@ def test_workload_runs_correct(workload):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0, result
+    for name in END_TO_END:
+        assert name in result["metrics"], (name, sorted(result["metrics"]))
+        value = result["metrics"][name]["value"]
+        assert math.isfinite(value) and value > 0, (name, value)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import per_class_nms
+from helpers import detection_line, per_class_nms
 from tubestream import decode
 from tubestream.config import RunConfig
 from tubestream.decode import (
@@ -27,12 +27,12 @@ from tubestream.decode import (
     nms_boxes,
     nms_frame,
     select_candidates,
+    split_attributes,
 )
 from tubestream.geometry import box_iou
 from tubestream.pipeline import run_decode, run_eval, run_link
 from tubestream.records import (
     DETECTIONS_HEADER,
-    detection_line,
     iter_detection_rows,
     parse_tubes,
     read_rawgrids,
@@ -89,6 +89,26 @@ def test_candidate_box_is_compared_hashed_and_printed_by_value():
     assert twin is not box and twin == box and hash(twin) == hash(box) == hash((1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.5))
     assert len({box, twin}) == 1 and box != CandidateBox(1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.6)
     assert box != (1, (0.1, 0.2, 0.3, 0.4), 0.9, 0.5) and not hasattr(box, "__dict__")
+
+
+@pytest.mark.parametrize("n_classes", [1, 3])
+def test_split_attributes_views_the_blocks_in_layout_order(n_classes):
+    width = attr_width(n_classes)
+    tensor = np.arange(2 * 2 * 3 * width, dtype=np.float64).reshape(2, 2, 3, width)
+    blocks = split_attributes(tensor, n_classes)
+    box, act, cls, prog, rate = blocks
+    assert [b.shape[-1] for b in (box, cls, prog, rate)] == [4, n_classes, n_classes, n_classes]
+    assert act.shape == tensor.shape[:-1]
+    # In layout order, the blocks concatenate back to the tensor, column for column.
+    columns = np.concatenate((box, act[..., None], cls, prog, rate), axis=-1)
+    assert np.array_equal(columns, tensor)
+    assert np.array_equal(act, tensor[..., 4]) and np.array_equal(cls[0, 0, 0], np.arange(5, 5 + n_classes))
+    # Each block is a view: writing through it writes the tensor.
+    for k, block in enumerate(blocks):
+        assert np.shares_memory(block, tensor)
+        block[...] = -1.0 - k
+    expected = np.repeat([-1.0, -2.0, -3.0, -4.0, -5.0], [4, 1, n_classes, n_classes, n_classes])
+    assert (tensor == expected).all()
 
 
 class TestDecodeGrid:

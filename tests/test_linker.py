@@ -5,6 +5,7 @@ import gc
 import math
 import operator
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -116,7 +117,7 @@ class TestTemporalLabelStep:
         for frame, score in [(2, 0.8), (3, 0.1), (4, 0.6)]:
             temporal_label_step(tube, frame, BOX, score, 0.5, alpha=1.0, window=3)
             scores.append(score)
-            assert tube.avg_score == pytest.approx(sum(scores) / len(scores), abs=1e-9)
+            assert tube.score_sum / tube.n_linked == pytest.approx(sum(scores) / len(scores), abs=1e-9)
 
     def test_trailing_mean_sums_in_frame_order(self):
         # Summed oldest first the mean clears alpha; newest first it does not.
@@ -586,6 +587,27 @@ class TestStores:
             gc.collect()
         assert os.listdir(tmp_path) == []
         assert len(opened) == 1 and opened[0]() is None
+
+    def test_missing_spool_dir_fails_at_the_first_labeled_commit(self, tmp_path):
+        """A store checks its directory when built, so a linker fails at its
+        tube's first labeled commit, naming the directory, not once a chunk fills."""
+        first_store, last_step = {}, {}
+
+        def run(directory: str) -> None:
+            def factory():
+                first_store.setdefault(directory, frame)
+                return SpillStore(directory)
+
+            linker = OnlineLinker(config=LinkerConfig(alphas=1.0), store_factory=factory)
+            for frame, boxes in chain_stream_frames(2_000):
+                last_step[directory] = frame
+                linker.step(frame, boxes)
+
+        run(str(tmp_path))
+        missing = str(tmp_path / "nonexistent")
+        with pytest.raises(NotADirectoryError, match=re.escape(f"spool directory {missing!r} is not a directory")):
+            run(missing)
+        assert last_step[missing] == first_store[str(tmp_path)] < CHUNK
 
     def test_failed_run_link_leaves_spool_dir_empty(self, tmp_path, monkeypatch):
         det, tubes, spool = tmp_path / "det.txt", tmp_path / "tubes.txt", tmp_path / "spool"

@@ -23,9 +23,10 @@ from tubestream.cli import build_parser, main
 from tubestream.config import RunConfig, load_config
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import LinkerConfig, alpha_from_training_error
+from tubestream.losses import LossWeights
 from tubestream.pipeline import nms_frame, run_decode, run_eval, run_link
 from tubestream.records import RecordError, iter_detection_rows, parse_annotations, parse_tubes, write_rawgrids
-from tubestream.synthetic import ScenarioSpec
+from tubestream.synthetic import ScenarioSpec, TrackSpec
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -504,9 +505,19 @@ LINKING_RANGES = [
     ("score_floor", "[0, 1)", (0.0, 1 - 1e-9), (-1e-9, 1.0, 2)),  # 2 used to link nothing, silently
 ]
 RATE_ERRORS = ("rate_errors", "[0, inf)", (0.0, 1e6, (0.0, 2.0)), (-1e-9, math.inf, (0.1, -1.0), ()))
-# Every range-checked setting of the run's settings, and one of a scenario's.
-CHECKED_SETTINGS = [(cls, key) for cls in (LinkerConfig, RunConfig) for key in cls.RANGES]
+# What each settings class needs besides the setting under test.
+BOX = (0.2, 0.2, 0.5, 0.6)
+REQUIRED = {
+    ScenarioSpec: {"n_frames": 10, "n_classes": 1, "tracks": ()},
+    TrackSpec: {"class_id": 0, "t_start": 1, "t_end": 5, "start_box": BOX, "end_box": BOX},
+}
+# Every range-checked setting of the run's settings, of a track's and of the
+# loss weights, and one of a scenario's.
+CHECKED_SETTINGS = [(cls, key) for cls in (LinkerConfig, RunConfig, LossWeights, TrackSpec) for key in cls.RANGES]
 CHECKED_SETTINGS.append((ScenarioSpec, "rate_noise"))
+# The fields of a scenario and of a track annotated ``int``.
+INT_FIELDS = [(ScenarioSpec, key) for key in ("n_frames", "n_classes", "sawtooth_period", "seed")]
+INT_FIELDS += [(TrackSpec, key) for key in ("class_id", "t_start", "t_end")]
 
 
 def out_of_range(key: str, interval: str, value) -> str:
@@ -553,25 +564,58 @@ class TestSettingsContract:
         with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be an integer, got {value!r}") + "$"):
             cls(**{key: value})
 
+    @pytest.mark.parametrize("cls, key", INT_FIELDS, ids=[f"{c.__name__}-{k}" for c, k in INT_FIELDS])
+    def test_integer_field_must_be_an_int(self, cls, key):
+        # Each value lies in the field's range; a range-checked field rejects a bool as no number.
+        for value in (3.5, 1.0, True):
+            kind = "a number" if value is True and key in cls.RANGES else "an integer"
+            with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be {kind}, got {value!r}") + "$"):
+                cls(**{**REQUIRED[cls], key: value})
+
     @pytest.mark.parametrize("cls, key", CHECKED_SETTINGS, ids=[f"{c.__name__}-{k}" for c, k in CHECKED_SETTINGS])
     def test_boolean_setting_is_not_a_number(self, cls, key):
         # isinstance(True, int) holds, but a JSON config rejects booleans, and so does the library.
-        required = {"n_frames": 10, "n_classes": 1, "tracks": ()} if cls is ScenarioSpec else {}
         for value in (True, False, (True,)):
             got = value[0] if isinstance(value, tuple) else value
             with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be a number, got {got!r}") + "$"):
-                cls(**{**required, key: value})
+                cls(**{**REQUIRED.get(cls, {}), key: value})
 
     @pytest.mark.parametrize(
-        "cls, required",
-        [(LinkerConfig, {}), (RunConfig, {}), (ScenarioSpec, {"n_frames": 10, "n_classes": 1, "tracks": ()})],
-        ids=["LinkerConfig", "RunConfig", "ScenarioSpec"],
+        "cls", [LinkerConfig, RunConfig, ScenarioSpec, TrackSpec, LossWeights], ids=lambda c: c.__name__
     )
-    def test_non_number_setting_names_its_key(self, cls, required):
+    def test_non_number_setting_names_its_key(self, cls):
         for key in cls.RANGES:
             for value in ("0.5", ("0.5",)):
                 with pytest.raises(ValueError, match="^" + re.escape(f"{key} must be a number, got '0.5'") + "$"):
-                    cls(**{**required, key: value})
+                    cls(**{**REQUIRED.get(cls, {}), key: value})
+
+    @pytest.mark.parametrize("key", list(LossWeights.RANGES))
+    def test_loss_weight_range_checked_at_both_ends(self, key):
+        interval = LossWeights.RANGES[key]
+        inside, outside = ((0.0, 1.0), (-1e-9, 1 + 1e-9)) if key == "neg_gate" else ((0.0, 1e6), (-1, math.inf))
+        for value in inside:
+            assert getattr(LossWeights(**{key: value}), key) == value
+        for value in outside + (math.nan,):
+            with pytest.raises(ValueError, match=out_of_range(key, interval, value)):
+                LossWeights(**{key: value})
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ScenarioSpec(n_frames=3.5, n_classes=1, tracks=()), "n_frames must be an integer, got 3.5"),
+            (lambda: ScenarioSpec(n_frames=10, n_classes=1, tracks=(), seed=0.5), "seed must be an integer, got 0.5"),
+            (lambda: TrackSpec(0.5, 1, 5, BOX, BOX), "class_id must be an integer, got 0.5"),
+            (lambda: TrackSpec(0, 1.0, 5, BOX, BOX), "t_start must be an integer, got 1.0"),
+            (lambda: LossWeights(coord=math.nan), "coord must lie in [0, inf), got nan"),
+            (lambda: LossWeights(neg_gate=True), "neg_gate must be a number, got True"),
+            (lambda: LossWeights(coord="1"), "coord must be a number, got '1'"),
+        ],
+        ids=["scenario-frames", "scenario-seed", "track-class", "track-start", "weight-nan", "gate-bool", "weight-str"],
+    )
+    def test_defect_is_rejected_when_built(self, build, message):
+        # Each of these used to be accepted, or to fail later as a TypeError.
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build()
 
     def test_replace_resolves_the_new_rate_errors(self):
         resolved = RunConfig(rate_errors=0.0)

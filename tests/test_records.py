@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GRID_PREAMBLE, HEADERS, hostile_files, valid_records
+from helpers import GRID_PREAMBLE, HEADERS, detection_line, hostile_files, valid_records
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import FRAME_MAX, FRAME_MIN, SequencingError
 from tubestream.config import RunConfig
@@ -22,7 +22,6 @@ from tubestream.records import (
     DetectionWriter,
     RecordError,
     TubeWriter,
-    detection_line,
     fnum,
     iter_detection_rows,
     parse_annotations,
