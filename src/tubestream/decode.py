@@ -13,11 +13,11 @@ classes.  An overflowing ``exp`` gives the limit: sigmoid 0.0 below a logit of a
 -709, class score 0.0 where ``x - max(x)`` overflows, and a box clipped to [0, 1].
 
 Threshold + NMS has one implementation, ``nms_indices``: it takes parallel
-sequences of class ids, confidences and geometry ids into a box table and returns
-the indices it keeps.  Decode passes a threshold mask's (slot, class) pairs with
-slots as ids and builds a ``CandidateBox`` per survivor only; ``link`` passes each
-frame's boxes through ``nms_frame``.  Large classes share one mirrored overlap matrix
-of bitmask rows.
+sequences or arrays of class ids, confidences and geometry ids into a box table and
+returns the indices it keeps.  Decode passes a threshold mask's (slot, class) pairs as
+arrays, slots as ids, and returns the survivors as columns for ``DetectionWriter.write_frame``,
+building no object per survivor; ``link`` passes each frame's boxes through ``nms_frame``.
+Large classes share one mirrored overlap matrix of bitmask rows.
 
 Attribute layout along the last tensor axis, sliced only by ``split_attributes``::
 
@@ -170,22 +170,24 @@ def decode_grid(raw: RawGrid, anchors: AnchorSet) -> DecodedGrid:
     return DecodedGrid(geometry, act, cls, prog, rate, act[..., None] * cls * prog)
 
 
-def select_candidates(decoded: DecodedGrid, score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+def select_candidates(decoded: DecodedGrid, score_threshold: float, nms_iou: float):
     """Threshold + NMS of one decoded frame: ``nms_indices`` on the (slot,
     class) pairs a mask selects, class by class in slot order (cell_y, cell_x,
     anchor), the slot being the geometry id, so a slot's classes share one box
-    tuple; a ``CandidateBox`` is built only for each survivor.  Slots narrower
-    or lower than ``MIN_BOX_SIZE`` are dropped, so every box survives the records format."""
+    tuple.  Returns the survivors as columns, ``(class_ids, slots, confidences,
+    rates, geometry)``: four arrays in ``nms_indices`` order and one box tuple per
+    slot.  Slots narrower or lower than ``MIN_BOX_SIZE`` are dropped, so every box
+    survives the records format."""
     n_classes = decoded.confidence.shape[-1]
     conf = decoded.confidence.reshape(-1, n_classes).T  # (C, slots)
     boxes = decoded.geometry.reshape(-1, 4)
     sized = (boxes[:, 2] - boxes[:, 0] >= MIN_BOX_SIZE) & (boxes[:, 3] - boxes[:, 1] >= MIN_BOX_SIZE)
     class_ids, slots = np.nonzero((conf > score_threshold) & sized)
     geometry = [tuple(g) for g in boxes.tolist()]  # one tuple per slot
-    classes, scores = class_ids.tolist(), conf[class_ids, slots].tolist()
-    keep = nms_indices(classes, scores, slots, geometry, score_threshold, nms_iou)
-    rates = decoded.rates.reshape(-1, n_classes).T[class_ids[keep], slots[keep]].tolist()
-    return [CandidateBox(classes[i], geometry[s], scores[i], r) for i, s, r in zip(keep, slots[keep].tolist(), rates)]
+    scores = conf[class_ids, slots]
+    keep = nms_indices(class_ids, scores, slots, geometry, score_threshold, nms_iou)
+    class_ids, slots = class_ids[keep], slots[keep]
+    return class_ids, slots, scores[keep], decoded.rates.reshape(-1, n_classes).T[class_ids, slots], geometry
 
 
 def _greedy(
@@ -238,16 +240,18 @@ def nms_indices(
     nms_iou: float,
 ) -> list[int]:
     """Per-class threshold + greedy NMS over one frame's candidates, given as parallel
-    sequences, candidate ``i``'s box being ``geometry[geometry_ids[i]]`` (``geometry[i]`` if
+    sequences or arrays, candidate ``i``'s box being ``geometry[geometry_ids[i]]`` (``geometry[i]`` if
     ``geometry_ids`` is None): the indices of what ``nms_boxes`` keeps of each class's candidates
     above ``score_threshold``, classes in ascending order.  If some class has more than ``SMALL_NMS``
-    candidates, their distinct boxes meet once, in one overlap matrix of bitmask rows.  Boxes must be finite."""
+    candidates, or all have more than ``SMALL_NMS**2``, their distinct boxes meet once, in one overlap
+    matrix of bitmask rows.  Boxes must be finite."""
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
         raise ValueError("nms_iou must lie in (0, 1)")
     out: list[int] = []
-    if len(class_ids) <= SMALL_NMS or max(Counter(class_ids).values()) <= SMALL_NMS:  # no numpy call
+    n = len(class_ids)  # an input longer than SMALL_NMS**2 takes the matrix path uncounted
+    if n <= SMALL_NMS or (n <= SMALL_NMS * SMALL_NMS and max(Counter(class_ids).values()) <= SMALL_NMS):
         by_class: dict[int, list[int]] = {}
         for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
             if score > score_threshold:
@@ -262,10 +266,13 @@ def nms_indices(
         classes = np.asarray(class_ids, dtype=object)
     passing = np.flatnonzero(scores > score_threshold)
     order = passing[np.lexsort((-scores[passing], classes[passing]))]  # stable: ties keep input order
-    ids = np.arange(len(class_ids)) if geometry_ids is None else np.asarray(geometry_ids)
-    used, inverse = np.unique(ids[order], return_inverse=True)
+    ids = order if geometry_ids is None else np.asarray(geometry_ids)[order]
+    used = np.zeros(len(geometry), dtype=bool)
+    used[ids] = True
+    row_of = np.empty(len(geometry), dtype=np.intp)  # geometry id -> matrix row
     index: dict[Box, int] = {}  # a matrix row per distinct value among the used boxes
-    rows = np.array([index.setdefault(geometry[g], len(index)) for g in used.tolist()])[inverse].tolist()
+    row_of[used] = [index.setdefault(geometry[g], len(index)) for g in np.flatnonzero(used).tolist()]
+    rows = row_of[ids].tolist()
     over = overlap_matrix(np.array(list(index), dtype=np.float64).reshape(-1, 4), nms_iou)
     bits = [int.from_bytes(row, "little") for row in np.packbits(over, axis=1, bitorder="little")]
     current, suppressed = None, 0
@@ -280,5 +287,14 @@ def nms_indices(
 
 def nms_frame(boxes: Sequence[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
     """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
-    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
-    return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]
+    n = len(boxes)
+    if n <= SMALL_NMS * SMALL_NMS:
+        class_ids, confidence = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes]
+    else:  # a large frame goes straight into the arrays of the matrix path
+        confidence = np.fromiter((bx.confidence for bx in boxes), np.float64, n)
+        try:
+            class_ids = np.fromiter((bx.class_id for bx in boxes), np.int64, n)
+        except OverflowError:  # an id beyond 64 bits: nms_indices compares the ids as objects
+            class_ids = [bx.class_id for bx in boxes]
+    keep = nms_indices(class_ids, confidence, None, [bx.geometry for bx in boxes], score_threshold, nms_iou)
+    return [boxes[i] for i in keep]

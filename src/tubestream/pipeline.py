@@ -34,9 +34,9 @@ def run_decode(config: RunConfig, grids_path: str, out_path: str) -> int:
     n = 0
     with records.replaced_on_success(out_path) as tmp, records.DetectionWriter(tmp) as writer:
         for video_id, frame, grid in frames:
-            for box in select_candidates(decode_grid(grid, anchors), config.score_threshold, config.nms_iou):
-                writer.add(video_id, frame, box)
-                n += 1
+            survivors = select_candidates(decode_grid(grid, anchors), config.score_threshold, config.nms_iou)
+            writer.write_frame(video_id, frame, *survivors)
+            n += len(survivors[0])
     return n
 
 

@@ -200,20 +200,26 @@ class _RecordWriter(AbstractContextManager):
         self.close()
 
 
+_ROW, _BOX = "%s %d %d %s %.9g %.9g\n", "%.9g %.9g %.9g %.9g"  # a detections row, and its box
+
+
 class DetectionWriter(_RecordWriter):
-    """Streaming detections writer, rows in file order; formats each geometry tuple once per frame."""
+    """Streaming detections writer, rows in file order."""
 
     header = DETECTIONS_HEADER
-    _frame: tuple[str, int] | None = None
 
     def add(self, video_id: str, frame: int, box: CandidateBox) -> None:
-        if (video_id, frame) != self._frame:
-            self._frame, self._geometry = (video_id, frame), {}
-        g = box.geometry
-        cached = self._geometry.get(id(g))  # not by value: 0.0 == -0.0; the entry holds g, so its id stays g's
-        if cached is None:
-            cached = self._geometry[id(g)] = g, "%.9g %.9g %.9g %.9g" % g
-        self._fh.write("%s %d %d %s %.9g %.9g\n" % (video_id, frame, box.class_id, cached[1], box.confidence, box.rate))
+        self._fh.write(_ROW % (video_id, frame, box.class_id, _BOX % box.geometry, box.confidence, box.rate))
+
+    def write_frame(self, video_id: str, frame: int, class_ids, slots, confidences, rates, geometry) -> None:
+        """Write one frame's rows in one call, row ``i`` being class ``class_ids[i]`` at box
+        ``geometry[slots[i]]``: the columns of ``decode.select_candidates``, four arrays and one
+        box tuple per slot.  Each used slot's box is formatted once, from its own values, so a
+        ``-0.0`` stays ``-0`` even where an equal box is ``0``."""
+        slots = slots.tolist()
+        text = {s: _BOX % geometry[s] for s in set(slots)}
+        columns = class_ids.tolist(), slots, confidences.tolist(), rates.tolist()
+        self._fh.write("".join([_ROW % (video_id, frame, c, text[s], p, r) for c, s, p, r in zip(*columns)]))
 
 
 def write_detections(path: str, streams: Iterable[DetectionStream]) -> None:

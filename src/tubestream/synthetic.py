@@ -49,6 +49,9 @@ class TrackSpec:
 
     def __post_init__(self):
         check_settings(self)
+        for key, box in (("start_box", self.start_box), ("end_box", self.end_box)):
+            if not isinstance(box, (tuple, list)) or len(box) != 4:
+                raise ValueError(f"{key} must be four numbers, got {box!r}")
 
     @property
     def length(self) -> int:

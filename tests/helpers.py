@@ -146,6 +146,13 @@ def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: fl
     ]
 
 
+def survivor_boxes(columns) -> list[CandidateBox]:
+    """``select_candidates``' columns as one ``CandidateBox`` per survivor, in their order."""
+    class_ids, slots, confidences, rates, geometry = columns
+    fields = class_ids.tolist(), slots.tolist(), confidences.tolist(), rates.tolist()
+    return [CandidateBox(c, geometry[s], p, r) for c, s, p, r in zip(*fields)]
+
+
 def detection_line(video_id: str, frame: int, box: CandidateBox) -> str:
     """A detections row from one format string: the oracle of ``DetectionWriter``."""
     (x1, y1, x2, y2), conf, rate = box.geometry, box.confidence, box.rate

@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import detection_line, per_class_nms
+from helpers import detection_line, per_class_nms, survivor_boxes
 from tubestream import decode
 from tubestream.config import RunConfig
 from tubestream.decode import (
@@ -221,16 +222,15 @@ class TestConfidence:
     def test_emitted_candidates_carry_exact_confidence(self):
         raw, anchors = random_grid(11)
         decoded = decode_grid(raw, anchors)
-        kept = select_candidates(decoded, 1e-3, 0.45)
-        assert kept
-        geometry = decoded.geometry.reshape(-1, 4)
-        for cand in kept:
-            sources = [k for k, g in enumerate(geometry) if tuple(g) == cand.geometry]
-            assert any(
-                cand.confidence == decoded.confidence.reshape(-1, raw.n_classes)[k, cand.class_id]
-                and cand.rate == decoded.rates.reshape(-1, raw.n_classes)[k, cand.class_id]
-                for k in sources
-            )
+        class_ids, slots, confidences, rates, geometry = select_candidates(decoded, 1e-3, 0.45)
+        assert len(class_ids)
+
+        def at_slots(values):  # each survivor's own slot and class, bit for bit
+            return values.reshape(-1, raw.n_classes)[slots, class_ids]
+
+        assert confidences.tobytes() == at_slots(decoded.confidence).tobytes()
+        assert rates.tobytes() == at_slots(decoded.rates).tobytes()
+        assert geometry == [tuple(g) for g in decoded.geometry.reshape(-1, 4).tolist()]
 
     @given(st.integers(0, 10_000), st.floats(0.0, 0.9))
     @settings(max_examples=40, deadline=None)
@@ -238,7 +238,7 @@ class TestConfidence:
         raw, anchors = random_grid(seed, s=2, b=2, c=3)
         decoded = decode_grid(raw, anchors)
         want = per_class_nms(scalar_candidates(decoded, score_threshold), score_threshold, 0.45)
-        assert select_candidates(decoded, score_threshold, 0.45) == want
+        assert survivor_boxes(select_candidates(decoded, score_threshold, 0.45)) == want
 
 
 def cand(score: float, box, class_id: int = 0) -> CandidateBox:
@@ -297,14 +297,14 @@ class TestNms:
         lo, hi = sorted((round(thr_a, 3), round(thr_b, 3)))
         raw, anchors = random_grid(seed, s=2, b=2, c=2)
         decoded = decode_grid(raw, anchors)
-        loose = select_candidates(decoded, lo, 0.45)
-        assert set(select_candidates(decoded, hi, 0.45)) <= set(loose)
+        loose = survivor_boxes(select_candidates(decoded, lo, 0.45))
+        assert set(survivor_boxes(select_candidates(decoded, hi, 0.45))) <= set(loose)
         assert set(nms_frame(scalar_candidates(decoded, lo), hi, 0.45)) <= set(loose)
 
     def test_duplicates_boxes_across_classes(self):
         values = np.zeros((1, 1, 1, attr_width(2)))
         decoded = decode_grid(RawGrid(1, 1, 2, values), AnchorSet(((1.0, 1.0),)))
-        kept = select_candidates(decoded, 1e-3, 0.45)
+        kept = survivor_boxes(select_candidates(decoded, 1e-3, 0.45))
         assert [k.class_id for k in kept] == [0, 1]
         assert kept[0].geometry == kept[1].geometry
 
@@ -376,15 +376,18 @@ class TestNmsFrameOracle:
         "class_ids", [(2**63, 2**63 + 1, 0), (2**63, 2**63 + 1), (10**30, 10**30 + 1, 7), (-(2**64), -(2**64) - 1, 0)]
     )
     def test_class_ids_beyond_64_bits_stay_apart(self, class_ids):
-        # Mixed with small ints, 2**63 and 2**63 + 1 both become the float 2**63.
+        # Mixed with small ints, 2**63 and 2**63 + 1 both become the float 2**63.  A frame
+        # of more than SMALL_NMS**2 boxes is gathered into arrays, which such ids overflow.
+        assert 20 * 3 <= decode.SMALL_NMS**2 < 150 * 2
         rng = np.random.default_rng(4)
-        boxes = []
-        for k in range(20 * len(class_ids)):
-            x1, y1 = rng.uniform(0.0, 0.5, 2).tolist()
-            score = float(rng.choice([0.3, rng.uniform()]))
-            boxes.append(CandidateBox(class_ids[k % len(class_ids)], (x1, y1, x1 + 0.3, y1 + 0.3), score, 0.5))
-        got = nms_frame(boxes, 1e-3, 0.45)
-        assert [id(b) for b in got] == [id(b) for b in per_class_nms(boxes, 1e-3, 0.45)]
+        for per_class in (20, 150):
+            boxes = []
+            for k in range(per_class * len(class_ids)):
+                x1, y1 = rng.uniform(0.0, 0.5, 2).tolist()
+                score = float(rng.choice([0.3, rng.uniform()]))
+                boxes.append(CandidateBox(class_ids[k % len(class_ids)], (x1, y1, x1 + 0.3, y1 + 0.3), score, 0.5))
+            got = nms_frame(boxes, 1e-3, 0.45)
+            assert [id(b) for b in got] == [id(b) for b in per_class_nms(boxes, 1e-3, 0.45)]
 
     def test_run_decode_matches_scalar_decode_and_nms(self, tmp_path, monkeypatch):
         # The wide workload's shape: 13x13 cells, 5 anchors, 24 classes.
@@ -393,6 +396,41 @@ class TestNmsFrameOracle:
         anchors = AnchorSet(tuple((float(w), float(h)) for w, h in rng.uniform(1.0, 11.0, size=(b, 2))))
         grid = RawGrid(s, b, c, rng.standard_normal(s * s * b * attr_width(c)))
         assert decode_matches_scalar_oracle(tmp_path, monkeypatch, grid, anchors, RunConfig()) > 1000
+
+
+@st.composite
+def _indexed_frame(draw):
+    """One frame as ``nms_indices`` takes it: class ids, confidences, and ids into a
+    pool of boxes that many candidates share; up to ten classes, mostly class 0."""
+    pool = draw(st.lists(_geometry(), min_size=1, max_size=24))
+    n = draw(st.integers(0, 3 * decode.SMALL_NMS))
+
+    def column(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    class_ids = draw(column(st.sampled_from([0, 0, 0, 1, 2]) | st.integers(0, 9)))
+    return class_ids, draw(column(_score)), draw(column(st.integers(0, len(pool) - 1))), pool
+
+
+class TestNmsIndicesInputs:
+    """``nms_indices`` keeps the same indices whether its columns come as lists or
+    as arrays, with geometry ids or without, on the scalar and the matrix path."""
+
+    # With 4, inputs of 5-16 candidates are counted by class; longer ones take the matrix path uncounted.
+    @pytest.mark.parametrize("small", [decode.SMALL_NMS, 4, 0])
+    @given(_indexed_frame(), st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.01, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_and_lists_keep_the_same_indices(self, small, frame, score_threshold, nms_iou):
+        class_ids, scores, ids, pool = frame
+        arrays = np.array(class_ids, dtype=np.int64), np.array(scores, dtype=np.float64), np.array(ids, dtype=np.int64)
+        boxes = [pool[g] for g in ids]
+        with mock.patch.object(decode, "SMALL_NMS", small):
+            want = decode.nms_indices(class_ids, scores, ids, pool, score_threshold, nms_iou)
+            assert decode.nms_indices(*arrays, pool, score_threshold, nms_iou) == want
+            assert decode.nms_indices(class_ids, scores, None, boxes, score_threshold, nms_iou) == want
+            assert decode.nms_indices(*arrays[:2], None, boxes, score_threshold, nms_iou) == want
+        candidates = [CandidateBox(c, box, p, 0.5) for c, box, p in zip(class_ids, boxes, scores)]
+        assert [id(candidates[i]) for i in want] == [id(b) for b in per_class_nms(candidates, score_threshold, nms_iou)]
 
 
 def wide_grid(seed: int, n_classes: int = 8) -> tuple[RawGrid, AnchorSet]:
@@ -421,9 +459,18 @@ class TestWideShapedNms:
         tied = [bx for bx in candidates if bx.class_id == 0 and bx.confidence == candidates[0].confidence]
         assert len(tied) == 80 and any(box_iou(a.geometry, tied[0].geometry) > config.nms_iou for a in tied[1:])
         want = per_class_nms(candidates, config.score_threshold, config.nms_iou)
-        assert select_candidates(decoded, config.score_threshold, config.nms_iou) == want
+        assert survivor_boxes(select_candidates(decoded, config.score_threshold, config.nms_iou)) == want
         got = nms_frame(candidates, config.score_threshold, config.nms_iou)
         assert [id(bx) for bx in got] == [id(bx) for bx in want]
+
+    def test_run_decode_builds_no_candidate_box(self, tmp_path, monkeypatch):
+        grid, anchors = wide_grid(0, n_classes=24)
+        grids, det = str(tmp_path / "grids.txt"), str(tmp_path / "det.txt")
+        write_rawgrids(grids, anchors, [("v", 1, grid), ("v", 2, grid)], (13, 5, 24))
+        with built_candidate_boxes(monkeypatch) as built:
+            n = run_decode(RunConfig(), grids, det)
+            assert n > 2000 and built == []
+            assert sum(1 for _ in iter_detection_rows(det)) == len(built) == n  # the count sees a parse's boxes
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_overlap_matrix_is_box_iou_pair_by_pair(self, seed):
@@ -436,25 +483,29 @@ class TestWideShapedNms:
         assert (over == over.T).all() and 0 < over.sum() < over.size
 
 
+@contextmanager
+def built_candidate_boxes(monkeypatch):
+    """A list that gains the fields of every ``CandidateBox`` built inside the block, by any module."""
+    built, init = [], CandidateBox.__init__
+
+    def counting_init(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CandidateBox, "__init__", counting_init)
+        yield built
+
+
 def decode_matches_scalar_oracle(tmp_path, monkeypatch, grid: RawGrid, anchors: AnchorSet, config: RunConfig) -> int:
     """Assert that ``run_decode`` writes, row for row, what the scalar decode
     (``scalar_candidates``) and scalar NMS (``per_class_nms``) keep of the
-    grid as the file holds it, and that it builds a ``CandidateBox`` only for
-    each row it writes; returns the row count."""
+    grid as the file holds it, and that it builds no ``CandidateBox``; returns
+    the row count."""
     dims = (grid.s_cells, grid.n_anchors, grid.n_classes)
     grids, out = tmp_path / "grids.txt", tmp_path / "det.txt"
     write_rawgrids(str(grids), anchors, [("v", 1, grid)], dims)
-    built = []
-
-    class CountingBox(CandidateBox):
-        __slots__ = ()
-
-        def __init__(self, *fields):
-            built.append(fields)
-            super().__init__(*fields)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(decode, "CandidateBox", CountingBox)
+    with built_candidate_boxes(monkeypatch) as built:
         n = run_decode(config, str(grids), str(out))
 
     _, anchors_read, frames = read_rawgrids(str(grids))
@@ -464,7 +515,7 @@ def decode_matches_scalar_oracle(tmp_path, monkeypatch, grid: RawGrid, anchors: 
     want = [DETECTIONS_HEADER] + [detection_line("v", 1, box) for box in kept]
     # Line lists, so that a failure reports the first differing row quickly.
     assert out.read_text(encoding="utf-8").splitlines() == want
-    assert n == len(kept) == len(built)
+    assert n == len(kept) and built == []
     return n
 
 

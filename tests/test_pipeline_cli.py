@@ -606,14 +606,20 @@ class TestSettingsContract:
             (lambda: ScenarioSpec(n_frames=10, n_classes=1, tracks=(), seed=0.5), "seed must be an integer, got 0.5"),
             (lambda: TrackSpec(0.5, 1, 5, BOX, BOX), "class_id must be an integer, got 0.5"),
             (lambda: TrackSpec(0, 1.0, 5, BOX, BOX), "t_start must be an integer, got 1.0"),
+            (lambda: TrackSpec(0, 1, 5, BOX[:3], BOX), "start_box must be four numbers, got (0.2, 0.2, 0.5)"),
+            (lambda: TrackSpec(0, 1, 5, BOX, BOX + (0.7,)), "end_box must be four numbers, got (0.2, 0.2, 0.5, 0.6, 0.7)"),
             (lambda: LossWeights(coord=math.nan), "coord must lie in [0, inf), got nan"),
             (lambda: LossWeights(neg_gate=True), "neg_gate must be a number, got True"),
             (lambda: LossWeights(coord="1"), "coord must be a number, got '1'"),
         ],
-        ids=["scenario-frames", "scenario-seed", "track-class", "track-start", "weight-nan", "gate-bool", "weight-str"],
+        ids=[
+            "scenario-frames", "scenario-seed", "track-class", "track-start", "track-box-3", "track-box-5",
+            "weight-nan", "gate-bool", "weight-str",
+        ],
     )
     def test_defect_is_rejected_when_built(self, build, message):
-        # Each of these used to be accepted, or to fail later as a TypeError.
+        # Each of these used to be accepted, or to fail later as a TypeError
+        # (or, for a three-number box, as an IndexError in ScenarioSpec).
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             build()
 

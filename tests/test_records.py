@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,45 +136,105 @@ class TestDetections:
             list(iter_detection_rows(str(path)))
 
 
-class TestGeometryTextCache:
-    """``DetectionWriter`` formats a geometry tuple once per frame and reuses
-    the text for the frame's other rows; each row must still be
-    ``detection_line``'s, and the cache must hold one frame's tuples at most."""
+class ReadCounter(list):
+    """A list that counts the reads of each index."""
 
-    def written_rows(self, path, rows):
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, k):
+        self.reads[k] += 1
+        return super().__getitem__(k)
+
+
+def frame_boxes(columns) -> list[CandidateBox]:
+    """A frame's ``write_frame`` columns as one box per row."""
+    class_ids, slots, confidences, rates, geometry = columns
+    boxes = [geometry[s] for s in slots.tolist()]
+    return [CandidateBox(*row) for row in zip(class_ids.tolist(), boxes, confidences.tolist(), rates.tolist())]
+
+
+class TestGeometryTextCache:
+    """``DetectionWriter.write_frame`` formats each slot's box once per frame and
+    reuses the text for the slot's other rows; each row must still be
+    ``detection_line``'s, and ``add`` writes the same rows."""
+
+    def written_rows(self, path, frames):
         with DetectionWriter(str(path)) as writer:
-            frame, tuples = None, set()
-            for video_id, t, box in rows:
-                if (video_id, t) != frame:
-                    frame, tuples = (video_id, t), set()
-                tuples.add(id(box.geometry))
-                writer.add(video_id, t, box)
-                assert len(writer._geometry) <= len(tuples)
+            for video_id, t, (*columns, geometry) in frames:
+                counted = ReadCounter(geometry)
+                writer.write_frame(video_id, t, *columns, counted)
+                assert counted.reads == Counter(set(columns[1].tolist()))  # each used slot read once
         return path.read_text(encoding="utf-8").splitlines()
+
+    def oracle_rows(self, frames):
+        return [DETECTIONS_HEADER] + [
+            detection_line(video_id, t, box) for video_id, t, columns in frames for box in frame_boxes(columns)
+        ]
 
     def test_one_tuple_across_classes_frames_and_videos(self, tmp_path):
         shared = (0.125, 0.25, 0.5, 0.75)
         zero, minus_zero = (0.0, 0.1, 0.5, 0.6), (-0.0, 0.1, 0.5, 0.6)
         assert zero == minus_zero
-        rows = [("a", 1, CandidateBox(c, shared, 0.9 - c / 10, c / 10)) for c in range(4)]
-        rows += [("a", 1, CandidateBox(4, zero, 0.5, 0.5)), ("a", 1, CandidateBox(4, minus_zero, 0.4, 0.5))]
-        rows += [("a", 1, CandidateBox(5, (0.125, 0.25, 0.5, 0.75 + 1e-9), 0.3, 0.5))]
-        rows += [("a", 2, CandidateBox(0, shared, 0.2, 0.1)), ("a", 2, CandidateBox(1, minus_zero, 0.2, 0.1))]
-        rows += [("b", 2, CandidateBox(0, minus_zero, 0.7, 0.3)), ("b", 2, CandidateBox(3, shared, 0.6, 0.2))]
-        rows += [("b", 3, CandidateBox(2, shared, 0.1, 0.0)), ("c", 3, CandidateBox(2, zero, 0.1, 0.0))]
-        written = self.written_rows(tmp_path / "d.txt", rows)
-        assert written == [DETECTIONS_HEADER] + [detection_line(*row) for row in rows]
+        geometry = [shared, zero, minus_zero, (0.125, 0.25, 0.5, 0.75 + 1e-9)]
+
+        def frame(video_id, t, rows):
+            class_ids, slots, confidences, rates = (np.array(column) for column in zip(*rows))
+            return video_id, t, (class_ids, slots, confidences, rates, geometry)
+
+        first = [(c, 0, 0.9 - c / 10, c / 10) for c in range(4)] + [(4, 1, 0.5, 0.5), (4, 2, 0.4, 0.5), (5, 3, 0.3, 0.5)]
+        frames = [
+            frame("a", 1, first),
+            frame("a", 2, [(0, 0, 0.2, 0.1), (1, 2, 0.2, 0.1)]),
+            frame("b", 2, [(0, 2, 0.7, 0.3), (3, 0, 0.6, 0.2)]),
+            frame("b", 3, [(2, 0, 0.1, 0.0)]),
+            frame("c", 3, [(2, 1, 0.1, 0.0)]),
+        ]
+        written = self.written_rows(tmp_path / "d.txt", frames)
+        assert written == self.oracle_rows(frames)
         assert written[6].split(" ")[3] == "-0" and written[5].split(" ")[3] == "0"
+        # add writes the same rows, one at a time.
+        with DetectionWriter(str(tmp_path / "added.txt")) as writer:
+            for video_id, t, columns in frames:
+                for box in frame_boxes(columns):
+                    writer.add(video_id, t, box)
+        assert (tmp_path / "added.txt").read_text(encoding="utf-8").splitlines() == written
 
     def test_tuples_built_per_row(self, tmp_path):
-        # Each tuple is freed after its row unless the writer holds it, so an
-        # identity key alone would hand a later tuple an earlier one's text.
+        # Each tuple is freed after its row, so a cache keyed by identity
+        # alone would hand a later tuple an earlier one's text.
         def one_at_a_time():
             for k in range(100):
                 yield "v", 1 + k // 50, CandidateBox(0, (k / 1000, 0.1, 0.5, 0.6 + k / 1000), 0.5, 0.5)
 
         expected = [DETECTIONS_HEADER] + [detection_line(*row) for row in one_at_a_time()]
-        assert self.written_rows(tmp_path / "d.txt", one_at_a_time()) == expected
+        with DetectionWriter(str(tmp_path / "d.txt")) as writer:
+            for row in one_at_a_time():
+                writer.add(*row)
+        assert (tmp_path / "d.txt").read_text(encoding="utf-8").splitlines() == expected
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_frame_write_matches_the_row_oracle(self, data):
+        # Slots shared across rows, zero coordinates of either sign, and
+        # distinct slots whose boxes are equal, with and without a flipped zero.
+        coord = st.sampled_from([0.0, -0.0, 0.125, 1.0]) | _unit
+        pool = data.draw(st.lists(st.tuples(coord, coord, coord, coord), min_size=1, max_size=6))
+        geometry = pool + [tuple(-v if v == 0.0 else v for v in box) for box in pool] + pool
+        frames = []
+        for t in range(data.draw(st.integers(1, 3))):
+            n = data.draw(st.integers(0, 30))
+
+            def column(values, dtype):
+                return np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+            slots = column(st.integers(0, len(geometry) - 1), np.int64)
+            class_ids = column(st.integers(0, 10**6), np.int64)
+            frames.append(("v", t, (class_ids, slots, column(_unit, np.float64), column(_unit, np.float64), geometry)))
+        with tempfile.TemporaryDirectory() as work:
+            written = self.written_rows(Path(work) / "d.txt", frames)
+        assert written == self.oracle_rows(frames)
 
 
 def fnum_detection_line(video_id, frame, box):
