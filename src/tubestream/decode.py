@@ -27,7 +27,6 @@ Attribute layout along the last tensor axis, sliced only by ``split_attributes``
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,15 +242,14 @@ def nms_indices(
     sequences or arrays, candidate ``i``'s box being ``geometry[geometry_ids[i]]`` (``geometry[i]`` if
     ``geometry_ids`` is None): the indices of what ``nms_boxes`` keeps of each class's candidates
     above ``score_threshold``, classes in ascending order.  If some class has more than ``SMALL_NMS``
-    candidates, or all have more than ``SMALL_NMS**2``, their distinct boxes meet once, in one overlap
-    matrix of bitmask rows.  Boxes must be finite."""
+    candidates, their distinct boxes meet once, in one overlap matrix of bitmask rows.  Boxes must be finite."""
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
         raise ValueError("nms_iou must lie in (0, 1)")
     out: list[int] = []
-    n = len(class_ids)  # an input longer than SMALL_NMS**2 takes the matrix path uncounted
-    if n <= SMALL_NMS or (n <= SMALL_NMS * SMALL_NMS and max(Counter(class_ids).values()) <= SMALL_NMS):
+    # Classes are counted in one numpy call, which is fast on arrays and on lists alike.
+    if len(class_ids) <= SMALL_NMS or np.unique(class_ids, return_counts=True)[1].max() <= SMALL_NMS:
         by_class: dict[int, list[int]] = {}
         for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
             if score > score_threshold:
@@ -287,14 +285,5 @@ def nms_indices(
 
 def nms_frame(boxes: Sequence[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
     """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
-    n = len(boxes)
-    if n <= SMALL_NMS * SMALL_NMS:
-        class_ids, confidence = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes]
-    else:  # a large frame goes straight into the arrays of the matrix path
-        confidence = np.fromiter((bx.confidence for bx in boxes), np.float64, n)
-        try:
-            class_ids = np.fromiter((bx.class_id for bx in boxes), np.int64, n)
-        except OverflowError:  # an id beyond 64 bits: nms_indices compares the ids as objects
-            class_ids = [bx.class_id for bx in boxes]
-    keep = nms_indices(class_ids, confidence, None, [bx.geometry for bx in boxes], score_threshold, nms_iou)
-    return [boxes[i] for i in keep]
+    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
+    return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]

@@ -46,7 +46,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .decode import CandidateBox
-from .geometry import Box
+from .geometry import Box, box_area
 from .tubes import FinalTube
 
 
@@ -242,8 +242,7 @@ class TubeState:
         self.score_sum = score
         self.n_linked = 1
         self.last_geometry = box
-        w, h = box[2] - box[0], box[3] - box[1]  # geometry.box_area, without the call
-        self.last_area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+        self.last_area = box_area(box)
         self.first_labeled = 0
         self.last_labeled = 0
         self.labeled_sum = 0.0
@@ -300,8 +299,7 @@ def temporal_label_step(
     tube.n_linked += 1
     tube.t_end = frame
     tube.last_geometry = box
-    w, h = box[2] - box[0], box[3] - box[1]  # geometry.box_area, without the call
-    tube.last_area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+    tube.last_area = box_area(box)
 
     # Saturating counters: min(window, n + 1) and max(0, n - 1), without the calls.
     up = tube.n_up
