@@ -20,9 +20,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from tubestream.decode import nms_frame  # noqa: E402
 from tubestream.linker import LinkerConfig, OnlineLinker  # noqa: E402
 from tubestream.metrics import average_temporal_iou, evaluate  # noqa: E402
-from tubestream.pipeline import nms_frame, write_report_csv  # noqa: E402
+from tubestream.pipeline import write_report_csv  # noqa: E402
 from tubestream.synthetic import ScenarioSpec, generate, oracle_link  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"

@@ -16,8 +16,10 @@ Threshold + NMS has one implementation, ``nms_indices``: it takes parallel
 sequences or arrays of class ids, confidences and geometry ids into a box table and
 returns the indices it keeps.  Decode passes a threshold mask's (slot, class) pairs as
 arrays, slots as ids, and returns the survivors as columns for ``DetectionWriter.write_frame``,
-building no object per survivor; ``link`` passes each frame's boxes through ``nms_frame``.
-Large classes share one mirrored overlap matrix of bitmask rows.
+building no object per survivor; ``link`` passes the columns of each frame that
+``records.iter_detection_frames`` reads, its rows' box ids pointing into the frame's table of
+distinct box texts, and builds a ``CandidateBox`` only for each row kept.  ``nms_frame`` runs
+it on a list of boxes.  Large classes share one mirrored overlap matrix of bitmask rows.
 
 Attribute layout along the last tensor axis, sliced only by ``split_attributes``::
 
@@ -214,19 +216,33 @@ def nms_boxes(candidates: list[CandidateBox], nms_iou: float) -> list[CandidateB
 def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
     """``over[i, j]`` is ``box_iou(geometry[i], geometry[j]) > nms_iou``, with
     ``box_iou``'s arithmetic, for an (n, 4) array of finite boxes.  Each operation of
-    ``box_iou`` commutes, so row blocks are computed from the diagonal rightwards and mirrored."""
+    ``box_iou`` commutes, so row blocks are computed from the diagonal rightwards and mirrored,
+    each into the same contiguous buffers."""
+    n = len(geometry)
     x1, y1, x2, y2 = geometry.T
     area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    over = np.empty((len(geometry), len(geometry)), dtype=bool)
-    for lo in range(0, len(geometry), OVERLAP_BLOCK):
-        rows, cols = slice(lo, lo + OVERLAP_BLOCK), slice(lo, None)
-        ix = np.minimum(x2[rows, None], x2[cols]) - np.maximum(x1[rows, None], x1[cols])
-        iy = np.minimum(y2[rows, None], y2[cols]) - np.maximum(y1[rows, None], y1[cols])
-        inter = ix * iy
-        union = area[rows, None] + area[cols] - inter
+    over = np.empty((n, n), dtype=bool)
+    size = min(n, OVERLAP_BLOCK) * n
+    floats, flags = np.empty((4, size)), np.empty((2, size), dtype=bool)
+    for lo in range(0, n, OVERLAP_BLOCK):
+        hi = min(lo + OVERLAP_BLOCK, n)
+        rows, cols, count = slice(lo, hi), slice(lo, None), (hi - lo) * (n - lo)
+        ix, iy, inter, union = (b[:count].reshape(hi - lo, n - lo) for b in floats)
+        ok, flag = (b[:count].reshape(hi - lo, n - lo) for b in flags)
+        np.minimum(x2[rows, None], x2[cols], out=ix)
+        ix -= np.maximum(x1[rows, None], x1[cols], out=inter)
+        np.minimum(y2[rows, None], y2[cols], out=iy)
+        iy -= np.maximum(y1[rows, None], y1[cols], out=inter)
+        np.multiply(ix, iy, out=inter)
+        np.add(area[rows, None], area[cols], out=union)
+        union -= inter
+        np.greater(ix, 0.0, out=ok)
+        ok &= np.greater(iy, 0.0, out=flag)
+        ok &= np.greater(union, 0.0, out=flag)
         with np.errstate(divide="ignore", invalid="ignore"):
-            over[rows, cols] = (ix > 0.0) & (iy > 0.0) & (union > 0.0) & (inter / union > nms_iou)
-        over[cols, rows] = over[rows, cols].T
+            ok &= np.greater(np.divide(inter, union, out=inter), nms_iou, out=flag)
+        over[rows, cols] = ok
+        over[cols, rows] = ok.T
     return over
 
 

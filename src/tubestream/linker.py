@@ -335,6 +335,9 @@ def temporal_label_step(
 TubeSink = Callable[[str, int, int, int, float, int, Iterator[tuple[int, Box]]], None]
 
 
+_FINALIZED = "linker already finalized"
+
+
 def _rank(tube: TubeState) -> tuple[float, int, int]:
     """Lane order: decreasing average score, then start frame, then seed order."""
     return (-(tube.score_sum / tube.n_linked), tube.t_start, tube.seq)
@@ -389,16 +392,19 @@ class OnlineLinker:
         self._head: int | None = None
         self._seq = 0
         self._results: list[FinalTube] = []
-        self._finalized = False
+        self._closed: str | None = None  # why a step is refused: finalized, or a failed step or finalize
 
     # -- lifecycle ---------------------------------------------------------
 
     def step(self, frame: int, boxes: Iterable[CandidateBox]) -> list[FinalTube]:
         """Process one frame's candidate boxes; returns tubes completed now
         (empty list when streaming through ``on_tube``).  A frame that is
-        rejected leaves the linker unchanged."""
-        if self._finalized:
-            raise SequencingError("linker already finalized")
+        rejected leaves the linker unchanged.  A step that fails after its
+        checks, say on a spill or sink error, leaves the linker failed: every
+        later ``step`` or ``finalize`` raises a ``SequencingError`` naming the
+        frame that failed and why."""
+        if self._closed is not None:
+            raise SequencingError(self._closed)
         if type(frame) is not int or not FRAME_MIN <= frame <= FRAME_MAX:
             raise ValueError(f"frame {frame!r} is not an integer in [{FRAME_MIN}, {FRAME_MAX}]")
         if self._head is not None and frame <= self._head:
@@ -416,79 +422,89 @@ class OnlineLinker:
         for class_id in new_classes:
             self._check_class(class_id)
 
-        first = self._head is None
-        self._head = frame
-        if new_classes:
-            for class_id in new_classes:
-                lanes[class_id] = []
-            self._order = sorted((c, self.config.alpha_for(c), lane) for c, lane in lanes.items())
+        try:
+            first = self._head is None
+            self._head = frame
+            if new_classes:
+                for class_id in new_classes:
+                    lanes[class_id] = []
+                self._order = sorted((c, self.config.alpha_for(c), lane) for c, lane in lanes.items())
 
-        emitted_before = len(self._results)
-        cfg = self.config
-        window = cfg.window
-        horizon = frame - window
-        new_store = self._store_factory
-        for class_id, alpha, lane in self._order:
-            remaining = by_class.get(class_id)
-            if first:
-                eligible = sorted(
-                    (b for b in remaining if b.confidence > cfg.score_floor),
-                    key=lambda b: -b.confidence,
-                )
-                for bx in eligible[: cfg.max_tubes]:
-                    lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq))
-                    self._seq += 1
-                continue
+            emitted_before = len(self._results)
+            cfg = self.config
+            window = cfg.window
+            horizon = frame - window
+            new_store = self._store_factory
+            for class_id, alpha, lane in self._order:
+                remaining = by_class.get(class_id)
+                if first:
+                    eligible = sorted(
+                        (b for b in remaining if b.confidence > cfg.score_floor),
+                        key=lambda b: -b.confidence,
+                    )
+                    for bx in eligible[: cfg.max_tubes]:
+                        lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq))
+                        self._seq += 1
+                    continue
 
-            if lane:
-                # Keep the best max_tubes live tubes, then let each take one box.
-                if len(lane) > 1:
-                    lane.sort(key=_rank)
-                    if len(lane) > cfg.max_tubes:
-                        for tb in lane[cfg.max_tubes :]:
-                            self._retire(tb, "pruned")
-                        del lane[cfg.max_tubes :]
-                completed = False
-                for tb in lane:
-                    best = self._best_match(tb, remaining) if remaining else -1
-                    if best >= 0:
-                        cand = remaining.pop(best)
-                        temporal_label_step(
-                            tb, frame, cand.geometry, cand.confidence, cand.rate, alpha, window
-                        )
-                    elif tb.t_end <= horizon:
-                        self._emit(tb)
-                        completed = True
-                        continue
-                    if tb.window[0].frame <= horizon:
-                        tb.commit_through(horizon, new_store)
-                if completed:
-                    lane[:] = [tb for tb in lane if tb.t_end > horizon]
+                if lane:
+                    # Keep the best max_tubes live tubes, then let each take one box.
+                    if len(lane) > 1:
+                        lane.sort(key=_rank)
+                        if len(lane) > cfg.max_tubes:
+                            for tb in lane[cfg.max_tubes :]:
+                                self._retire(tb, "pruned")
+                            del lane[cfg.max_tubes :]
+                    completed = False
+                    for tb in lane:
+                        best = self._best_match(tb, remaining) if remaining else -1
+                        if best >= 0:
+                            cand = remaining.pop(best)
+                            temporal_label_step(
+                                tb, frame, cand.geometry, cand.confidence, cand.rate, alpha, window
+                            )
+                        elif tb.t_end <= horizon:
+                            self._emit(tb)
+                            completed = True
+                            continue
+                        if tb.window[0].frame <= horizon:
+                            tb.commit_through(horizon, new_store)
+                    if completed:
+                        lane[:] = [tb for tb in lane if tb.t_end > horizon]
 
-            if remaining:
-                fresh = [bx for bx in remaining if bx.confidence > cfg.score_floor]
-                seq = self._seq
-                self._seq += len(fresh)
-                seeds = range(len(fresh))
-                if len(fresh) > cfg.max_tubes:
-                    # The next prune ranks fresh tubes by (-confidence, seq) and
-                    # keeps at most max_tubes of them: build only those.
-                    seeds = sorted(heapq.nsmallest(cfg.max_tubes, seeds, key=lambda i: -fresh[i].confidence))
-                for i in seeds:
-                    bx = fresh[i]
-                    lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, seq + i))
-
+                if remaining:
+                    fresh = [bx for bx in remaining if bx.confidence > cfg.score_floor]
+                    seq = self._seq
+                    self._seq += len(fresh)
+                    seeds = range(len(fresh))
+                    if len(fresh) > cfg.max_tubes:
+                        # The next prune ranks fresh tubes by (-confidence, seq) and
+                        # keeps at most max_tubes of them: build only those.
+                        seeds = sorted(heapq.nsmallest(cfg.max_tubes, seeds, key=lambda i: -fresh[i].confidence))
+                    for i in seeds:
+                        bx = fresh[i]
+                        lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, seq + i))
+        except BaseException as exc:
+            self._closed = f"linker failed at frame {frame}: {type(exc).__name__}: {exc}"
+            raise
         return self._results[emitted_before:]
 
     def finalize(self) -> list[FinalTube]:
         """Flush every live tube and return all finished tubes of the stream
-        when collecting, or an empty list when streaming through ``on_tube``."""
-        if not self._finalized:
-            self._finalized = True
-            for _, _, lane in self._order:
-                for tb in sorted(lane, key=lambda tb: (tb.t_start, tb.seq)):
-                    self._emit(tb)
-                lane.clear()
+        when collecting, or an empty list when streaming through ``on_tube``.
+        A failed linker raises instead, and so does a retry of a failed finalize."""
+        if self._closed is None:
+            self._closed = _FINALIZED
+            try:
+                for _, _, lane in self._order:
+                    for tb in sorted(lane, key=lambda tb: (tb.t_start, tb.seq)):
+                        self._emit(tb)
+                    lane.clear()
+            except BaseException as exc:
+                self._closed = f"linker failed to finalize: {type(exc).__name__}: {exc}"
+                raise
+        elif self._closed != _FINALIZED:
+            raise SequencingError(self._closed)
         return list(self._results)
 
     def live_tubes(self) -> tuple[TubeState, ...]:

@@ -1,11 +1,13 @@
 """Pipeline stages gluing decode, linking, and evaluation to the file formats.
 
 The link stage is strictly streaming: ``run_link``, the one driver of
-:class:`~tubestream.linker.OnlineLinker` over a stream, groups rows by video
-and then by frame, thresholds and NMS-deduplicates each frame per class,
-steps it through its video's linker (finalized when the video's rows end)
-and writes finished tubes out as they complete.  A tube keeps only its
-committed labeled (frame, box) pairs, in a
+:class:`~tubestream.linker.OnlineLinker` over a stream, reads the rows a
+frame at a time as columns (``records.iter_detection_frames``, which parses
+each distinct box text of a frame once), groups the frames by video,
+thresholds and NMS-deduplicates each frame per class by passing its box ids
+to ``nms_indices``, steps the rows kept through its video's linker
+(finalized when the video's rows end) and writes finished tubes out as they
+complete.  A tube keeps only its committed labeled (frame, box) pairs, in a
 :class:`~tubestream.linker.SpillStore` that writes them past one
 8,000-byte chunk to an anonymous temp file in ``spool_dir``
 (``--spool-dir``; the system temp directory by default).  Live tubes are
@@ -22,7 +24,7 @@ from operator import itemgetter
 
 from . import records
 from .config import RunConfig
-from .decode import decode_grid, nms_frame, select_candidates
+from .decode import CandidateBox, decode_grid, nms_indices, select_candidates
 from .linker import OnlineLinker, SpillStore
 from .metrics import EvalReport, evaluate
 
@@ -58,15 +60,17 @@ def run_link(
             writer.write(*tube_fields)
             count += 1
 
-        for video_id, video_rows in groupby(records.iter_detection_rows(detections_path), itemgetter(0)):
+        for video_id, blocks in groupby(records.iter_detection_frames(detections_path), itemgetter(0)):
             linker = OnlineLinker(
                 config=config,
                 video_id=video_id,
                 store_factory=lambda: SpillStore(spool_dir),
                 on_tube=sink,
             )
-            for frame, rows in groupby(video_rows, itemgetter(1)):
-                linker.step(frame, nms_frame([box for _, _, box in rows], config.score_threshold, config.nms_iou))
+            for _, frame, class_ids, confidences, rates, box_ids, boxes in blocks:
+                keep = nms_indices(class_ids, confidences, box_ids, boxes, config.score_threshold, config.nms_iou)
+                kept = [CandidateBox(class_ids[i], boxes[box_ids[i]], confidences[i], rates[i]) for i in keep]
+                linker.step(frame, kept)
             linker.finalize()
     return count
 
@@ -84,9 +88,11 @@ def run_eval(
     gt_tubes = records.parse_annotations(annotations_path)
     frame_rows = None
     if detections_path is not None:
+        frames = records.iter_detection_frames(detections_path)
         frame_rows = (
-            (video_id, frame, bx.class_id, bx.confidence, bx.geometry)
-            for video_id, frame, bx in records.iter_detection_rows(detections_path)
+            (video_id, frame, class_id, conf, boxes[box_id])
+            for video_id, frame, class_ids, confidences, _, box_ids, boxes in frames
+            for class_id, conf, box_id in zip(class_ids, confidences, box_ids)
         )
     report = evaluate(
         tubes,

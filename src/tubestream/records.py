@@ -15,6 +15,11 @@ video, each video one contiguous block)::
     #tubestream detections v1
     <video_id> <frame> <class_id> <x_min> <y_min> <x_max> <y_max> <confidence> <rate>
 
+They are read a (video, frame) block at a time, as columns with one box id
+per row into the block's table of distinct box texts, each text converted
+and checked once (``iter_detection_frames``); ``iter_detection_rows`` is
+its per-row view.
+
 Tubes (one per line; entries are the retained frames, ``n`` of them)::
 
     #tubestream tubes v1
@@ -150,38 +155,79 @@ def _file_order(path: str) -> Callable[[int, str, int], None]:
 # -- detections --------------------------------------------------------------
 
 
-def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
-    """Stream (video_id, frame, box) rows with validation; constant memory.
-    A row is converted and range-checked in one go; only a row that fails is
-    checked field by field, to name what is wrong."""
+def _check_detection_fields(parts: list[str], path: str, line_no: int) -> None:
+    """Raise the ``RecordError`` that names the first bad field of a detections row.
+    The reader calls it only for a row that failed its one-go check, so one of these fails."""
+    if len(parts) != 9:
+        raise RecordError(path, line_no, f"expected 9 fields, got {len(parts)}")
+    _frame_field(parts[1], path, line_no, "frame")
+    class_id = _int_field(parts[2], path, line_no, "class_id")
+    if class_id < 0:
+        raise RecordError(path, line_no, f"field class_id must be >= 0: {class_id}")
+    x1 = _unit_interval(parts[3], path, line_no, "x_min")
+    y1 = _unit_interval(parts[4], path, line_no, "y_min")
+    x2 = _unit_interval(parts[5], path, line_no, "x_max")
+    y2 = _unit_interval(parts[6], path, line_no, "y_max")
+    if x1 >= x2 or y1 >= y2:
+        raise RecordError(path, line_no, f"degenerate box ({x1}, {y1}, {x2}, {y2})")
+    _unit_interval(parts[7], path, line_no, "confidence")
+    _unit_interval(parts[8], path, line_no, "rate")
+
+
+def iter_detection_frames(path: str) -> Iterator[tuple[str, int, list, list, list, list, list[Box]]]:
+    """Stream a detections file a (video_id, frame) block at a time, as columns
+    ``(video_id, frame, class_ids, confidences, rates, box_ids, boxes)``: row ``i`` is class
+    ``class_ids[i]`` at box ``boxes[box_ids[i]]``.  ``boxes`` holds one tuple per distinct box
+    text of the block, converted and range-checked once, so value-equal spellings (``0`` and
+    ``-0``) get a tuple each; memory is bounded by the widest block.  A row is converted and
+    range-checked in one go; only a row that fails is checked field by field, to name what is
+    wrong.  A block is yielded once the row after it has passed its checks, file order included."""
     in_order = _file_order(path)
+    video = frame_no = frame_text = None  # the block being gathered, and its frame's last spelling
+    class_ids, confidences, rates, box_ids, boxes, ids = [], [], [], [], [], {}
     for line_no, parts in _records(path, DETECTIONS_HEADER):
         try:
             video_id, frame, class_id, x1, y1, x2, y2, conf, rate = parts
-            frame, class_id = int(frame), int(class_id)
-            x1, y1, x2, y2, conf, rate = float(x1), float(y1), float(x2), float(y2), float(conf), float(rate)
-            valid = FRAME_MIN <= frame <= FRAME_MAX and class_id >= 0 and 0.0 <= conf <= 1.0 and 0.0 <= rate <= 1.0
-            valid = valid and 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
+            class_id, conf, rate = int(class_id), float(conf), float(rate)
+            valid = class_id >= 0 and 0.0 <= conf <= 1.0 and 0.0 <= rate <= 1.0
+            if frame == frame_text and video_id == video:  # a frame converted and checked already
+                frame, new_block = frame_no, False
+            else:
+                frame_text, frame = frame, int(frame)
+                valid = valid and FRAME_MIN <= frame <= FRAME_MAX
+                new_block = frame != frame_no or video_id != video
+            text = x1, y1, x2, y2
+            box_id = None if new_block else ids.get(text)
+            if box_id is None:  # a box text seen in the block passed this check
+                box = x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+                valid = valid and 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
         except ValueError:
             valid = False
-        if not valid:
-            if len(parts) != 9:
-                raise RecordError(path, line_no, f"expected 9 fields, got {len(parts)}")
-            video_id = parts[0]
-            frame = _frame_field(parts[1], path, line_no, "frame")
-            class_id = _int_field(parts[2], path, line_no, "class_id")
-            if class_id < 0:
-                raise RecordError(path, line_no, f"field class_id must be >= 0: {class_id}")
-            x1 = _unit_interval(parts[3], path, line_no, "x_min")
-            y1 = _unit_interval(parts[4], path, line_no, "y_min")
-            x2 = _unit_interval(parts[5], path, line_no, "x_max")
-            y2 = _unit_interval(parts[6], path, line_no, "y_max")
-            if x1 >= x2 or y1 >= y2:
-                raise RecordError(path, line_no, f"degenerate box ({x1}, {y1}, {x2}, {y2})")
-            conf = _unit_interval(parts[7], path, line_no, "confidence")
-            rate = _unit_interval(parts[8], path, line_no, "rate")
-        in_order(line_no, video_id, frame)
-        yield video_id, frame, CandidateBox(class_id, (x1, y1, x2, y2), conf, rate)
+        if not valid:  # some field is bad, or there are not 9
+            _check_detection_fields(parts, path, line_no)
+        if new_block:
+            in_order(line_no, video_id, frame)
+            if video is not None:
+                yield video, frame_no, class_ids, confidences, rates, box_ids, boxes
+            video, frame_no = video_id, frame
+            class_ids, confidences, rates, box_ids, boxes, ids = [], [], [], [], [], {}
+        if box_id is None:
+            box_id = ids[text] = len(boxes)
+            boxes.append(box)
+        class_ids.append(class_id)
+        confidences.append(conf)
+        rates.append(rate)
+        box_ids.append(box_id)
+    if video is not None:
+        yield video, frame_no, class_ids, confidences, rates, box_ids, boxes
+
+
+def iter_detection_rows(path: str) -> Iterator[tuple[str, int, CandidateBox]]:
+    """Stream (video_id, frame, box) rows with validation: a per-row view of
+    ``iter_detection_frames``, whose rows of one box text share its tuple."""
+    for video_id, frame, class_ids, confidences, rates, box_ids, boxes in iter_detection_frames(path):
+        for class_id, conf, rate, box_id in zip(class_ids, confidences, rates, box_ids):
+            yield video_id, frame, CandidateBox(class_id, boxes[box_id], conf, rate)
 
 
 class _RecordWriter(AbstractContextManager):

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tubestream.decode import CandidateBox, nms_boxes
-from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkerConfig, OnlineLinker, TubeEntry, TubeState
+from tubestream import records
+from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkerConfig, OnlineLinker, SequencingError, TubeEntry, TubeState
 from tubestream.records import ANNOTATIONS_HEADER, DETECTIONS_HEADER, RAWGRID_HEADER, TUBES_HEADER
 from tubestream.synthetic import LinkAudit
 from tubestream.tubes import DetectionStream
@@ -163,12 +164,27 @@ def valid_records(kind: str) -> list[str]:
     """A small valid file's records; the detections link into tubes."""
     if kind == "det":
         rows = [f"a {t} 0 0.1 0.1 0.5 0.5 0.9 {t / 10:.9g}" for t in range(1, 9)]
+        rows += [f"a 8 {c} 0.1 0.1 0.5 0.5 0.{9 - c} 0.5" for c in (1, 2)]  # a box text repeated in a frame
         return rows + [f"b {FRAME_MAX - k} 1 0.2 0.2 0.6 0.7 0.8 0.{9 - k}" for k in (3, 2, 1, 0)]
     if kind == "grids":
         return [f"frame v {t} " + " ".join(["0.5"] * 8) for t in (1, 2)]
     if kind == "tubes":
         return ["v 0 1 3 0.5 2 1,0.1,0.1,0.2,0.2 3,0.2,0.2,0.3,0.3", "w 1 -2 -2 0.25 1 -2,0.1,0.1,0.2,0.2"]
     return ["v 0 1 2 1,0.1,0.1,0.2,0.2 2,0.2,0.2,0.3,0.3", "w 1 -2 -2 -2,0.1,0.1,0.2,0.2"]
+
+
+def first_detections_error(path: str) -> str | None:
+    """The message of a detections file's first bad row, each row checked field
+    by field and then for file order, or None: the oracle of the reader's one-go
+    checks and its per-frame box table."""
+    in_order = records._file_order(path)
+    try:
+        for line_no, parts in records._records(path, DETECTIONS_HEADER):
+            records._check_detection_fields(parts, path, line_no)
+            in_order(line_no, parts[0], int(parts[1]))
+    except (records.RecordError, SequencingError) as exc:
+        return str(exc)
+    return None
 
 
 # What a mutation may splice into a file, or put in place of one field.

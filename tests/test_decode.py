@@ -470,10 +470,13 @@ class TestWideShapedNms:
             assert sum(1 for _ in iter_detection_rows(det)) == len(built) == n  # the count sees a parse's boxes
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_overlap_matrix_is_box_iou_pair_by_pair(self, seed):
-        # 300 of the 845 slots: four full row blocks and a partial one.
-        geometry = decode_grid(*wide_grid(seed)).geometry.reshape(-1, 4)[:300]
-        assert 300 // decode.OVERLAP_BLOCK == 4 and 300 % decode.OVERLAP_BLOCK
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
+    def test_overlap_matrix_is_box_iou_pair_by_pair(self, seed, n):
+        # n of the 845 slots: one block short of full, full, one past full, two
+        # blocks and one past, and four full row blocks and a partial one, so the
+        # reused block buffers are used whole, in part and for a last narrow block.
+        assert decode.OVERLAP_BLOCK == 64
+        geometry = decode_grid(*wide_grid(seed)).geometry.reshape(-1, 4)[:n]
         over = decode.overlap_matrix(geometry, 0.45)
         boxes = [tuple(g) for g in geometry.tolist()]
         assert over.tolist() == [[box_iou(a, b) > 0.45 for b in boxes] for a in boxes]

@@ -1,5 +1,6 @@
 """Online linking: temporal labeling, lifecycle, trimming, online contract."""
 
+import errno
 import functools
 import gc
 import math
@@ -608,6 +609,46 @@ class TestStores:
         with pytest.raises(NotADirectoryError, match=re.escape(f"spool directory {missing!r} is not a directory")):
             run(missing)
         assert last_step[missing] == first_store[str(tmp_path)] < CHUNK
+
+    def test_failed_step_leaves_a_linker_that_says_so(self, tmp_path):
+        """A step that fails after its checks, building a store in a removed spool
+        directory or emitting into a full sink, leaves the linker failed: a retry of
+        that frame, a later frame and ``finalize`` each name the frame that failed."""
+
+        def full_sink(*tube):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        spilling = OnlineLinker(config=LinkerConfig(alphas=1.0), store_factory=lambda: SpillStore(str(spool)))
+        spool.rmdir()
+        # Alpha 0 labels every frame; the tube completes a window after its last box.
+        sinking = OnlineLinker(config=LinkerConfig(alphas=0.0), on_tube=full_sink)
+        ended = chain_frames(4, [0.5] * 4) + [(t, []) for t in range(5, 12)]
+        for linker, frames, error in (
+            (spilling, chain_stream_frames(2_000), "NotADirectoryError"),
+            (sinking, ended, "OSError"),
+        ):
+            for frame, boxes in frames:
+                try:
+                    linker.step(frame, boxes)
+                except OSError as exc:
+                    assert type(exc).__name__ == error
+                    break
+            else:
+                pytest.fail(f"no {error} in the stream")
+            message = re.escape(f"linker failed at frame {frame}: {error}: ")
+            for retry in (lambda: linker.step(frame, boxes), lambda: linker.step(frame + 1, []), linker.finalize):
+                with pytest.raises(SequencingError, match=message):
+                    retry()
+        # A finalize that fails does not pass for done on its retry.
+        unfinished = OnlineLinker(config=LinkerConfig(alphas=0.0), on_tube=full_sink)
+        for frame, boxes in chain_frames(4, [0.5] * 4):
+            unfinished.step(frame, boxes)
+        with pytest.raises(OSError):
+            unfinished.finalize()
+        with pytest.raises(SequencingError, match="linker failed to finalize: OSError: "):
+            unfinished.finalize()
 
     def test_failed_run_link_leaves_spool_dir_empty(self, tmp_path, monkeypatch):
         det, tubes, spool = tmp_path / "det.txt", tmp_path / "tubes.txt", tmp_path / "spool"

@@ -18,13 +18,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import HEADERS, hostile_files, valid_records
+from helpers import HEADERS, first_detections_error, hostile_files, valid_records
 from tubestream.cli import build_parser, main
 from tubestream.config import RunConfig, load_config
-from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
+from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width, nms_frame
 from tubestream.linker import LinkerConfig, alpha_from_training_error
 from tubestream.losses import LossWeights
-from tubestream.pipeline import nms_frame, run_decode, run_eval, run_link
+from tubestream.pipeline import run_decode, run_eval, run_link
 from tubestream.records import RecordError, iter_detection_rows, parse_annotations, parse_tubes, write_rawgrids
 from tubestream.synthetic import ScenarioSpec, TrackSpec
 DATA = Path(__file__).parent / "data"
@@ -314,6 +314,9 @@ class TestHostileCliInput:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             lines = err.getvalue().splitlines()
+            if kind == "det":  # link names the row that a field-by-field check fails first
+                oracle = first_detections_error(path)
+                assert lines == ([] if oracle is None else [f"error: {oracle}"])
             if code == 0:
                 assert lines == [] and sorted(os.listdir(work)) == sorted(inputs + ["out.txt"])
             else:

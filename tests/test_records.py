@@ -4,6 +4,8 @@ import os
 import re
 import tempfile
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GRID_PREAMBLE, HEADERS, detection_line, hostile_files, valid_records
-from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
-from tubestream.linker import FRAME_MAX, FRAME_MIN, SequencingError
+from helpers import GRID_PREAMBLE, HEADERS, detection_line, first_detections_error, hostile_files, valid_records
+from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width, nms_frame
+from tubestream.linker import FRAME_MAX, FRAME_MIN, OnlineLinker, SequencingError
 from tubestream.config import RunConfig
 from tubestream.pipeline import run_decode, run_link
 from tubestream.records import (
@@ -24,6 +26,7 @@ from tubestream.records import (
     RecordError,
     TubeWriter,
     fnum,
+    iter_detection_frames,
     iter_detection_rows,
     parse_annotations,
     parse_tubes,
@@ -83,6 +86,53 @@ class TestDetections:
         assert run_link(RunConfig(), str(canonical), str(tmp_path / "t1.txt")) > 0
         run_link(RunConfig(), str(lenient), str(tmp_path / "t2.txt"))
         assert (tmp_path / "t2.txt").read_bytes() == (tmp_path / "t1.txt").read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_run_link_matches_the_row_oracle(self, data):
+        # Rows repeat box texts across classes and spell equal numbers apart
+        # (0.5 and 5e-1, 0 and -0, frames 01 and +1); the tubes must be the bytes
+        # of a plain row parse, then nms_frame, then the linker, frame by frame.
+        coords = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
+        spellings = {0.0: ["0", "-0", "0.0", "-0e0"], 0.5: ["0.5", "5e-1", ".50"], 1.0: ["1", "1.0", "1e0"]}
+        spelled = [spellings.get(v, [fnum(v), f"{v:e}"]) for v in coords]  # by coordinate index
+        span = st.lists(st.integers(0, len(coords) - 1), min_size=2, max_size=2, unique=True).map(sorted)
+        row = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(1, len(coords) - 1), st.integers(0, 11))
+        lines = [DETECTIONS_HEADER]
+        for video_id in data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+            for frame in sorted(data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))):
+                spans = data.draw(st.lists(st.tuples(span, span), min_size=1, max_size=4))
+                pool = [(x[0], y[0], x[1], y[1]) for x, y in spans]
+                n = data.draw(st.integers(1, 50))  # over 16 rows of a class take the overlap matrix
+                for box, class_id, conf, k in data.draw(st.lists(row, min_size=n, max_size=n)):
+                    # k picks the spellings: of the frame, of each number
+                    box = " ".join(spelled[i][(k + j) % len(spelled[i])] for j, i in enumerate(pool[box % len(pool)]))
+                    frame_text = [str(frame), f"0{frame}", f"+{frame}"][k % 3]
+                    conf, rate = spelled[conf][k % len(spelled[conf])], spelled[3][k % 3]
+                    lines.append(f"{video_id} {frame_text} {class_id} {box} {conf} {rate}")
+        config = RunConfig(alphas=0.0, window=2)
+        with tempfile.TemporaryDirectory() as work:
+            det, tubes, want = (os.path.join(work, name) for name in ("det.txt", "tubes.txt", "want.txt"))
+            Path(det).write_text("\n".join(lines) + "\n")
+            rows, texts = [], {}  # texts: each frame's distinct box texts
+            for line in lines[1:]:
+                video_id, frame, class_id, *values = line.split(" ")
+                x1, y1, x2, y2, conf, rate = map(float, values)
+                rows.append((video_id, int(frame), CandidateBox(int(class_id), (x1, y1, x2, y2), conf, rate)))
+                texts.setdefault((video_id, int(frame)), set()).add(tuple(values[:4]))
+            assert repr(list(iter_detection_rows(det))) == repr(rows)  # repr tells -0.0 from 0.0
+            # Each frame's box table holds its own distinct box texts, once each.
+            tables = [(video_id, frame, len(boxes)) for video_id, frame, *_, boxes in iter_detection_frames(det)]
+            assert tables == [(*block, len(distinct)) for block, distinct in texts.items()]
+            with TubeWriter(want) as writer:
+                for video_id, video_rows in groupby(rows, itemgetter(0)):
+                    linker = OnlineLinker(config=config, video_id=video_id, on_tube=writer.write)
+                    for frame, frame_rows in groupby(video_rows, itemgetter(1)):
+                        boxes = [box for _, _, box in frame_rows]
+                        linker.step(frame, nms_frame(boxes, config.score_threshold, config.nms_iou))
+                    linker.finalize()
+            run_link(config, det, tubes, work)
+            assert Path(tubes).read_bytes() == Path(want).read_bytes()
 
     def test_three_video_fixture_counts(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -352,6 +402,36 @@ class TestRowFastPaths:
             parse(str(path))
         assert str(err.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize(
+        "second, line, message",
+        [
+            ("v 1 1 0.1 0.1 0.5 0.5 1.2 0.5", 3, "field confidence out of range [0, 1]: 1.2"),
+            ("v 1 1 0.1 0.1 0.5 0.5 0.9 nan", 3, "field rate out of range [0, 1]: nan"),
+            ("v 1 -1 0.1 0.1 0.5 0.5 0.9 0.5", 3, "field class_id must be >= 0: -1"),
+            ("v 1.0 1 0.1 0.1 0.5 0.5 0.9 0.5", 3, "field frame is not an integer: '1.0'"),
+            ("v 1 1 0.1 0.1 0.5 0.5 0.9 0.5 0.5", 3, "expected 9 fields, got 10"),
+            ("v 1 1 0.1 0.1 0.5 0.5 0.9", 3, "expected 9 fields, got 8"),
+            ("v 0 1 0.1 0.1 0.5 0.5 0.9 0.5", 3, "frame 0 of video 'v' after frame 1"),
+        ],
+        ids=["confidence", "rate", "class_id", "frame", "10_fields", "8_fields", "frame_order"],
+    )
+    def test_row_repeating_a_box_text_keeps_its_message(self, tmp_path, second, line, message):
+        # The reader converts a frame's box text once; a later row with that
+        # text still has each of its other fields checked, in the same order.
+        path = tmp_path / "det.txt"
+        path.write_text(f"{DETECTIONS_HEADER}\nv 1 0 0.1 0.1 0.5 0.5 0.9 0.5\n{second}\n")
+        with pytest.raises((RecordError, SequencingError)) as err:
+            list(iter_detection_rows(str(path)))
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize("box", ["0.5 0.1 0.5 0.5", "0.1 0.1 0.5 x", "0.1 0.1 1.5 0.5"])
+    def test_bad_box_text_twice_fails_at_its_first_row(self, tmp_path, box):
+        path = tmp_path / "det.txt"
+        path.write_text(f"{DETECTIONS_HEADER}\nv 1 0 0.2 0.2 0.6 0.6 0.9 0.5\n" + f"v 1 1 {box} 0.9 0.5\n" * 2)
+        with pytest.raises(RecordError) as err:
+            list(iter_detection_rows(str(path)))
+        assert err.value.line_no == 3 and str(err.value) == first_detections_error(str(path))
+
 
 class TestTubes:
     def test_round_trip(self, tmp_path):
@@ -610,14 +690,17 @@ class TestHostileBytes:
             with open(path, "wb") as fh:
                 fh.write(data)
             located = re.compile(re.escape(path) + r":[1-9][0-9]*: ")
+            error = None
             try:
                 parsed = read_all(kind, path)
             except (RecordError, SequencingError) as exc:
                 assert located.match(str(exc)), str(exc)
-                failed = True
+                error = str(exc)
             else:
                 assert all(FRAME_MIN <= f <= FRAME_MAX for f in frames_of(kind, parsed))
-                failed = False
+            failed = error is not None
+            if kind == "det":
+                assert error == first_detections_error(path)
             stages = {"det": (run_link, "tubes"), "grids": (run_decode, "det")}
             if kind in stages:
                 run, next_kind = stages[kind]
