@@ -12,7 +12,10 @@ Each (detection, ground truth) overlap is computed once; one matcher,
 
 Frame-level scoring reads one row shape, ``(video_id, frame, class_id,
 score, box)`` in the detections record's field order, once and in order,
-so a file's rows can stream straight from the parser.  Without per-frame
+so a file's rows can stream straight from the parser.  It keeps no row: a
+row leaves its score, and for each same-class annotation on its frame a
+(row, annotation) index pair and its box, in flat arrays per class; each
+class's overlaps are then computed in one array call.  Without per-frame
 detections the rows are the tubes' boxes, each scored with its tube's score.
 
 Tube overlap multiplies the mean per-frame spatial IoU over the temporal
@@ -22,6 +25,7 @@ intersection where the detected tube has no box count as spatial IoU 0.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -123,31 +127,39 @@ def frame_map(
     """Frame-level mAP: per-class AP over all (video, frame) pooled boxes.
 
     ``detections`` holds ``(video_id, frame, class_id, score, box)`` rows, the
-    detections record's field order; it is read once, so it may be a stream."""
-    by_class: dict[int, list[tuple[str, int, int, float, Box]]] = {}
-    for row in detections:
-        by_class.setdefault(row[2], []).append(row)
-    classes = sorted({t.class_id for t in gt_tubes})
+    detections record's field order; it is read once, so it may be a stream.
+    Rows are not kept: each leaves its score, and for each annotation on its
+    frame a (row, annotation) index pair and its box."""
+    # A class's annotated boxes are numbered in gt_tubes order; each of its
+    # tubes is a (t_start, t_end, base) span of its video, frame f of which is
+    # box base + f.
+    gt_boxes: dict[int, list[Box]] = {}
+    spans: dict[int, dict[str, list[tuple[int, int, int]]]] = {}
+    for t in gt_tubes:
+        boxes = gt_boxes.setdefault(t.class_id, [])
+        spans.setdefault(t.class_id, {}).setdefault(t.video_id, []).append((t.t_start, t.t_end, len(boxes) - t.t_start))
+        boxes.extend(t.boxes)
+    # Per class: each row's score, and per (row, annotation) pair the row's
+    # index within the class, the annotation's and the row's box.
+    by_class = {c: (array("d"), array("q"), array("q"), array("d"), spans[c]) for c in spans}
+    for video_id, frame, class_id, score, box in detections:
+        acc = by_class.get(class_id)
+        if acc is None:
+            continue
+        scores, det, gt, coords, video_spans = acc
+        for t_start, t_end, base in video_spans.get(video_id, ()):
+            if t_start <= frame <= t_end:
+                x1, y1, x2, y2 = box
+                det.append(len(scores))
+                gt.append(base + frame)
+                coords.extend((x1, y1, x2, y2))
+        scores.append(score)
     per_class: dict[int, float] = {}
-    for class_id in classes:
-        gt_boxes: list[Box] = []
-        at: dict[tuple[str, int], list[int]] = {}
-        for t in gt_tubes:
-            if t.class_id == class_id:
-                for f, bx in enumerate(t.boxes, t.t_start):
-                    at.setdefault((t.video_id, f), []).append(len(gt_boxes))
-                    gt_boxes.append(bx)
-        rows = by_class.get(class_id, [])
-        det: list[int] = []
-        gt: list[int] = []
-        for i, (video_id, frame, _, _, _) in enumerate(rows):
-            for j in at.get((video_id, frame), ()):
-                det.append(i)
-                gt.append(j)
-        det_boxes = np.array([rows[i][4] for i in det], dtype=np.float64).reshape(-1, 4)
-        overlap = box_iou_array(det_boxes, np.array(gt_boxes, dtype=np.float64)[gt])
-        scores = [r[3] for r in rows]
-        per_class[class_id] = average_precisions(scores, (det, gt, overlap), len(gt_boxes), (threshold,))[0]
+    for class_id in sorted(by_class):
+        scores, det, gt, coords, _ = by_class.pop(class_id)
+        gt_array = np.array(gt_boxes.pop(class_id), dtype=np.float64)
+        overlap = box_iou_array(np.asarray(coords).reshape(-1, 4), gt_array[np.asarray(gt)])
+        per_class[class_id] = average_precisions(scores, (det, gt, overlap), len(gt_array), (threshold,))[0]
     return _mean(per_class.values()), per_class
 
 

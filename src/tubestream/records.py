@@ -246,7 +246,9 @@ class _RecordWriter(AbstractContextManager):
         self.close()
 
 
-_ROW, _BOX = "%s %d %d %s %.9g %.9g\n", "%.9g %.9g %.9g %.9g"  # a detections row, and its box
+# A detections row as its (video_id, frame) head and the rest, and its box.
+_HEAD, _TAIL, _BOX = "%s %d ", "%d %s %.9g %.9g\n", "%.9g %.9g %.9g %.9g"
+_ROW = _HEAD + _TAIL
 
 
 class DetectionWriter(_RecordWriter):
@@ -264,8 +266,12 @@ class DetectionWriter(_RecordWriter):
         ``-0.0`` stays ``-0`` even where an equal box is ``0``."""
         slots = slots.tolist()
         text = {s: _BOX % geometry[s] for s in set(slots)}
-        columns = class_ids.tolist(), slots, confidences.tolist(), rates.tolist()
-        self._fh.write("".join([_ROW % (video_id, frame, c, text[s], p, r) for c, s, p, r in zip(*columns)]))
+        # One % over the frame's rows: the head is formatted once, its own "%" escaped.
+        row = (_HEAD % (video_id, frame)).replace("%", "%%") + _TAIL
+        fields = [None] * (4 * len(slots))
+        fields[0::4], fields[1::4] = class_ids.tolist(), [text[s] for s in slots]
+        fields[2::4], fields[3::4] = confidences.tolist(), rates.tolist()
+        self._fh.write(row * len(slots) % tuple(fields))
 
 
 def write_detections(path: str, streams: Iterable[DetectionStream]) -> None:

@@ -1,5 +1,10 @@
 """Evaluation stack: overlaps, AP machinery, frame/video mAP, temporal recovery."""
 
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 import metrics_oracle
 from helpers import random_box
 from tubestream import metrics
+from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
 from tubestream.geometry import box_iou, box_iou_array, temporal_iou
 from tubestream.metrics import (
@@ -20,6 +26,17 @@ from tubestream.metrics import (
     tube_iou,
     video_map,
 )
+from tubestream.linker import FRAME_MAX, FRAME_MIN
+from tubestream.pipeline import run_link
+from tubestream.records import (
+    DETECTIONS_HEADER,
+    DetectionWriter,
+    iter_detection_frames,
+    parse_annotations,
+    parse_tubes,
+    write_annotations,
+)
+from tubestream.synthetic import ScenarioSpec, TrackSpec, generate
 from tubestream.tubes import FinalTube, GroundTruthTube
 
 
@@ -259,6 +276,171 @@ class TestFrameMap:
         assert per_class[0] == pytest.approx(5 / 6, abs=1e-9)
         assert per_class[1] == pytest.approx(1 / 2, abs=1e-9)
         assert value == pytest.approx((5 / 6 + 1 / 2) / 2, abs=1e-9)
+
+
+def reader_rows(path):
+    """A detections file's rows in ``frame_map``'s shape, as ``run_eval`` streams them."""
+    for video_id, frame, class_ids, confidences, _, box_ids, boxes in iter_detection_frames(str(path)):
+        for class_id, conf, box_id in zip(class_ids, confidences, box_ids):
+            yield video_id, frame, class_id, conf, boxes[box_id]
+
+
+def dict_pairs(rows, gt_tubes, class_id):
+    """One class's ``average_precisions`` inputs as ``frame_map`` built them
+    with one dict key per annotated (video, frame)."""
+    gt_boxes, at = [], {}
+    for t in gt_tubes:
+        if t.class_id == class_id:
+            for f, bx in enumerate(t.boxes, t.t_start):
+                at.setdefault((t.video_id, f), []).append(len(gt_boxes))
+                gt_boxes.append(bx)
+    own = [row for row in rows if row[2] == class_id]
+    det, gt = [], []
+    for i, (video_id, frame, _, _, _) in enumerate(own):
+        for j in at.get((video_id, frame), ()):
+            det.append(i)
+            gt.append(j)
+    overlap = [box_iou(own[i][4], gt_boxes[j]) for i, j in zip(det, gt)]
+    return [row[3] for row in own], det, gt, overlap, len(gt_boxes)
+
+
+def spelled(frame: int, how: int) -> str:
+    """One of the frame spellings the detections reader accepts."""
+    sign, digits = ("-" if frame < 0 else ""), str(abs(frame))
+    if how == 1:
+        return f"{sign or '+'}0{digits}"
+    if how == 2 and len(digits) > 1:
+        return f"{sign}{digits[0]}_{digits[1:]}"
+    if how == 3:
+        return f"\t{frame}\x0b"
+    return str(frame)
+
+
+# Frames at both ends of the record range and about zero.
+_CENTERS = (FRAME_MIN, -2, FRAME_MAX - 3)
+
+
+@st.composite
+def spelled_detection_sets(draw):
+    """Annotations of two classes and a detections file's text over two
+    videos, whose frames sit at ``_CENTERS`` and are spelled every way the
+    reader accepts; several spans of a (class, video) may cover a frame."""
+    frame = st.builds(lambda c, k: c + k, st.sampled_from(_CENTERS), st.integers(0, 3))
+    gt_tubes = []
+    for _ in range(draw(st.integers(1, 8))):
+        t0, n = draw(frame), draw(st.integers(1, 4))
+        t0 = min(t0, FRAME_MAX - n + 1)
+        boxes = tuple(draw(st.lists(st.sampled_from(DYADIC_BOXES[::5]), min_size=n, max_size=n)))
+        gt_tubes.append(GroundTruthTube(draw(st.sampled_from("ab")), draw(st.integers(0, 1)), t0, t0 + n - 1, boxes))
+    lines = [DETECTIONS_HEADER]
+    for video_id in "ab":
+        for f in sorted(draw(st.lists(frame, max_size=12))):
+            x1, y1, x2, y2 = draw(st.sampled_from(DYADIC_BOXES[::5]))
+            how, class_id, score = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.sampled_from((0.25, 0.5)))
+            lines.append(f"{video_id} {spelled(f, how)} {class_id} {x1} {y1} {x2} {y2} {score} 0.5")
+    return gt_tubes, "\n".join(lines) + "\n"
+
+
+class TestFrameMapStreaming:
+    """``frame_map`` keeps a score per row and, per annotation on the row's
+    frame, an index pair and the row's box: never the row itself."""
+
+    @given(spelled_detection_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_are_the_frame_dicts(self, data):
+        # Span arithmetic (base + frame) numbers the annotations exactly as
+        # a dict keyed by (video, frame) did, for every frame the reader yields.
+        gt_tubes, text = data
+        calls = []
+        original = metrics.average_precisions
+
+        def spy(scores, pairs, n_gt, thresholds):
+            calls.append((list(scores), list(pairs[0]), list(pairs[1]), list(pairs[2]), n_gt))
+            return original(scores, pairs, n_gt, thresholds)
+
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "det.txt"
+            path.write_text(text, encoding="utf-8")
+            rows = list(reader_rows(path))
+            metrics.average_precisions = spy
+            try:
+                frame_map(reader_rows(path), gt_tubes)
+            finally:
+                metrics.average_precisions = original
+        assert all(type(row[1]) is int for row in rows)
+        classes = sorted({t.class_id for t in gt_tubes})
+        assert calls == [dict_pairs(rows, gt_tubes, c) for c in classes]
+
+    def test_synthetic_set_matches_oracle(self, tmp_path):
+        # Several videos, overlapping same-class actions, context and
+        # distractors; rows in reader order and shuffled.
+        tracks = (
+            TrackSpec(0, 3, 20, (0.1, 0.1, 0.4, 0.5), (0.3, 0.2, 0.6, 0.6)),
+            TrackSpec(0, 12, 30, (0.5, 0.4, 0.9, 0.9), (0.4, 0.3, 0.8, 0.8)),
+            TrackSpec(1, 8, 26, (0.2, 0.5, 0.5, 0.9), (0.2, 0.5, 0.5, 0.9)),
+        )
+        gt_tubes = []
+        with DetectionWriter(str(tmp_path / "det.txt")) as writer:
+            for k in range(3):
+                spec = ScenarioSpec(
+                    n_frames=32, n_classes=3, tracks=tracks[k % 2 :], geometry_jitter=0.03,
+                    context_score=(0.4, 0.9), distractor_rate=1.0, seed=k, video_id=f"v{k}",
+                )
+                stream, tubes = generate(spec)
+                gt_tubes += tubes
+                for t in stream.ordered_frames():
+                    for bx in stream.boxes_at(t):
+                        writer.add(stream.video_id, t, bx)
+        write_annotations(str(tmp_path / "ann.txt"), gt_tubes)
+        run_link(RunConfig(alphas=1.0), str(tmp_path / "det.txt"), str(tmp_path / "tubes.txt"))
+        tubes, gt_tubes = parse_tubes(str(tmp_path / "tubes.txt")), parse_annotations(str(tmp_path / "ann.txt"))
+        rows = list(reader_rows(tmp_path / "det.txt"))
+        assert 200 <= len(rows) <= 600 and tubes
+        shuffled = rows[:]
+        random.Random(0).shuffle(shuffled)
+        for order in (rows, shuffled):
+            oracle_rows = [(v, f, CandidateBox(c, bx, p, 0.0)) for v, f, c, p, bx in order]
+            got = evaluate(tubes, gt_tubes, iter(order))
+            want = metrics_oracle.evaluate(tubes, gt_tubes, oracle_rows)
+            assert got.rows() == want.rows()
+            assert 0.0 < got.f_map < 1.0
+
+    @pytest.mark.parametrize("boxes", [[(0.1, 0.1, 0.6)], [(0.1, 0.1, 0.6, 0.6, 0.6)], [(0.1, 0.1, 0.6), (0, 0, 1, 1, 1)]])
+    def test_box_not_four_numbers_raises(self, boxes):
+        # A row of three numbers and one of five are eight coordinates: they
+        # must not pass as two misaligned boxes.
+        rows = [("v", f, 0, 0.9, box) for f, box in enumerate(boxes, 1)]
+        with pytest.raises(ValueError):
+            frame_map(rows, [gt("v", 0, 1, 4)])
+
+    def test_memory_per_row_and_pair(self):
+        # About 100k fresh rows, as a parser yields them: a third of a class
+        # without annotations, most others on frames without one, some on
+        # annotated frames.  Keeping each row costs hundreds of bytes.
+        n_videos, n_frames, classes = 4, 8000, (0, 1, 2)
+        gt_tubes = [
+            GroundTruthTube(f"v{v}", c, t0, t0 + 19, ((0.1, 0.1, 0.6, 0.6),) * 20)
+            for v in range(n_videos)
+            for c in (0, 1)
+            for t0 in range(100 * c + 10, n_frames, 1000)
+        ]
+
+        def stream():
+            for v in range(n_videos):
+                video_id = f"v{v}"
+                for f in range(n_frames):
+                    for c in classes:
+                        yield video_id, f, c, (f * 7919 % 1000) / 1000, (0.1, 0.1, 0.5 + c / 10, 0.6 + f / 1e4)
+
+        n_rows = n_videos * n_frames * len(classes)
+        n_pairs = sum(t.length for t in gt_tubes)
+        tracemalloc.start()
+        try:
+            frame_map(stream(), gt_tubes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n_rows + 64 * n_pairs + 256 * 1024
 
 
 class TestVideoMap:

@@ -264,6 +264,17 @@ class TestGeometryTextCache:
                 writer.add(*row)
         assert (tmp_path / "d.txt").read_text(encoding="utf-8").splitlines() == expected
 
+    def test_video_id_with_percent(self, tmp_path):
+        # The frame's head goes into the row template, so its "%" must be escaped.
+        geometry = [(0.125, 0.25, 0.5, 0.75), (0.0, 0.1, 0.5, 0.6)]
+        columns = (np.array([3, 0, 7]), np.array([1, 0, 1]), np.array([0.9, 0.5, 0.25]), np.array([0.1, 0.2, 0.3]))
+        frames = [(video_id, 5, (*columns, geometry)) for video_id in ("%", "v%d%%s", "100%s%")]
+        written = self.written_rows(tmp_path / "d.txt", frames)
+        assert written == self.oracle_rows(frames)
+        assert [(v, f) for v, f, _ in iter_detection_rows(str(tmp_path / "d.txt"))] == [
+            (video_id, 5) for video_id, _, _ in frames for _ in range(3)
+        ]
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_frame_write_matches_the_row_oracle(self, data):
@@ -281,7 +292,9 @@ class TestGeometryTextCache:
 
             slots = column(st.integers(0, len(geometry) - 1), np.int64)
             class_ids = column(st.integers(0, 10**6), np.int64)
-            frames.append(("v", t, (class_ids, slots, column(_unit, np.float64), column(_unit, np.float64), geometry)))
+            video_id = data.draw(st.sampled_from(["v", "%", "v%d%%s"]))
+            columns = (class_ids, slots, column(_unit, np.float64), column(_unit, np.float64), geometry)
+            frames.append((video_id, t, columns))
         with tempfile.TemporaryDirectory() as work:
             written = self.written_rows(Path(work) / "d.txt", frames)
         assert written == self.oracle_rows(frames)
