@@ -54,20 +54,15 @@ class LossWeights:
 
 @dataclass
 class TargetAssignment:
-    """Ground-truth values and indicator masks for one frame's grid.
+    """Ground-truth values for one frame's grid of S x S cells, B anchors, C classes.
 
-    ``act_mask[iy, ix, j]`` marks the single responsible anchor of each action
-    instance; ``noact_mask`` marks slots with no action at all (the two are
-    mutually exclusive).  ``class_act_mask`` refines ``act_mask`` by class.
-    Filled target values are meaningful only where the matching mask is set.
+    ``act_mask`` is 1 at each action instance's single responsible anchor and
+    0 at every action-free slot.  ``target_class`` is the one-hot class there,
+    so it is also the per-class positive mask, and its shape is the grid's.
+    Offsets and rates are meaningful only at responsible slots.
     """
 
-    s_cells: int
-    n_anchors: int
-    n_classes: int
     act_mask: np.ndarray  # (S, S, B)
-    noact_mask: np.ndarray  # (S, S, B)
-    class_act_mask: np.ndarray  # (S, S, B, C)
     target_offsets: np.ndarray  # (S, S, B, 4) activated-space (x, y, w, h)
     target_class: np.ndarray  # (S, S, B, C) one-hot
     target_rate: np.ndarray  # (S, S, B, C) tube-local completion fraction
@@ -105,12 +100,7 @@ def build_targets(
     if len(anchors) != b:
         raise ValueError(f"anchor set has {len(anchors)} entries, grid declares {b}")
     ta = TargetAssignment(
-        s_cells=s,
-        n_anchors=b,
-        n_classes=c,
         act_mask=np.zeros((s, s, b)),
-        noact_mask=np.ones((s, s, b)),
-        class_act_mask=np.zeros((s, s, b, c)),
         target_offsets=np.zeros((s, s, b, 4)),
         target_class=np.zeros((s, s, b, c)),
         target_rate=np.zeros((s, s, b, c)),
@@ -133,8 +123,6 @@ def build_targets(
             continue
         pw, ph = anchors.sizes[j]
         ta.act_mask[iy, ix, j] = 1.0
-        ta.noact_mask[iy, ix, j] = 0.0
-        ta.class_act_mask[iy, ix, j, tube.class_id] = 1.0
         ta.target_offsets[iy, ix, j] = (
             cx * s - ix,
             cy * s - iy,
@@ -149,11 +137,11 @@ def build_targets(
 def _inputs(pred: np.ndarray, target: TargetAssignment, weights: LossWeights):
     """``pred`` as float64 and checked against the target grid, its blocks, and
     the positive, negative and mined-negative masks."""
-    s, b, c = target.s_cells, target.n_anchors, target.n_classes
+    s, _, b, c = target.target_class.shape
     pred = np.asarray(pred, dtype=np.float64)
     if pred.shape != (s, s, b, attr_width(c)):
         raise ValueError(f"prediction shape {pred.shape} does not match target grid ({s}, {s}, {b}, {attr_width(c)})")
-    blocks, neg = split_attributes(pred, c), target.noact_mask
+    blocks, neg = split_attributes(pred, c), 1.0 - target.act_mask
     return pred, blocks, target.act_mask, neg, neg * (blocks[1] > weights.neg_gate)
 
 
@@ -165,10 +153,10 @@ def loss_terms(pred: np.ndarray, target: TargetAssignment, weights: LossWeights)
     coord = weights.coord * float(np.sum(pos[..., None] * (xywh - target.target_offsets) ** 2))
     conf = weights.act * float(np.sum(pos * (act - 1.0) ** 2)) + weights.noact * float(np.sum(neg * act**2))
     cls_l = weights.cls * float(np.sum(pos[..., None] * (cls - target.target_class) ** 2))
-    hp = weights.progression * float(np.sum(target.class_act_mask * (prog - 1.0) ** 2)) + float(
+    hp = weights.progression * float(np.sum(target.target_class * (prog - 1.0) ** 2)) + float(
         np.sum(gate[..., None] * prog**2)
     )
-    sp = weights.rate * float(np.sum(target.class_act_mask * (rate - target.target_rate) ** 2))
+    sp = weights.rate * float(np.sum(target.target_class * (rate - target.target_rate) ** 2))
     return LossBreakdown(coord=coord, conf=conf, cls=cls_l, hp=hp, sp=sp)
 
 
@@ -177,12 +165,12 @@ def loss_gradient(pred: np.ndarray, target: TargetAssignment, weights: LossWeigh
     pred, (xywh, act, cls, prog, rate), pos, neg, gate = _inputs(pred, target, weights)
 
     grad = np.zeros_like(pred)
-    g_xywh, g_act, g_cls, g_prog, g_rate = split_attributes(grad, target.n_classes)
+    g_xywh, g_act, g_cls, g_prog, g_rate = split_attributes(grad, target.target_class.shape[-1])
     g_xywh[...] = 2.0 * weights.coord * pos[..., None] * (xywh - target.target_offsets)
     g_act[...] = 2.0 * weights.act * pos * (act - 1.0) + 2.0 * weights.noact * neg * act
     g_cls[...] = 2.0 * weights.cls * pos[..., None] * (cls - target.target_class)
-    g_prog[...] = 2.0 * weights.progression * target.class_act_mask * (prog - 1.0) + 2.0 * gate[..., None] * prog
-    g_rate[...] = 2.0 * weights.rate * target.class_act_mask * (rate - target.target_rate)
+    g_prog[...] = 2.0 * weights.progression * target.target_class * (prog - 1.0) + 2.0 * gate[..., None] * prog
+    g_rate[...] = 2.0 * weights.rate * target.target_class * (rate - target.target_rate)
     return grad
 
 

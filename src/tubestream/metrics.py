@@ -8,7 +8,8 @@ interpolated precision-recall curve.  Classes absent from the ground truth
 are excluded from every mean.
 
 Each (detection, ground truth) overlap is computed once; one matcher,
-:func:`average_precisions`, then matches every threshold on those overlaps.
+:func:`average_precisions`, then matches every threshold on those overlaps
+and integrates each curve in numpy, with no Python list per row.
 
 Frame-level scoring reads one row shape, ``(video_id, frame, class_id,
 score, box)`` in the detections record's field order, once and in order,
@@ -18,9 +19,11 @@ row leaves its score, and for each same-class annotation on its frame a
 class's overlaps are then computed in one array call.  Without per-frame
 detections the rows are the tubes' boxes, each scored with its tube's score.
 
-Tube overlap multiplies the mean per-frame spatial IoU over the temporal
-intersection with the temporal IoU of the frame ranges; frames of the
-intersection where the detected tube has no box count as spatial IoU 0.
+Video mAP and temporal recovery compare a detected tube only with the
+annotated tubes of its class and video.  Tube overlap multiplies the mean
+per-frame spatial IoU over the temporal intersection with the temporal IoU
+of the frame ranges; frames of the intersection where the detected tube has
+no box count as spatial IoU 0.
 """
 
 from __future__ import annotations
@@ -83,35 +86,21 @@ def average_precisions(
     # Detections in rank order, each one's candidates best first: its greedy
     # pick is its first candidate not yet matched.
     by = np.lexsort((gt, -overlap, det_rank))
-    candidates = list(zip(det_rank[by].tolist(), gt[by].tolist(), overlap[by].tolist()))
+    columns = det_rank[by].tolist(), gt[by].tolist(), overlap[by].tolist()
+    ranks = np.arange(1, len(scores) + 1)
     aps = []
     for threshold in thresholds:
-        matched = [False] * n_gt
-        tp_flags = [False] * len(scores)  # by rank
+        matched = bytearray(n_gt)
+        tp = np.zeros(len(scores), dtype=bool)  # by rank
         picked = -1
-        for r, j, ov in candidates:
+        for r, j, ov in zip(*columns):
             if r != picked and not matched[j]:
                 picked = r
-                tp_flags[r] = matched[j] = ov > threshold
-        aps.append(_area_under_pr(tp_flags, n_gt))
+                tp[r] = matched[j] = ov > threshold
+        best = np.maximum.accumulate((np.cumsum(tp) / ranks)[::-1])[::-1]
+        # cumsum adds in rank order; np.sum adds pairwise and can change the last bit.
+        aps.append(float(np.cumsum(best[tp] / n_gt)[-1]) if tp.any() else 0.0)
     return aps
-
-
-def _area_under_pr(tp_flags: list[bool], n_gt: int) -> float:
-    """Area under the all-point interpolated precision-recall curve."""
-    ap = 0.0
-    best_precision_from = [0.0] * (len(tp_flags) + 1)
-    n_tp_total = sum(tp_flags)
-    running_tp = n_tp_total
-    for k in range(len(tp_flags) - 1, -1, -1):
-        precision = running_tp / (k + 1)
-        best_precision_from[k] = max(best_precision_from[k + 1], precision)
-        if tp_flags[k]:
-            running_tp -= 1
-    for k, flag in enumerate(tp_flags):
-        if flag:
-            ap += best_precision_from[k] / n_gt
-    return ap
 
 
 def _mean(values: Iterable[float]) -> float:
@@ -173,25 +162,11 @@ def video_map(
     ``tube_iou`` runs once per same-class, same-video (detection, annotation)
     pair; every threshold is matched on those overlaps."""
     thresholds = [round(d, 2) for d in thresholds]
-    classes = sorted({t.class_id for t in gt_tubes})
     per_class: dict[float, dict[int, float]] = {d: {} for d in thresholds}
-    for class_id in classes:
-        gt_by_video: dict[str, list[tuple[int, GroundTruthTube]]] = {}
-        n_gt = 0
-        for g in gt_tubes:
-            if g.class_id == class_id:
-                gt_by_video.setdefault(g.video_id, []).append((n_gt, g))
-                n_gt += 1
-        dets = [t for t in tubes if t.class_id == class_id]
-        det: list[int] = []
-        gt: list[int] = []
-        overlap: list[float] = []
-        for i, d in enumerate(dets):
-            for j, g in gt_by_video.get(d.video_id, ()):
-                det.append(i)
-                gt.append(j)
-                overlap.append(tube_iou(d, g))
-        aps = average_precisions([d.score for d in dets], (det, gt, overlap), n_gt, thresholds)
+    for class_id in sorted({t.class_id for t in gt_tubes}):
+        dets, gts, (det, gt) = _same_video_pairs(tubes, gt_tubes, class_id)
+        overlap = [tube_iou(dets[i], gts[j]) for i, j in zip(det, gt)]
+        aps = average_precisions([d.score for d in dets], (det, gt, overlap), len(gts), thresholds)
         for threshold, ap in zip(thresholds, aps):
             per_class[threshold][class_id] = ap
     v_map = {d: _mean(aps.values()) for d, aps in per_class.items()}
@@ -206,29 +181,36 @@ def average_temporal_iou(
     same-class detection in the same video.
 
     Returned twice under two readings of "best": highest temporal IoU
-    (first dict, the headline number) and highest detection score (second).
-    Annotated tubes with no detection contribute 0.
+    (first dict, the headline number) and highest detection score (second;
+    the first of equal scores wins).  Annotated tubes with no detection
+    contribute 0.
     """
-    by_class_video: dict[tuple[int, str], list[FinalTube]] = {}
-    for t in tubes:
-        by_class_video.setdefault((t.class_id, t.video_id), []).append(t)
-    classes = sorted({t.class_id for t in gt_tubes})
     best_overlap: dict[int, float] = {}
     best_score: dict[int, float] = {}
-    for class_id in classes:
-        ov_vals, sc_vals = [], []
-        for gt in (t for t in gt_tubes if t.class_id == class_id):
-            same = by_class_video.get((class_id, gt.video_id), [])
-            tious = [temporal_iou((t.t_start, t.t_end), (gt.t_start, gt.t_end)) for t in same]
-            ov_vals.append(max(tious, default=0.0))
-            if same:
-                top = max(range(len(same)), key=lambda i: same[i].score)
-                sc_vals.append(tious[top])
-            else:
-                sc_vals.append(0.0)
-        best_overlap[class_id] = _mean(ov_vals)
-        best_score[class_id] = _mean(sc_vals)
+    for class_id in sorted({t.class_id for t in gt_tubes}):
+        dets, gts, (det, gt) = _same_video_pairs(tubes, gt_tubes, class_id)
+        by_overlap, by_score, top = [0.0] * len(gts), [0.0] * len(gts), [None] * len(gts)
+        for i, j in zip(det, gt):
+            d, g = dets[i], gts[j]
+            tiou = temporal_iou((d.t_start, d.t_end), (g.t_start, g.t_end))
+            by_overlap[j] = max(by_overlap[j], tiou)
+            if top[j] is None or d.score > top[j]:
+                top[j], by_score[j] = d.score, tiou
+        best_overlap[class_id] = _mean(by_overlap)
+        best_score[class_id] = _mean(by_score)
     return best_overlap, best_score
+
+
+def _same_video_pairs(tubes: Sequence[FinalTube], gt_tubes: Sequence[GroundTruthTube], class_id: int):
+    """One class's detected and annotated tubes, each in input order, and the
+    index lists of its same-video (detection, annotation) pairs, detections ascending."""
+    dets = [t for t in tubes if t.class_id == class_id]
+    gts = [g for g in gt_tubes if g.class_id == class_id]
+    gt_by_video: dict[str, list[int]] = {}
+    for j, g in enumerate(gts):
+        gt_by_video.setdefault(g.video_id, []).append(j)
+    same = [gt_by_video.get(d.video_id, ()) for d in dets]
+    return dets, gts, ([i for i, js in enumerate(same) for _ in js], [j for js in same for j in js])
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """README's configuration table is the settings contract: one row per
 settable ``RunConfig`` field, each with the interval its range table holds.
-README's "Library use" block runs as written."""
+README's "Library use" block runs as written, and its Layout block names
+every module of the package."""
 
 from dataclasses import fields
 from pathlib import Path
@@ -65,3 +66,13 @@ def test_library_use_block_runs(capsys):
     assert tubes == oracle_link(detections, 2, names["linker"].config)[0]
     assert capsys.readouterr().out == names["report"].table() + "\n"
     assert names["report"].v_map[0.1] == 1.0
+
+
+def test_layout_names_every_module_once():
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index("\n## Layout\n") :]
+    start = after.index("```\n") + len("```\n")
+    block = after[start : after.index("```", start)]
+    named = [line.split()[0] for line in block.splitlines() if line.startswith("  ") and not line[2].isspace()]
+    modules = sorted(p.name for p in (README.parent / "src" / "tubestream").glob("*.py") if p.name != "__init__.py")
+    assert sorted(name for name in named if name.endswith(".py")) == modules

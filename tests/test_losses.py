@@ -27,14 +27,14 @@ def gt_tube(box, t_start=1, t_end=4, class_id=0, video="v"):
 
 def perfect_prediction(target):
     """A prediction achieving exactly zero loss for the given targets."""
-    s, b, c = target.s_cells, target.n_anchors, target.n_classes
+    s, _, b, c = target.target_class.shape
     pred = np.zeros((s, s, b, attr_width(c)))
     pred[..., 0:4] = target.target_offsets
     pred[..., ATTR_ACT] = target.act_mask
     pred[..., 5 : 5 + c] = target.target_class
     # Off-class progression is unconstrained wherever the mining gate is shut;
     # an arbitrary value proves it costs nothing.
-    pred[..., 5 + c : 5 + 2 * c] = np.where(target.class_act_mask > 0, 1.0, 0.31)
+    pred[..., 5 + c : 5 + 2 * c] = np.where(target.target_class > 0, 1.0, 0.31)
     pred[..., 5 + 2 * c : 5 + 3 * c] = target.target_rate
     return pred
 
@@ -43,7 +43,7 @@ class TestBuildTargets:
     def test_rate_target_is_completion_fraction(self):
         # Tube of length 4, queried at its second covered frame.
         target = build_targets([gt_tube((0.3, 0.3, 0.6, 0.6))], 2, (4, 1, 1), AnchorSet(((1.0, 1.0),)))
-        iy, ix, j, c = np.argwhere(target.class_act_mask)[0]
+        iy, ix, j, c = np.argwhere(target.target_class)[0]
         assert target.target_rate[iy, ix, j, c] == pytest.approx(0.5, abs=1e-12)
 
     def test_last_frame_rate_is_one_first_is_one_over_length(self):
@@ -56,9 +56,8 @@ class TestBuildTargets:
 
     def test_empty_ground_truth_all_negative(self):
         target = build_targets([], 1, (3, 2, 2), AnchorSet(((1.0, 1.0), (2.0, 2.0))))
-        assert target.noact_mask.all()
         assert not target.act_mask.any()
-        assert not target.class_act_mask.any()
+        assert not target.target_class.any()
 
     def test_responsible_anchor_by_shape_iou(self):
         # 0.3x0.3 box centered in cell (1,1) of a 4-grid; anchor (1,1) wins
@@ -68,7 +67,6 @@ class TestBuildTargets:
         target = build_targets([gt_tube(box)], 1, (4, 2, 1), anchors)
         assert target.act_mask[1, 1, 0] == 1.0
         assert target.act_mask[1, 1, 1] == 0.0
-        assert target.noact_mask[1, 1, 0] == 0.0
         np.testing.assert_allclose(
             target.target_offsets[1, 1, 0], (0.5, 0.5, math.log(1.2), math.log(1.2)), atol=1e-12
         )
@@ -84,11 +82,9 @@ class TestBuildTargets:
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
-    def test_mask_exclusivity_for_random_ground_truth(self, seed):
+    def test_one_class_per_responsible_slot(self, seed):
         _, target, _ = random_check_case(seed)
-        assert not np.any((target.act_mask == 1) & (target.noact_mask == 1))
-        assert np.all((target.act_mask == 1) | (target.noact_mask == 1))
-        assert np.all(target.class_act_mask.sum(axis=-1) == target.act_mask)
+        assert np.all(target.target_class.sum(-1) == target.act_mask)
 
 
 class TestLossTerms:
@@ -162,12 +158,12 @@ class TestLossTerms:
         # Perturbing progression at a negative slot whose actionness is at or
         # below the gate never changes the loss.
         pred, target, weights = random_check_case(seed)
-        quiet = np.argwhere((target.noact_mask == 1) & (pred[..., ATTR_ACT] <= weights.neg_gate))
+        quiet = np.argwhere((target.act_mask == 0) & (pred[..., ATTR_ACT] <= weights.neg_gate))
         if len(quiet) == 0:
             return
         before = loss_terms(pred, target, weights).total
         iy, ix, j = quiet[0]
-        c = target.n_classes
+        c = target.target_class.shape[-1]
         pred[iy, ix, j, 5 + c : 5 + 2 * c] = new_value
         assert loss_terms(pred, target, weights).total == before
 

@@ -181,6 +181,14 @@ class TestAveragePrecision:
         assert average_precision(dets, gts, 0.3) == 0.5
         assert average_precision(dets, gts[::-1], 0.3) == 1.0
 
+    def test_terms_add_in_rank_order(self):
+        # Eight hits on ten annotations: 1/10 added eight times in rank order
+        # rounds to 0.7999999999999999, where a pairwise sum gives 0.8.
+        dets = [(0.9, "v", (0, 0, 1, 1))] * 8
+        gts = [("v", (0, 0, 1, 1))] * 10
+        assert average_precision(dets, gts, 0.5) == 0.7999999999999999
+        assert metrics_oracle.average_precision(dets, gts, box_iou, 0.5) == 0.7999999999999999
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_rank_only_dependence(self, seed):
