@@ -58,7 +58,7 @@ def _add_config_flags(p: argparse.ArgumentParser, linking: bool = False, scoring
     if linking:
         p.add_argument("--iou-gate", type=float, dest="iou_gate", help="spatial IoU gate for linking")
         p.add_argument("--window", type=int, help="label window / completion patience, in frames")
-        p.add_argument("--max-tubes", type=int, dest="max_tubes", help="max concurrent tubes per class")
+        p.add_argument("--max-tubes", type=int, dest="max_tubes", help="live tubes kept, tubes seeded per class")
         p.add_argument("--score-floor", type=float, dest="score_floor", help="min confidence to seed a tube")
         p.add_argument(
             "--alphas",

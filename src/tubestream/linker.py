@@ -2,9 +2,9 @@
 
 Per class, candidate boxes are greedily linked frame by frame into tubes:
 tubes are visited in order of decreasing average score, each consumes the
-highest-scoring box whose IoU with the tube's last box exceeds the gate, and
-leftover boxes seed new tubes.  A tube that goes unlinked for ``window``
-consecutive frames is complete.
+most confident box (the earliest of equals) whose IoU with the tube's last
+box exceeds the gate, and leftover boxes seed new tubes.  A tube that goes
+unlinked for ``window`` consecutive frames is complete.
 
 Every linked box also updates the tube's temporal labels.  Two saturating
 counters track consecutive rate increases (``n_up``) and decreases
@@ -36,11 +36,11 @@ and only for a tube that is emitted.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import struct
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Iterable, Iterator
@@ -360,9 +360,12 @@ class OnlineLinker:
 
     A step costs time in the live tubes and the frame's boxes, not in the
     stream length: committed entries are only touched when they leave the
-    window and, once, when their tube is emitted.  A frame seeds at most
-    ``max_tubes`` tubes per class, from its most confident unmatched boxes:
-    the next keep-best prune would drop any other seed before it could link.
+    window and, once, when their tube is emitted.  A step ranks each class's
+    boxes once, by decreasing confidence with ties in input order and without
+    any at or below -1.0 or NaN; each tube takes the first that passes its gate.
+    A frame seeds at most ``max_tubes`` tubes per class, the first unmatched
+    boxes of the ranking above ``score_floor``: the next keep-best prune would
+    drop any other seed before it could link.
     ``store_factory`` builds a tube's store at its first committed entry
     labeled 1; the default is a :class:`SpillStore` in the system temp
     directory, and a factory such as ``lambda: SpillStore(directory)``
@@ -410,15 +413,16 @@ class OnlineLinker:
         if self._head is not None and frame <= self._head:
             raise SequencingError(f"frame {frame} not after stream head {self._head}")
 
+        # Per class, in input order, the boxes a tube can take: above -1.0, so never NaN.
         by_class: dict[int, list[CandidateBox]] = {}
         for bx in boxes:
             group = by_class.get(bx.class_id)
             if group is None:
-                by_class[bx.class_id] = [bx]
-            else:
+                by_class[bx.class_id] = [bx] if bx.confidence > -1.0 else []
+            elif bx.confidence > -1.0:
                 group.append(bx)
         lanes = self._lanes
-        new_classes = by_class.keys() - lanes.keys()
+        new_classes = () if lanes.keys() >= by_class.keys() else by_class.keys() - lanes.keys()
         for class_id in new_classes:
             self._check_class(class_id)
 
@@ -432,37 +436,31 @@ class OnlineLinker:
 
             emitted_before = len(self._results)
             cfg = self.config
-            window = cfg.window
+            window, max_tubes = cfg.window, cfg.max_tubes
             horizon = frame - window
             new_store = self._store_factory
             for class_id, alpha, lane in self._order:
-                remaining = by_class.get(class_id)
-                if first:
-                    eligible = sorted(
-                        (b for b in remaining if b.confidence > cfg.score_floor),
-                        key=lambda b: -b.confidence,
-                    )
-                    for bx in eligible[: cfg.max_tubes]:
-                        lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq))
-                        self._seq += 1
-                    continue
-
+                # One ranking per class: box indices by decreasing confidence, ties in input order (a stable sort).
+                group = by_class.get(class_id, ())
+                if len(group) > 1:
+                    conf = [bx.confidence for bx in group]
+                    ranking = sorted(range(len(conf)), key=conf.__getitem__, reverse=True)
+                else:
+                    ranking = [0] if group else ()
                 if lane:
                     # Keep the best max_tubes live tubes, then let each take one box.
                     if len(lane) > 1:
                         lane.sort(key=_rank)
-                        if len(lane) > cfg.max_tubes:
-                            for tb in lane[cfg.max_tubes :]:
+                        if len(lane) > max_tubes:
+                            for tb in lane[max_tubes:]:
                                 self._retire(tb, "pruned")
-                            del lane[cfg.max_tubes :]
+                            del lane[max_tubes:]
                     completed = False
                     for tb in lane:
-                        best = self._best_match(tb, remaining) if remaining else -1
-                        if best >= 0:
-                            cand = remaining.pop(best)
-                            temporal_label_step(
-                                tb, frame, cand.geometry, cand.confidence, cand.rate, alpha, window
-                            )
+                        k = self._best_match(tb, group, ranking) if ranking else -1
+                        if k >= 0:
+                            cand = group[ranking.pop(k)]
+                            temporal_label_step(tb, frame, cand.geometry, cand.confidence, cand.rate, alpha, window)
                         elif tb.t_end <= horizon:
                             self._emit(tb)
                             completed = True
@@ -471,19 +469,25 @@ class OnlineLinker:
                             tb.commit_through(horizon, new_store)
                     if completed:
                         lane[:] = [tb for tb in lane if tb.t_end > horizon]
-
-                if remaining:
-                    fresh = [bx for bx in remaining if bx.confidence > cfg.score_floor]
-                    seq = self._seq
-                    self._seq += len(fresh)
-                    seeds = range(len(fresh))
-                    if len(fresh) > cfg.max_tubes:
-                        # The next prune ranks fresh tubes by (-confidence, seq) and
-                        # keeps at most max_tubes of them: build only those.
-                        seeds = sorted(heapq.nsmallest(cfg.max_tubes, seeds, key=lambda i: -fresh[i].confidence))
-                    for i in seeds:
-                        bx = fresh[i]
-                        lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, seq + i))
+                if not ranking:
+                    continue
+                # Drop the ranking's tail at or below the floor: the unmatched boxes left are fresh.
+                while ranking and group[ranking[-1]].confidence <= cfg.score_floor:
+                    ranking.pop()
+                if first:  # the first frame numbers the seeds it builds in rank order
+                    for i in ranking[:max_tubes]:
+                        bx = group[i]
+                        lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, self._seq))
+                        self._seq += 1
+                    continue
+                # A later frame numbers every fresh box by input order and builds the
+                # max_tubes most confident: all that the next prune, by (-confidence, seq), keeps.
+                built = sorted(ranking[:max_tubes]) if len(ranking) > max_tubes else None
+                ranking.sort()
+                seq, self._seq = self._seq, self._seq + len(ranking)
+                for i in built or ranking:
+                    bx, number = group[i], seq + bisect_left(ranking, i)
+                    lane.append(TubeState(class_id, frame, bx.geometry, bx.confidence, bx.rate, number))
         except BaseException as exc:
             self._closed = f"linker failed at frame {frame}: {type(exc).__name__}: {exc}"
             raise
@@ -521,32 +525,27 @@ class OnlineLinker:
         if isinstance(alphas, (tuple, list)) and class_id >= len(alphas):
             raise ValueError(f"box class {class_id} has no alpha: alphas gives {len(alphas)} values")
 
-    def _best_match(self, tube: TubeState, candidates: list[CandidateBox]) -> int:
-        """Index of the most confident candidate whose ``box_iou`` with the
-        tube's last box exceeds the gate, or -1.  The overlap is
-        ``geometry.box_iou`` with the same operations in the same order, and
-        the tube's area taken from the cache."""
+    def _best_match(self, tube: TubeState, candidates: list[CandidateBox], ranking: list[int]) -> int:
+        """Position in ``ranking`` (indices into ``candidates`` by decreasing confidence,
+        ties in input order) of the first candidate whose ``box_iou`` with the tube's last
+        box exceeds the gate, or -1: the most confident such one, the earliest of equals.
+        The overlap is ``box_iou``'s operations in its order, the tube's area cached."""
         gate = self.config.iou_gate
         bx1, by1, bx2, by2 = tube.last_geometry
         b_area = tube.last_area
-        best = -1
-        best_score = -1.0
-        for i, cand in enumerate(candidates):
-            conf = cand.confidence
-            if conf > best_score:
-                ax1, ay1, ax2, ay2 = cand.geometry
-                ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
-                if ix > 0.0:
-                    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
-                    if iy > 0.0:
-                        inter = ix * iy
-                        w = ax2 - ax1
-                        h = ay2 - ay1
-                        union = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0) + b_area - inter
-                        if union > 0.0 and inter / union > gate:
-                            best = i
-                            best_score = conf
-        return best
+        for k, i in enumerate(ranking):
+            ax1, ay1, ax2, ay2 = candidates[i].geometry
+            ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+            if ix > 0.0:
+                iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+                if iy > 0.0:
+                    inter = ix * iy
+                    w = ax2 - ax1
+                    h = ay2 - ay1
+                    union = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0) + b_area - inter
+                    if union > 0.0 and inter / union > gate:
+                        return k
+        return -1
 
     # Tests audit the linker through ``_retire`` and ``_emit`` (``tests/helpers.py``).
     def _retire(self, tube: TubeState, outcome: str) -> None:

@@ -438,6 +438,7 @@ def read_rawgrids(path: str) -> tuple[tuple[int, int, int], AnchorSet, Iterator[
                 grid = RawGrid(s, b, c, np.array(parts[3:], dtype=np.float64))
             except ValueError as exc:
                 raise RecordError(path, line_no, f"bad grid values: {exc}") from None
+            del parts  # its field strings would stay alive while the next frame is read
             yield video_id, frame, grid
 
     return (s, b, c), anchors, frames()

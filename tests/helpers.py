@@ -57,6 +57,38 @@ def random_stream(seed: int, max_frames: int = 30, max_boxes: int = 5) -> tuple[
     return stream, n_classes, config
 
 
+def contested_stream(seed: int) -> tuple[DetectionStream, int, LinkerConfig]:
+    """A short stream of wide, contested frames plus a matching random linker
+    config.  Each class has 40 to 300 boxes a frame scattered around three
+    shared centres, so many boxes pass each tube's gate; confidences lie on a
+    0.05 grid from 0 to 1, so they tie; and each frame's boxes come shuffled."""
+    rng = np.random.default_rng(seed)
+    n_frames = int(rng.integers(2, 6))
+    n_classes = int(rng.integers(1, 3))
+    centres = rng.uniform(0.3, 0.7, (3, 2))
+    stream = DetectionStream(video_id=f"c{seed}")
+    for t in range(1, n_frames + 1):
+        boxes = []
+        for c in range(n_classes):
+            n = int(rng.integers(40, 301))
+            x, y = (centres[rng.integers(0, 3, n)] + rng.normal(0.0, 0.03, (n, 2))).T.tolist()
+            w, h = rng.uniform(0.1, 0.2, (2, n)).tolist()
+            scores, rates = (rng.integers(0, 21, n) / 20).tolist(), rng.uniform(0.0, 1.0, n).tolist()
+            boxes += [
+                CandidateBox(c, (x[i] - w[i], y[i] - h[i], x[i] + w[i], y[i] + h[i]), scores[i], rates[i])
+                for i in range(n)
+            ]
+        for i in rng.permutation(len(boxes)).tolist():
+            stream.add(t, boxes[i])
+    config = LinkerConfig(
+        window=int(rng.integers(2, 5)),
+        max_tubes=int(rng.choice([1, 3, 10])),
+        alphas=float(rng.choice([0.0, 0.5, 1.0])),
+        score_floor=float(rng.choice([0.0, 0.05, 0.5])),  # on the grid, so some boxes sit on the floor
+    )
+    return stream, n_classes, config
+
+
 class AuditedLinker(OnlineLinker):
     """An ``OnlineLinker`` that also logs a ``LinkAudit`` per finished tube, in
     the order tubes finish, and reads every entry of a live tube.  It only

@@ -4,14 +4,15 @@ Run as ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
-import heapq
+import inspect
 import json
 import math
+import textwrap
 import time
 import tracemalloc
 from pathlib import Path
 
-from helpers import AuditedLinker, built_audit, random_stream
+from helpers import AuditedLinker, built_audit, contested_stream, random_stream
 from tubestream import linker as linker_module
 from tubestream.geometry import box_iou, temporal_iou
 from tubestream.linker import (
@@ -29,6 +30,7 @@ DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 LINK_CFG = dict(iou_gate=0.3, window=6, max_tubes=10, score_floor=1e-3)
+CONTESTED_STREAMS = 40
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -98,13 +100,13 @@ def test_gradient_suite():
     )
 
 
-def differential_mismatches(n_streams: int) -> tuple[int, int, int]:
-    """Over the first ``n_streams`` random streams, how many an audited linker
-    links differently from the reference in full pre-trim state and in final
+def differential_mismatches(n_streams: int, make_stream=random_stream) -> tuple[int, int, int]:
+    """Over the first ``n_streams`` streams of ``make_stream``, how many an audited
+    linker links differently from the reference in full pre-trim state and in final
     tubes, and how many of the reference's seeds the ``max_tubes`` cap leaves unbuilt."""
     states = tubes = capped = 0
     for seed in range(n_streams):
-        stream, n_classes, cfg = random_stream(seed, max_frames=30, max_boxes=5)
+        stream, n_classes, cfg = make_stream(seed)
         linker = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
         for t in stream.ordered_frames():
             linker.step(t, stream.boxes_at(t))
@@ -136,9 +138,43 @@ def test_differential_linking():
     )
 
 
+def plant_in_step(monkeypatch, old: str, new: str) -> None:
+    """Plant a fault: ``OnlineLinker.step`` with its one ``old`` source text replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(OnlineLinker.step))
+    assert source.count(old) == 1, old
+    names = dict(vars(linker_module))
+    exec(compile(source.replace(old, new), linker_module.__file__, "exec", dont_inherit=True), names)
+    monkeypatch.setattr(OnlineLinker, "step", names["step"])
+
+
 def test_differential_linking_catches_a_cap_on_the_least_confident_seeds(monkeypatch):
-    monkeypatch.setattr(linker_module.heapq, "nsmallest", heapq.nlargest)
+    plant_in_step(monkeypatch, "sorted(ranking[:max_tubes])", "sorted(ranking[-max_tubes:])")
     states, tubes, _ = differential_mismatches(200)
+    assert states > 0 and tubes > 0
+
+
+def test_differential_linking_of_wide_contested_frames():
+    t0 = time.perf_counter()
+    states, tubes, capped = differential_mismatches(CONTESTED_STREAMS, contested_stream)
+    elapsed = time.perf_counter() - t0
+    verdict(
+        "differential linking, wide contested frames",
+        states == tubes == 0 and capped > 0 and elapsed < 30.0,
+        f"{states} state and {tubes} tube mismatches over {CONTESTED_STREAMS} streams"
+        f" ({capped} capped seeds) in {elapsed:.2f}s",
+    )
+
+
+def test_contested_differential_catches_the_first_gated_box_in_input_order(monkeypatch):
+    best_match = OnlineLinker._best_match
+
+    def first_in_input_order(self, tube, candidates, ranking):
+        by_input = sorted(ranking)
+        k = best_match(self, tube, candidates, by_input)
+        return k if k < 0 else ranking.index(by_input[k])
+
+    monkeypatch.setattr(OnlineLinker, "_best_match", first_in_input_order)
+    states, tubes, _ = differential_mismatches(CONTESTED_STREAMS, contested_stream)
     assert states > 0 and tubes > 0
 
 

@@ -224,6 +224,35 @@ class TestLinkerStep:
         assert len(calls) == 24 * cfg.max_tubes
         assert [call[1:4] + call[-1:] for call in calls] == [(w.class_id, w.t_start, w.t_end, w.entries) for w in want]
 
+    @pytest.mark.parametrize("confidence", [math.nan, -2.0, -1.0])
+    def test_box_at_or_below_minus_one_or_nan_is_never_matched_or_seeded(self, confidence):
+        bad, near = CandidateBox(0, BOX, confidence, 0.5), (0.21, 0.2, 0.61, 0.6)
+        linker = OnlineLinker(1, LinkerConfig(window=3, alphas=0.0))
+        linker.step(1, [bad])
+        assert linker.live_tubes() == ()
+        linker.step(2, [CandidateBox(0, BOX, 0.9, 0.5)])
+        (tube,) = linker.live_tubes()
+        # Both boxes pass the gate, and the unusable one comes first.
+        linker.step(3, [bad, CandidateBox(0, near, 0.2, 0.5)])
+        linker.step(4, [bad])
+        assert linker.live_tubes() == (tube,)
+        assert (tube.n_linked, tube.last_geometry) == (2, near)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equal_confidence_goes_to_the_earlier_box_in_input_order(self, reverse):
+        pair = [CandidateBox(0, (0.21, 0.2, 0.61, 0.6), 0.6, 0.5), CandidateBox(0, (0.2, 0.21, 0.6, 0.61), 0.6, 0.5)]
+        if reverse:
+            pair.reverse()
+        linker = OnlineLinker(1, LinkerConfig(window=3, alphas=0.0))
+        linker.step(1, [CandidateBox(0, BOX, 0.9, 0.5)])
+        linker.step(2, [CandidateBox(0, (0.7, 0.7, 0.9, 0.9), 0.6, 0.5)] + pair)
+        # The tube takes the first of the tied gated boxes; the other two seed.
+        assert [(tb.t_start, tb.last_geometry) for tb in linker.live_tubes()] == [
+            (1, pair[0].geometry),
+            (2, (0.7, 0.7, 0.9, 0.9)),
+            (2, pair[1].geometry),
+        ]
+
     def test_tube_completes_after_window_unlinked_frames(self):
         cfg = LinkerConfig(window=3, alphas=0.0)
         linker = OnlineLinker(1, cfg)

@@ -3,6 +3,7 @@
 import os
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from itertools import groupby
 from operator import itemgetter
@@ -536,6 +537,27 @@ class TestRawGrids:
         _, _, reader = read_rawgrids(str(path))
         with pytest.raises(RecordError, match="plus 8 values"):
             list(reader)
+
+    def test_reader_holds_one_frame_of_fields_at_a_time(self, tmp_path):
+        # The UCF101-24 shape: about 65k values a frame.  The reader used to keep a
+        # frame's split fields alive while it read the next, nearly doubling its peak.
+        s, b, c = 13, 5, 24
+        rng = np.random.default_rng(0)
+        frames = (("v", t, RawGrid(s, b, c, rng.standard_normal(s * s * b * attr_width(c)))) for t in (1, 2, 3))
+        path = str(tmp_path / "g.txt")
+        write_rawgrids(path, AnchorSet(((1.0, 1.0),) * b), frames, (s, b, c))
+
+        def traced_peak(n_frames: int) -> int:
+            tracemalloc.start()
+            try:
+                reader = read_rawgrids(path)[2]
+                for _ in range(n_frames):
+                    next(reader)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(3) <= 1.2 * traced_peak(1)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, bad):
