@@ -9,15 +9,17 @@ are excluded from every mean.
 
 Each (detection, ground truth) overlap is computed once; one matcher,
 :func:`average_precisions`, then matches every threshold on those overlaps
-and integrates each curve in numpy, with no Python list per row.
+and integrates each curve in numpy, with no Python object per pair.
 
-Frame-level scoring reads one row shape, ``(video_id, frame, class_id,
-score, box)`` in the detections record's field order, once and in order,
-so a file's rows can stream straight from the parser.  It keeps no row: a
-row leaves its score, and for each same-class annotation on its frame a
-(row, annotation) index pair and its box, in flat arrays per class; each
-class's overlaps are then computed in one array call.  Without per-frame
-detections the rows are the tubes' boxes, each scored with its tube's score.
+Every metric reads one tally of its inputs, each read once: the
+annotations first, kept as four coordinates a box and numbered per class in
+input order; then the tubes, each leaving its score and its overlaps above
+0; then the frame rows, ``(video_id, frame, class_id, score, box)`` in the
+detections record's field order, each leaving its score and its overlaps
+above 0 with the same-class annotations on its frame (computed a chunk of
+pairs at a time in one array call).  So tubes and rows may stream straight
+from the parser.  Without per-frame detections the rows are the tubes'
+boxes, each scored with its tube's score.
 
 Video mAP and temporal recovery compare a detected tube only with the
 annotated tubes of its class and video.  Tube overlap multiplies the mean
@@ -79,27 +81,38 @@ def average_precisions(
     det = np.asarray(pairs[0], dtype=np.intp)
     gt = np.asarray(pairs[1], dtype=np.intp)
     overlap = np.asarray(pairs[2], dtype=np.float64)
+    keep = overlap > 0.0
+    if not keep.all():
+        det, gt, overlap = det[keep], gt[keep], overlap[keep]
     rank = np.empty(len(scores), dtype=np.intp)
     rank[np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")] = np.arange(len(scores))
-    keep = overlap > 0.0
-    det_rank, gt, overlap = rank[det[keep]], gt[keep], overlap[keep]
+    det_rank = rank[det]
+    del rank, keep
     # Detections in rank order, each one's candidates best first: its greedy
     # pick is its first candidate not yet matched.
     by = np.lexsort((gt, -overlap, det_rank))
-    columns = det_rank[by].tolist(), gt[by].tolist(), overlap[by].tolist()
-    ranks = np.arange(1, len(scores) + 1)
+    columns = memoryview(det_rank[by]), memoryview(gt[by]), memoryview(overlap[by])  # no object per pair
+    del det_rank, by
     aps = []
     for threshold in thresholds:
         matched = bytearray(n_gt)
-        tp = np.zeros(len(scores), dtype=bool)  # by rank
+        hits = array("q")  # the ranks of the true positives, ascending
         picked = -1
         for r, j, ov in zip(*columns):
             if r != picked and not matched[j]:
                 picked = r
-                tp[r] = matched[j] = ov > threshold
-        best = np.maximum.accumulate((np.cumsum(tp) / ranks)[::-1])[::-1]
+                if ov > threshold:
+                    matched[j] = 1
+                    hits.append(r)
+        if not hits:
+            aps.append(0.0)
+            continue
+        # Precision at each hit; past a hit it only falls until the next, so the
+        # best precision from any rank on is the best at the hits from there on.
+        precision = np.arange(1, len(hits) + 1) / (np.asarray(hits) + 1)
+        best = np.maximum.accumulate(precision[::-1])[::-1]
         # cumsum adds in rank order; np.sum adds pairwise and can change the last bit.
-        aps.append(float(np.cumsum(best[tp] / n_gt)[-1]) if tp.any() else 0.0)
+        aps.append(float(np.cumsum(best / n_gt)[-1]))
     return aps
 
 
@@ -108,74 +121,182 @@ def _mean(values: Iterable[float]) -> float:
     return sum(vals) / len(vals) if vals else 0.0
 
 
+# Pending (row, annotation) pairs a class gathers between two box-overlap calls.
+_FLUSH_PAIRS = 1024
+
+
+class _ClassTally:
+    """What one annotated class keeps of an evaluation's inputs.
+
+    Annotations are numbered in input order: annotation ``j`` of video ``v``
+    is a ``(j, t_start, t_end, base)`` span of ``spans[v]``, and its frame
+    ``f`` is box ``base + f`` of ``coords`` (four floats a box).  Each
+    detected tube then leaves its score, its tube-IoU pairs above 0 and its
+    temporal IoUs folded into the per-annotation bests; each frame row
+    leaves its score and its box-IoU pairs above 0, gathered per row and
+    reduced to overlaps a chunk at a time."""
+
+    __slots__ = ("coords", "spans", "boxes", "tube_scores", "tube_pairs", "by_overlap", "top", "by_score",
+                 "row_scores", "row_pairs", "pending")
+
+    def __init__(self):
+        self.coords, self.spans, self.boxes = array("d"), {}, None
+        self.tube_scores, self.tube_pairs = array("d"), (array("q"), array("q"), array("d"))
+        self.by_overlap: list[float] = []
+        self.top: list[float | None] = []
+        self.by_score: list[float] = []
+        self.row_scores, self.row_pairs = array("d"), (array("q"), array("q"), array("d"))
+        self.pending = array("q"), array("q"), array("d")  # row, box, the row's box coordinates
+
+    def add_annotation(self, gt: GroundTruthTube) -> None:
+        base = len(self.coords) // 4 - gt.t_start
+        self.spans.setdefault(gt.video_id, []).append((len(self.by_overlap), gt.t_start, gt.t_end, base))
+        for box in gt.boxes:
+            self.coords.extend(box)
+        self.by_overlap.append(0.0)
+        self.top.append(None)
+        self.by_score.append(0.0)
+
+    def annotation(self, video_id: str, class_id: int, t_start: int, t_end: int, base: int) -> GroundTruthTube:
+        """An annotated tube rebuilt from its span, for ``tube_iou``."""
+        flat = iter(self.coords[4 * (base + t_start) : 4 * (base + t_end + 1)])
+        return GroundTruthTube(video_id, class_id, t_start, t_end, tuple(zip(flat, flat, flat, flat)))
+
+    def add_tube(self, tube: FinalTube) -> None:
+        i, score, det_range = len(self.tube_scores), tube.score, (tube.t_start, tube.t_end)
+        det, gt, overlap = self.tube_pairs
+        for j, t_start, t_end, base in self.spans.get(tube.video_id, ()):
+            ov = tube_iou(tube, self.annotation(tube.video_id, tube.class_id, t_start, t_end, base))
+            if ov > 0.0:
+                det.append(i)
+                gt.append(j)
+                overlap.append(ov)
+            tiou = temporal_iou(det_range, (t_start, t_end))
+            self.by_overlap[j] = max(self.by_overlap[j], tiou)
+            if self.top[j] is None or score > self.top[j]:
+                self.top[j], self.by_score[j] = score, tiou
+        self.tube_scores.append(score)
+
+    def flush(self) -> None:
+        """Reduce the pending (row, annotation) pairs to their overlaps, keeping those above 0."""
+        det, gt, coords = self.pending
+        if not det:
+            return
+        if self.boxes is None:
+            self.boxes = np.frombuffer(self.coords).reshape(-1, 4)  # the annotations are all in
+        overlap = box_iou_array(np.array(coords).reshape(-1, 4), self.boxes[np.array(gt, dtype=np.intp)])
+        keep = overlap > 0.0
+        for kept, column in zip((np.array(det)[keep], np.array(gt)[keep], overlap[keep]), self.row_pairs):
+            column.frombytes(kept.tobytes())
+        del det[:], gt[:], coords[:]
+
+
+class _Tally:
+    """One evaluation's inputs reduced to what its metrics read, class by
+    class: the annotations are read in full first, then tubes and frame
+    rows stream through and keep a score each and their overlaps above 0."""
+
+    def __init__(self, gt_tubes: Iterable[GroundTruthTube]):
+        self.classes: dict[int, _ClassTally] = {}
+        for gt in gt_tubes:
+            tally = self.classes.get(gt.class_id)
+            if tally is None:
+                tally = self.classes[gt.class_id] = _ClassTally()
+            tally.add_annotation(gt)
+
+    def add_tubes(self, tubes: Iterable[FinalTube], as_rows: bool = False) -> None:
+        """Each tube in turn; with ``as_rows`` its retained boxes are also frame
+        rows, each scored with the tube's score."""
+        for tube in tubes:
+            tally = self.classes.get(tube.class_id)
+            if tally is not None:
+                tally.add_tube(tube)
+                if as_rows:
+                    self.add_rows((tube.video_id, f, tube.class_id, tube.score, bx) for f, bx in tube.entries)
+
+    def add_rows(self, rows: Iterable[tuple[str, int, int, float, Box]]) -> None:
+        """Frame rows ``(video_id, frame, class_id, score, box)``, read once."""
+        sinks = {c: (tally, tally.spans, tally.row_scores, *tally.pending) for c, tally in self.classes.items()}
+        for video_id, frame, class_id, score, box in rows:
+            sink = sinks.get(class_id)
+            if sink is None:
+                continue
+            tally, spans, scores, det, gt, coords = sink
+            for _, t_start, t_end, base in spans.get(video_id, ()):
+                if t_start <= frame <= t_end:
+                    x1, y1, x2, y2 = box
+                    det.append(len(scores))
+                    gt.append(base + frame)
+                    coords.extend((x1, y1, x2, y2))
+                    if len(det) == _FLUSH_PAIRS:
+                        tally.flush()
+            scores.append(score)
+
+    def frame_map(self, threshold: float) -> tuple[float, dict[int, float]]:
+        """Frame-level AP per class; it ends the rows, and frees them and the annotated boxes."""
+        n_gt = {}
+        for class_id, tally in self.classes.items():
+            tally.flush()
+            n_gt[class_id] = len(tally.coords) // 4
+            tally.coords = tally.boxes = None  # every row is in: the overlaps are all there is to match
+        per_class: dict[int, float] = {}
+        for class_id in sorted(self.classes):
+            tally = self.classes[class_id]
+            per_class[class_id] = average_precisions(tally.row_scores, tally.row_pairs, n_gt[class_id], (threshold,))[0]
+            tally.row_scores = tally.row_pairs = None
+        return _mean(per_class.values()), per_class
+
+    def video_map(self, thresholds: Sequence[float]) -> tuple[dict[float, float], dict[float, dict[int, float]]]:
+        thresholds = [round(d, 2) for d in thresholds]
+        per_class: dict[float, dict[int, float]] = {d: {} for d in thresholds}
+        for class_id in sorted(self.classes):
+            tally = self.classes[class_id]
+            aps = average_precisions(tally.tube_scores, tally.tube_pairs, len(tally.by_overlap), thresholds)
+            for threshold, ap in zip(thresholds, aps):
+                per_class[threshold][class_id] = ap
+        return {d: _mean(aps.values()) for d, aps in per_class.items()}, per_class
+
+    def average_temporal_iou(self) -> tuple[dict[int, float], dict[int, float]]:
+        classes = sorted(self.classes)
+        return (
+            {c: _mean(self.classes[c].by_overlap) for c in classes},
+            {c: _mean(self.classes[c].by_score) for c in classes},
+        )
+
+
 def frame_map(
     detections: Iterable[tuple[str, int, int, float, Box]],
-    gt_tubes: Sequence[GroundTruthTube],
+    gt_tubes: Iterable[GroundTruthTube],
     threshold: float = 0.5,
 ) -> tuple[float, dict[int, float]]:
     """Frame-level mAP: per-class AP over all (video, frame) pooled boxes.
 
     ``detections`` holds ``(video_id, frame, class_id, score, box)`` rows, the
     detections record's field order; it is read once, so it may be a stream.
-    Rows are not kept: each leaves its score, and for each annotation on its
-    frame a (row, annotation) index pair and its box."""
-    # A class's annotated boxes are numbered in gt_tubes order; each of its
-    # tubes is a (t_start, t_end, base) span of its video, frame f of which is
-    # box base + f.
-    gt_boxes: dict[int, list[Box]] = {}
-    spans: dict[int, dict[str, list[tuple[int, int, int]]]] = {}
-    for t in gt_tubes:
-        boxes = gt_boxes.setdefault(t.class_id, [])
-        spans.setdefault(t.class_id, {}).setdefault(t.video_id, []).append((t.t_start, t.t_end, len(boxes) - t.t_start))
-        boxes.extend(t.boxes)
-    # Per class: each row's score, and per (row, annotation) pair the row's
-    # index within the class, the annotation's and the row's box.
-    by_class = {c: (array("d"), array("q"), array("q"), array("d"), spans[c]) for c in spans}
-    for video_id, frame, class_id, score, box in detections:
-        acc = by_class.get(class_id)
-        if acc is None:
-            continue
-        scores, det, gt, coords, video_spans = acc
-        for t_start, t_end, base in video_spans.get(video_id, ()):
-            if t_start <= frame <= t_end:
-                x1, y1, x2, y2 = box
-                det.append(len(scores))
-                gt.append(base + frame)
-                coords.extend((x1, y1, x2, y2))
-        scores.append(score)
-    per_class: dict[int, float] = {}
-    for class_id in sorted(by_class):
-        scores, det, gt, coords, _ = by_class.pop(class_id)
-        gt_array = np.array(gt_boxes.pop(class_id), dtype=np.float64)
-        overlap = box_iou_array(np.asarray(coords).reshape(-1, 4), gt_array[np.asarray(gt)])
-        per_class[class_id] = average_precisions(scores, (det, gt, overlap), len(gt_array), (threshold,))[0]
-    return _mean(per_class.values()), per_class
+    Rows are not kept: each leaves its score, and its overlaps above 0 with
+    the annotations on its frame."""
+    tally = _Tally(gt_tubes)
+    tally.add_rows(detections)
+    return tally.frame_map(threshold)
 
 
 def video_map(
-    tubes: Sequence[FinalTube],
-    gt_tubes: Sequence[GroundTruthTube],
+    tubes: Iterable[FinalTube],
+    gt_tubes: Iterable[GroundTruthTube],
     thresholds: Sequence[float] = DEFAULT_TUBE_THRESHOLDS,
 ) -> tuple[dict[float, float], dict[float, dict[int, float]]]:
     """Video-level mAP at each tube-overlap threshold (rounded to 2 decimals).
 
     ``tube_iou`` runs once per same-class, same-video (detection, annotation)
     pair; every threshold is matched on those overlaps."""
-    thresholds = [round(d, 2) for d in thresholds]
-    per_class: dict[float, dict[int, float]] = {d: {} for d in thresholds}
-    for class_id in sorted({t.class_id for t in gt_tubes}):
-        dets, gts, (det, gt) = _same_video_pairs(tubes, gt_tubes, class_id)
-        overlap = [tube_iou(dets[i], gts[j]) for i, j in zip(det, gt)]
-        aps = average_precisions([d.score for d in dets], (det, gt, overlap), len(gts), thresholds)
-        for threshold, ap in zip(thresholds, aps):
-            per_class[threshold][class_id] = ap
-    v_map = {d: _mean(aps.values()) for d, aps in per_class.items()}
-    return v_map, per_class
+    tally = _Tally(gt_tubes)
+    tally.add_tubes(tubes)
+    return tally.video_map(thresholds)
 
 
 def average_temporal_iou(
-    tubes: Sequence[FinalTube],
-    gt_tubes: Sequence[GroundTruthTube],
+    tubes: Iterable[FinalTube],
+    gt_tubes: Iterable[GroundTruthTube],
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Per-class mean temporal IoU between each annotated tube and its best
     same-class detection in the same video.
@@ -185,32 +306,9 @@ def average_temporal_iou(
     the first of equal scores wins).  Annotated tubes with no detection
     contribute 0.
     """
-    best_overlap: dict[int, float] = {}
-    best_score: dict[int, float] = {}
-    for class_id in sorted({t.class_id for t in gt_tubes}):
-        dets, gts, (det, gt) = _same_video_pairs(tubes, gt_tubes, class_id)
-        by_overlap, by_score, top = [0.0] * len(gts), [0.0] * len(gts), [None] * len(gts)
-        for i, j in zip(det, gt):
-            d, g = dets[i], gts[j]
-            tiou = temporal_iou((d.t_start, d.t_end), (g.t_start, g.t_end))
-            by_overlap[j] = max(by_overlap[j], tiou)
-            if top[j] is None or d.score > top[j]:
-                top[j], by_score[j] = d.score, tiou
-        best_overlap[class_id] = _mean(by_overlap)
-        best_score[class_id] = _mean(by_score)
-    return best_overlap, best_score
-
-
-def _same_video_pairs(tubes: Sequence[FinalTube], gt_tubes: Sequence[GroundTruthTube], class_id: int):
-    """One class's detected and annotated tubes, each in input order, and the
-    index lists of its same-video (detection, annotation) pairs, detections ascending."""
-    dets = [t for t in tubes if t.class_id == class_id]
-    gts = [g for g in gt_tubes if g.class_id == class_id]
-    gt_by_video: dict[str, list[int]] = {}
-    for j, g in enumerate(gts):
-        gt_by_video.setdefault(g.video_id, []).append(j)
-    same = [gt_by_video.get(d.video_id, ()) for d in dets]
-    return dets, gts, ([i for i, js in enumerate(same) for _ in js], [j for js in same for j in js])
+    tally = _Tally(gt_tubes)
+    tally.add_tubes(tubes)
+    return tally.average_temporal_iou()
 
 
 @dataclass
@@ -250,26 +348,30 @@ def _fmt_thr(threshold: float) -> str:
 
 
 def evaluate(
-    tubes: Sequence[FinalTube],
-    gt_tubes: Sequence[GroundTruthTube],
+    tubes: Iterable[FinalTube],
+    gt_tubes: Iterable[GroundTruthTube],
     frame_detections: Iterable[tuple[str, int, int, float, Box]] | None = None,
     tube_thresholds: Sequence[float] = DEFAULT_TUBE_THRESHOLDS,
     frame_threshold: float = 0.5,
 ) -> EvalReport:
     """Score a detection run against annotations.
 
-    When no per-frame detections are supplied, frame-level AP is computed
-    over the tubes' retained boxes, each scored with its tube's score.
+    Each input is read once, in this order: ``gt_tubes``, ``tubes``, then
+    ``frame_detections``; so each may be a stream.  When no per-frame
+    detections are supplied, frame-level AP is computed over the tubes'
+    retained boxes, each scored with its tube's score.
     """
-    if frame_detections is None:
-        frame_detections = ((t.video_id, f, t.class_id, t.score, bx) for t in tubes for f, bx in t.entries)
-    f_map_val, f_ap = frame_map(frame_detections, gt_tubes, frame_threshold)
-    v_map_val, v_ap = video_map(tubes, gt_tubes, tube_thresholds)
+    tally = _Tally(gt_tubes)
+    tally.add_tubes(tubes, as_rows=frame_detections is None)
+    if frame_detections is not None:
+        tally.add_rows(frame_detections)
+    f_map_val, f_ap = tally.frame_map(frame_threshold)
+    v_map_val, v_ap = tally.video_map(tube_thresholds)
     if all(d in v_map_val for d in VMAP_AVG_BAND):
         v_map_avg = sum(v_map_val[d] for d in VMAP_AVG_BAND) / len(VMAP_AVG_BAND)
     else:
         v_map_avg = None
-    t_iou, t_iou_by_score = average_temporal_iou(tubes, gt_tubes)
+    t_iou, t_iou_by_score = tally.average_temporal_iou()
     return EvalReport(
         f_map=f_map_val,
         f_ap=f_ap,

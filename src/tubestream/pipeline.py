@@ -14,6 +14,13 @@ complete.  A tube keeps only its committed labeled (frame, box) pairs, in a
 bounded per class (at most ``2 * max_tubes`` between frames), not by frame
 width, so memory is bounded by the linker window, ``max_tubes`` and the
 widest single frame's rows, independent of stream length.
+
+The eval stage reads each of its files once, annotations first, and keeps
+what the metrics read: the annotated boxes as coordinates, a score per
+detection row and per tube, and the overlaps above 0.  Its memory grows
+with the number of rows, at about 40 bytes a row on the ``eval`` benchmark
+shape (``tests/test_acceptance.py::test_eval_bound`` holds it to 48), and
+not with the length of a tube or the width of a frame.
 """
 
 from __future__ import annotations
@@ -83,9 +90,8 @@ def run_eval(
 ) -> EvalReport:
     """Score a tubes file against annotations; optional detections stream
     into the frame-level metric as written, before link's threshold and NMS
-    (otherwise it is computed from the tubes' boxes)."""
-    tubes = records.parse_tubes(tubes_path)
-    gt_tubes = records.parse_annotations(annotations_path)
+    (otherwise it is computed from the tubes' boxes).  Each file is read
+    once, annotations first, then tubes, then detections."""
     frame_rows = None
     if detections_path is not None:
         frames = records.iter_detection_frames(detections_path)
@@ -95,8 +101,8 @@ def run_eval(
             for class_id, conf, box_id in zip(class_ids, confidences, box_ids)
         )
     report = evaluate(
-        tubes,
-        gt_tubes,
+        records.iter_tubes(tubes_path),
+        records.iter_annotations(annotations_path),
         frame_detections=frame_rows,
         tube_thresholds=config.deltas,
         frame_threshold=config.frame_threshold,

@@ -30,6 +30,9 @@ Annotations (one box per covered frame, count implied by the range)::
     #tubestream annotations v1
     <video_id> <class_id> <t_start> <t_end> <frame,x1,y1,x2,y2>...
 
+Tubes and annotations are read a record at a time (``iter_tubes``,
+``iter_annotations``); ``parse_tubes`` and ``parse_annotations`` list them.
+
 Raw grids (header declares the grid and anchor priors; one frame per line,
 in the detections' frame order, values in ``[cell_y][cell_x][anchor][attribute]``
 order; every number must be finite)::
@@ -99,12 +102,17 @@ def _records(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
         line = fh.readline().rstrip("\n")
         if line != header:
             raise RecordError(path, 1, f"bad header {line!r}, expected {header!r}")
-        for line_no, line in enumerate(fh, start=2):
+        line_no = 1
+        for line in fh:  # counted by hand: enumerate's result tuple would keep the raw line alive
+            line_no += 1
             if not line.isascii():
                 raise RecordError(path, line_no, "not ASCII text")
-            line = line.rstrip("\n")
-            if line:
-                yield line_no, line.split(" ")
+            if line != "\n":
+                fields = [line.rstrip("\n").split(" ")]
+                del line
+                # Popped as it is yielded: while the caller converts a line's
+                # fields, it holds the only reference to them, and no copy of the text.
+                yield line_no, fields.pop()
 
 
 def _unit_interval(value: str, path: str, line_no: int, name: str) -> float:
@@ -327,7 +335,11 @@ def _parse_entry(token: str, path: str, line_no: int) -> tuple[int, tuple[float,
 
 
 def parse_tubes(path: str) -> list[FinalTube]:
-    tubes = []
+    return list(iter_tubes(path))
+
+
+def iter_tubes(path: str) -> Iterator[FinalTube]:
+    """Stream a tubes file a tube at a time, in file order."""
     for line_no, parts in _records(path, TUBES_HEADER):
         if len(parts) < 6:
             raise RecordError(path, line_no, f"expected at least 6 fields, got {len(parts)}")
@@ -346,8 +358,7 @@ def parse_tubes(path: str) -> list[FinalTube]:
             raise RecordError(path, line_no, "entry frames do not span the declared range")
         if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
             raise RecordError(path, line_no, "entry frames are not strictly increasing")
-        tubes.append(FinalTube(video_id, class_id, t_start, t_end, score, entries))
-    return tubes
+        yield FinalTube(video_id, class_id, t_start, t_end, score, entries)
 
 
 # -- annotations ---------------------------------------------------------------
@@ -363,7 +374,11 @@ def write_annotations(path: str, tubes: Iterable[GroundTruthTube]) -> None:
 
 
 def parse_annotations(path: str) -> list[GroundTruthTube]:
-    tubes = []
+    return list(iter_annotations(path))
+
+
+def iter_annotations(path: str) -> Iterator[GroundTruthTube]:
+    """Stream an annotations file a tube at a time, in file order."""
     for line_no, parts in _records(path, ANNOTATIONS_HEADER):
         if len(parts) < 5:
             raise RecordError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
@@ -380,8 +395,7 @@ def parse_annotations(path: str) -> list[GroundTruthTube]:
             if frame != t_start + k:
                 raise RecordError(path, line_no, f"entry frame {frame} out of order, expected {t_start + k}")
             boxes.append(box)
-        tubes.append(GroundTruthTube(video_id, class_id, t_start, t_end, tuple(boxes)))
-    return tubes
+        yield GroundTruthTube(video_id, class_id, t_start, t_end, tuple(boxes))
 
 
 # -- raw grids -----------------------------------------------------------------

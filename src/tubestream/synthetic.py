@@ -349,7 +349,7 @@ def _reference_link(stream, n_classes, config, labeler, collect_audit):
             for tb in lane:
                 linked = None
                 for i, b in enumerate(boxes):
-                    if _iou(b.geometry, tb["boxes"][-1]) > cfg.iou_gate:
+                    if _iou(b.geometry, tb["boxes"][-1]) > cfg.iou_gate and b.confidence > -1.0:
                         if linked is None or b.confidence > boxes[linked].confidence:
                             linked = i
                 if linked is not None:

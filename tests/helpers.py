@@ -89,6 +89,27 @@ def contested_stream(seed: int) -> tuple[DetectionStream, int, LinkerConfig]:
     return stream, n_classes, config
 
 
+def with_unlinkable_confidences(make_stream):
+    """``make_stream`` with about one box in eight given a confidence drawn
+    from {NaN, -2.0, -1.0, ``score_floor``}: no tube takes a box of the first
+    three, and a tube takes one of the last but no frame seeds it.  The draws
+    use their own generator, so the streams are otherwise unchanged."""
+
+    def make(seed: int) -> tuple[DetectionStream, int, LinkerConfig]:
+        stream, n_classes, cfg = make_stream(seed)
+        rng = np.random.default_rng([seed, 1])
+        values = (float("nan"), -2.0, -1.0, cfg.score_floor)
+        out = DetectionStream(stream.video_id, {t: [] for t in stream.frames})
+        for t in stream.ordered_frames():
+            for bx in stream.boxes_at(t):
+                if rng.random() < 0.125:
+                    bx = CandidateBox(bx.class_id, bx.geometry, values[rng.integers(len(values))], bx.rate)
+                out.add(t, bx)
+        return out, n_classes, cfg
+
+    return make
+
+
 class AuditedLinker(OnlineLinker):
     """An ``OnlineLinker`` that also logs a ``LinkAudit`` per finished tube, in
     the order tubes finish, and reads every entry of a live tube.  It only

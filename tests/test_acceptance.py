@@ -12,8 +12,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from helpers import AuditedLinker, built_audit, contested_stream, random_stream
+import numpy as np
+
+import metrics_oracle
+from helpers import AuditedLinker, built_audit, contested_stream, random_stream, with_unlinkable_confidences
 from tubestream import linker as linker_module
+from tubestream import synthetic
 from tubestream.geometry import box_iou, temporal_iou
 from tubestream.linker import (
     LinkerConfig,
@@ -21,9 +25,13 @@ from tubestream.linker import (
     SpillStore,
     alpha_from_training_error,
 )
+from tubestream.config import RunConfig
+from tubestream.decode import CandidateBox
 from tubestream.losses import check_gradients, random_check_case
 from tubestream.metrics import average_temporal_iou, frame_map, tube_iou, video_map
-from tubestream.synthetic import ScenarioSpec, chain_stream_frames, generate, oracle_link
+from tubestream.pipeline import run_eval, run_link
+from tubestream.records import DetectionWriter, iter_detection_rows, parse_annotations, parse_tubes, write_annotations
+from tubestream.synthetic import ScenarioSpec, TrackSpec, chain_stream_frames, generate, oracle_link
 from tubestream.tubes import FinalTube, GroundTruthTube
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +39,8 @@ SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 LINK_CFG = dict(iou_gate=0.3, window=6, max_tubes=10, score_floor=1e-3)
 CONTESTED_STREAMS = 40
+# The most run_eval's traced peak may grow per added detection row (README states it).
+EVAL_BYTES_PER_ROW = 48
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -103,8 +113,10 @@ def test_gradient_suite():
 def differential_mismatches(n_streams: int, make_stream=random_stream) -> tuple[int, int, int]:
     """Over the first ``n_streams`` streams of ``make_stream``, how many an audited
     linker links differently from the reference in full pre-trim state and in final
-    tubes, and how many of the reference's seeds the ``max_tubes`` cap leaves unbuilt."""
+    tubes, and how many of the reference's seeds the ``max_tubes`` cap leaves unbuilt.
+    Some boxes of each stream carry a confidence no tube may take, or one at the floor."""
     states = tubes = capped = 0
+    make_stream = with_unlinkable_confidences(make_stream)
     for seed in range(n_streams):
         stream, n_classes, cfg = make_stream(seed)
         linker = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
@@ -176,6 +188,20 @@ def test_contested_differential_catches_the_first_gated_box_in_input_order(monke
     monkeypatch.setattr(OnlineLinker, "_best_match", first_in_input_order)
     states, tubes, _ = differential_mismatches(CONTESTED_STREAMS, contested_stream)
     assert states > 0 and tubes > 0
+
+
+def test_differential_linking_catches_a_reference_that_takes_any_confidence(monkeypatch):
+    # The reference as it was: a tube took its most confident gated box, so the
+    # first gated one whatever its confidence, NaN and -2.0 included.
+    source = textwrap.dedent(inspect.getsource(synthetic._reference_link))
+    rule = " and b.confidence > -1.0:"
+    assert source.count(rule) == 1
+    names = dict(vars(synthetic))
+    exec(compile(source.replace(rule, ":"), synthetic.__file__, "exec", dont_inherit=True), names)
+    monkeypatch.setattr(synthetic, "_reference_link", names["_reference_link"])
+    for n_streams, make_stream in ((200, random_stream), (CONTESTED_STREAMS, contested_stream)):
+        states, tubes, _ = differential_mismatches(n_streams, make_stream)
+        assert states > 0 and tubes > 0
 
 
 def test_differential_linking_reads_the_linkers_own_entries(monkeypatch):
@@ -323,5 +349,71 @@ def test_streaming_bound(tmp_path):
         (
             f"throughput {throughput:,.0f} frames/s, traced peak "
             f"{peaks['short'] / 1024:.0f} KiB -> {peaks['long'] / 1024:.0f} KiB (ratio {ratio:.2f})"
+        ),
+    )
+
+
+def eval_shaped_set(work: Path, n_videos: int) -> tuple[str, str, str]:
+    """Detections, annotations and linked tubes of ``n_videos`` videos of the
+    benchmark's ``eval`` shape: 300 frames and 4 classes a video, six scripted
+    actions of fixed lengths, confident context and distractors, class 3 periodic.
+    Video ``v`` is the same in every set."""
+    work.mkdir()
+    det, ann, tubes = str(work / "det.txt"), str(work / "ann.txt"), str(work / "tubes.txt")
+    gt = []
+    with DetectionWriter(det) as writer:
+        for v in range(n_videos):
+            rng = np.random.default_rng([0, v])
+            tracks = []
+            for length in (30, 45, 60, 75, 90, 105):
+                t_start = int(rng.integers(1, 300 - length + 2))
+                w, h = rng.uniform(0.15, 0.35, 2)
+                cx, cy = rng.uniform(0.3, 0.7, 2)
+                dx, dy = rng.uniform(-0.1, 0.1, 2)
+                start = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+                end = (start[0] + dx, start[1] + dy, start[2] + dx, start[3] + dy)
+                class_id, t_end = int(rng.integers(0, 4)), t_start + length - 1
+                tracks.append(TrackSpec(class_id, t_start, t_end, tuple(map(float, start)), tuple(map(float, end))))
+            spec = ScenarioSpec(
+                n_frames=300, n_classes=4, tracks=tuple(tracks), geometry_jitter=0.01, rate_noise=0.03,
+                in_score=(0.5, 1.0), context_score=(0.4, 0.9), context_fraction=0.25, distractor_rate=1.0,
+                distractor_score=(0.0, 0.4), periodic=(False, False, False, True),
+                seed=int(rng.integers(0, 2**31)), video_id=f"v{v:02d}",
+            )
+            stream, truth = generate(spec)
+            gt += truth
+            for t in stream.ordered_frames():
+                for bx in stream.boxes_at(t):
+                    writer.add(stream.video_id, t, bx)
+    write_annotations(ann, gt)
+    run_link(RunConfig(alphas=1.0), det, tubes)
+    return det, ann, tubes
+
+
+def test_eval_bound(tmp_path):
+    t0 = time.perf_counter()
+    peaks, rows, same = {}, {}, True
+    config = RunConfig(alphas=1.0)
+    for label, n_videos in (("short", 10), ("long", 40)):
+        det, ann, tubes = eval_shaped_set(tmp_path / label, n_videos)
+        tracemalloc.start()
+        try:
+            report = run_eval(config, tubes, ann, det)
+            peaks[label] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame_rows = list(iter_detection_rows(det))
+        rows[label] = len(frame_rows)
+        want = metrics_oracle.evaluate(parse_tubes(tubes), parse_annotations(ann), frame_rows, config.deltas)
+        same = same and report.rows() == want.rows()
+    growth = (peaks["long"] - peaks["short"]) / (rows["long"] - rows["short"])
+    elapsed = time.perf_counter() - t0
+    verdict(
+        "eval bound",
+        growth <= EVAL_BYTES_PER_ROW and same and elapsed < 30.0,
+        (
+            f"traced peak {peaks['short'] / 1024:.0f} KiB at {rows['short']} rows -> {peaks['long'] / 1024:.0f} KiB"
+            f" at {rows['long']} rows ({growth:.1f} B per added row, bound {EVAL_BYTES_PER_ROW});"
+            f" reports equal the oracle's: {same}; {elapsed:.2f}s"
         ),
     )

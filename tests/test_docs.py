@@ -1,7 +1,8 @@
 """README's configuration table is the settings contract: one row per
 settable ``RunConfig`` field, each with the interval its range table holds.
-README's "Library use" block runs as written, and its Layout block names
-every module of the package."""
+README's "Library use" block runs as written, its Layout block names
+every module of the package, and it states the eval memory bound that
+the acceptance suite holds."""
 
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 from tubestream.config import ENV_PATHS, RunConfig
 from tubestream.synthetic import ScenarioSpec, TrackSpec, generate, oracle_link
 from tubestream.tubes import FinalTube
+from test_acceptance import EVAL_BYTES_PER_ROW
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -76,3 +78,8 @@ def test_layout_names_every_module_once():
     named = [line.split()[0] for line in block.splitlines() if line.startswith("  ") and not line[2].isspace()]
     modules = sorted(p.name for p in (README.parent / "src" / "tubestream").glob("*.py") if p.name != "__init__.py")
     assert sorted(name for name in named if name.endswith(".py")) == modules
+
+
+def test_eval_bound_is_the_acceptance_bound():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"at most {EVAL_BYTES_PER_ROW} B per added detection row" in text

@@ -1,8 +1,11 @@
 """Evaluation stack: overlaps, AP machinery, frame/video mAP, temporal recovery."""
 
+import inspect
 import random
 import tempfile
+import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from tubestream.metrics import (
     video_map,
 )
 from tubestream.linker import FRAME_MAX, FRAME_MIN
-from tubestream.pipeline import run_link
+from tubestream.pipeline import run_eval, run_link
 from tubestream.records import (
     DETECTIONS_HEADER,
     DetectionWriter,
@@ -295,7 +298,8 @@ def reader_rows(path):
 
 def dict_pairs(rows, gt_tubes, class_id):
     """One class's ``average_precisions`` inputs as ``frame_map`` built them
-    with one dict key per annotated (video, frame)."""
+    with one dict key per annotated (video, frame), less the pairs of
+    overlap 0, which never match."""
     gt_boxes, at = [], {}
     for t in gt_tubes:
         if t.class_id == class_id:
@@ -309,6 +313,7 @@ def dict_pairs(rows, gt_tubes, class_id):
             det.append(i)
             gt.append(j)
     overlap = [box_iou(own[i][4], gt_boxes[j]) for i, j in zip(det, gt)]
+    det, gt, overlap = ([x for x, ov in zip(column, overlap) if ov > 0.0] for column in (det, gt, overlap))
     return [row[3] for row in own], det, gt, overlap, len(gt_boxes)
 
 
@@ -349,9 +354,36 @@ def spelled_detection_sets(draw):
     return gt_tubes, "\n".join(lines) + "\n"
 
 
+def linked_set(work: Path, n_videos: int) -> tuple[Path, Path, Path]:
+    """Detections, annotations and linked tubes of ``n_videos`` videos, each
+    file in video order; two same-class actions overlap in time in every
+    other video, with context and distractors throughout."""
+    tracks = (
+        TrackSpec(0, 3, 20, (0.1, 0.1, 0.4, 0.5), (0.3, 0.2, 0.6, 0.6)),
+        TrackSpec(0, 12, 30, (0.5, 0.4, 0.9, 0.9), (0.4, 0.3, 0.8, 0.8)),
+        TrackSpec(1, 8, 26, (0.2, 0.5, 0.5, 0.9), (0.2, 0.5, 0.5, 0.9)),
+    )
+    det, ann, tubes = work / "det.txt", work / "ann.txt", work / "tubes.txt"
+    gt_tubes = []
+    with DetectionWriter(str(det)) as writer:
+        for k in range(n_videos):
+            spec = ScenarioSpec(
+                n_frames=32, n_classes=3, tracks=tracks[k % 2 :], geometry_jitter=0.03,
+                context_score=(0.4, 0.9), distractor_rate=1.0, seed=k, video_id=f"v{k}",
+            )
+            stream, truth = generate(spec)
+            gt_tubes += truth
+            for t in stream.ordered_frames():
+                for bx in stream.boxes_at(t):
+                    writer.add(stream.video_id, t, bx)
+    write_annotations(str(ann), gt_tubes)
+    run_link(RunConfig(alphas=1.0), str(det), str(tubes))
+    return det, ann, tubes
+
+
 class TestFrameMapStreaming:
     """``frame_map`` keeps a score per row and, per annotation on the row's
-    frame, an index pair and the row's box: never the row itself."""
+    frame that it overlaps, an index pair and the overlap: never the row itself."""
 
     @given(spelled_detection_sets())
     @settings(max_examples=150, deadline=None)
@@ -382,27 +414,9 @@ class TestFrameMapStreaming:
     def test_synthetic_set_matches_oracle(self, tmp_path):
         # Several videos, overlapping same-class actions, context and
         # distractors; rows in reader order and shuffled.
-        tracks = (
-            TrackSpec(0, 3, 20, (0.1, 0.1, 0.4, 0.5), (0.3, 0.2, 0.6, 0.6)),
-            TrackSpec(0, 12, 30, (0.5, 0.4, 0.9, 0.9), (0.4, 0.3, 0.8, 0.8)),
-            TrackSpec(1, 8, 26, (0.2, 0.5, 0.5, 0.9), (0.2, 0.5, 0.5, 0.9)),
-        )
-        gt_tubes = []
-        with DetectionWriter(str(tmp_path / "det.txt")) as writer:
-            for k in range(3):
-                spec = ScenarioSpec(
-                    n_frames=32, n_classes=3, tracks=tracks[k % 2 :], geometry_jitter=0.03,
-                    context_score=(0.4, 0.9), distractor_rate=1.0, seed=k, video_id=f"v{k}",
-                )
-                stream, tubes = generate(spec)
-                gt_tubes += tubes
-                for t in stream.ordered_frames():
-                    for bx in stream.boxes_at(t):
-                        writer.add(stream.video_id, t, bx)
-        write_annotations(str(tmp_path / "ann.txt"), gt_tubes)
-        run_link(RunConfig(alphas=1.0), str(tmp_path / "det.txt"), str(tmp_path / "tubes.txt"))
-        tubes, gt_tubes = parse_tubes(str(tmp_path / "tubes.txt")), parse_annotations(str(tmp_path / "ann.txt"))
-        rows = list(reader_rows(tmp_path / "det.txt"))
+        det, ann, tubes = linked_set(tmp_path, n_videos=3)
+        tubes, gt_tubes = parse_tubes(str(tubes)), parse_annotations(str(ann))
+        rows = list(reader_rows(det))
         assert 200 <= len(rows) <= 600 and tubes
         shuffled = rows[:]
         random.Random(0).shuffle(shuffled)
@@ -449,6 +463,77 @@ class TestFrameMapStreaming:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * n_rows + 64 * n_pairs + 256 * 1024
+
+
+def reordered(path: Path, out: Path, order) -> Path:
+    """``path`` with its records in the order ``order`` puts their list in."""
+    header, *lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    out.write_text(header + "".join(order(lines)), encoding="ascii")
+    return out
+
+
+def shuffled(lines: list[str]) -> list[str]:
+    return random.Random(7).sample(lines, len(lines))
+
+
+def by_video(rank: dict[str, int]):
+    """Records sorted by their video's ``rank``, each video's in file order."""
+    return lambda lines: sorted(lines, key=lambda line: rank[line.split(" ")[0]])
+
+
+class TestRunEvalAgainstOracle:
+    """``run_eval`` streams its files and keeps a score per row and tube and
+    the overlaps above 0; its report must equal, bit for bit, the oracle's
+    on the whole parsed files, whatever order the videos come in."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("eval")
+        det, ann, tubes = linked_set(work, n_videos=4)
+        return {
+            "det": det,
+            "tubes": reordered(tubes, work / "tubes_2031.txt", by_video({"v2": 0, "v0": 1, "v3": 2, "v1": 3})),
+            "ann": reordered(ann, work / "ann_1302.txt", by_video({"v1": 0, "v3": 1, "v0": 2, "v2": 3})),
+            "ann_interleaved": reordered(ann, work / "ann_mixed.txt", shuffled),
+        }
+
+    @staticmethod
+    def check(files, ann_key: str, with_detections: bool, deltas=DEFAULT_TUBE_THRESHOLDS, frame_threshold=0.5):
+        det = files["det"] if with_detections else None
+        config = RunConfig(deltas=deltas, frame_threshold=frame_threshold)
+        got = run_eval(config, str(files["tubes"]), str(files[ann_key]), None if det is None else str(det))
+        tubes, gt_tubes = parse_tubes(str(files["tubes"])), parse_annotations(str(files[ann_key]))
+        rows = None if det is None else [(v, f, CandidateBox(c, bx, p, 0.0)) for v, f, c, p, bx in reader_rows(det)]
+        want = metrics_oracle.evaluate(tubes, gt_tubes, rows, config.deltas, frame_threshold)
+        return got.rows() == want.rows() and got == want
+
+    def test_files_hold_the_videos_in_three_orders(self, files):
+        videos = {k: [line.split(" ")[0] for line in path.read_text().splitlines()[1:]] for k, path in files.items()}
+        orders = [list(dict.fromkeys(videos[k])) for k in ("det", "tubes", "ann")]
+        assert len({tuple(o) for o in orders}) == 3 and all(sorted(o) == ["v0", "v1", "v2", "v3"] for o in orders)
+        # Interleaved: the videos come in more runs than there are videos.
+        mixed = videos["ann_interleaved"]
+        assert sum(a != b for a, b in zip(mixed, mixed[1:])) + 1 > 4
+
+    @pytest.mark.parametrize("ann_key", ["ann", "ann_interleaved"])
+    @pytest.mark.parametrize("with_detections", [True, False])
+    def test_report_equals_the_oracle(self, files, ann_key, with_detections):
+        assert self.check(files, ann_key, with_detections)
+
+    def test_other_thresholds(self, files):
+        assert self.check(files, "ann_interleaved", True, deltas=(0.25, 0.5, 0.123), frame_threshold=0.25)
+
+    @pytest.mark.parametrize("ann_key", ["ann", "ann_interleaved"])
+    def test_catches_annotations_numbered_by_video(self, files, monkeypatch, ann_key):
+        # Boxes numbered from 0 within each video rather than by file position.
+        source = textwrap.dedent(inspect.getsource(metrics._ClassTally.add_annotation))
+        old = "base = len(self.coords) // 4 - gt.t_start"
+        new = "base = sum(e - s + 1 for _, s, e, _ in self.spans.get(gt.video_id, ())) - gt.t_start"
+        assert source.count(old) == 1
+        names = dict(vars(metrics))
+        exec(compile(source.replace(old, new), metrics.__file__, "exec", dont_inherit=True), names)
+        monkeypatch.setattr(metrics._ClassTally, "add_annotation", names["add_annotation"])
+        assert not self.check(files, ann_key, True)
 
 
 class TestVideoMap:
@@ -579,7 +664,7 @@ class TestAgainstOracle:
         original = metrics.tube_iou
 
         def counting(d, g):
-            calls.append((id(d), id(g)))
+            calls.append((id(d), g))
             return original(d, g)
 
         metrics.tube_iou = counting
@@ -587,8 +672,9 @@ class TestAgainstOracle:
             video_map(tubes, gt_tubes, DEFAULT_TUBE_THRESHOLDS)
         finally:
             metrics.tube_iou = original
-        same_group = {
-            (id(d), id(g)) for d in tubes for g in gt_tubes if (d.class_id, d.video_id) == (g.class_id, g.video_id)
-        }
-        assert len(calls) == len(set(calls)) == len(same_group)
-        assert set(calls) == same_group
+        # The annotations are kept as coordinates, so an annotated tube reaches
+        # tube_iou rebuilt: equal to the input, not the input object.
+        same_group = [
+            (id(d), g) for d in tubes for g in gt_tubes if (d.class_id, d.video_id) == (g.class_id, g.video_id)
+        ]
+        assert Counter(calls) == Counter(same_group)

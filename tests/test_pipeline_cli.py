@@ -354,6 +354,17 @@ class TestEvalCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_annotations_are_read_before_tubes(self, tmp_path, capsys):
+        # Both files are bad: the annotations are read first, so theirs is the error named.
+        tubes, ann = tmp_path / "tubes.txt", tmp_path / "ann.txt"
+        tubes.write_text(f"{HEADERS['tubes']}\nv 0 1 1 0.5 1 1,0.1,0.1,0.2,0.2\nv 0 1 1 0.5\n", encoding="ascii")
+        ann.write_text(f"{HEADERS['ann']}\nv 0 1 1 1,0.1,0.1,0.2,0.2\n\nv 0 1 2 1,0.1,0.1,0.2,0.2\n", encoding="ascii")
+        with pytest.raises(RecordError) as exc:
+            run_eval(RunConfig(), str(tubes), str(ann))
+        assert (exc.value.path, exc.value.line_no) == (str(ann), 4)
+        assert run_cli("eval", "--tubes", tubes, "--annotations", ann) == 1
+        assert capsys.readouterr().err == f"error: {ann}:4: range covers 2 frames, found 1 boxes\n"
+
     def test_threshold_flags_are_not_eval_flags(self, mech_paths, tmp_path, capsys):
         # eval scores its files as written; only decode and link threshold and deduplicate.
         _, ann = mech_paths

@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -18,10 +19,12 @@ from helpers import GRID_PREAMBLE, HEADERS, detection_line, first_detections_err
 from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width, nms_frame
 from tubestream.linker import FRAME_MAX, FRAME_MIN, OnlineLinker, SequencingError
 from tubestream.config import RunConfig
+from tubestream import records
 from tubestream.pipeline import run_decode, run_link
 from tubestream.records import (
     ANNOTATIONS_HEADER,
     DETECTIONS_HEADER,
+    RAWGRID_HEADER,
     TUBES_HEADER,
     DetectionWriter,
     RecordError,
@@ -558,6 +561,24 @@ class TestRawGrids:
                 tracemalloc.stop()
 
         assert traced_peak(3) <= 1.2 * traced_peak(1)
+
+    def test_line_reader_holds_no_copy_of_the_text(self, tmp_path):
+        # While the caller converts a line's fields, only the fields are alive:
+        # neither the raw line nor its stripped copy.
+        values = " ".join(format(x, ".9g") for x in np.random.default_rng(0).standard_normal(50_000))
+        path = tmp_path / "g.txt"
+        path.write_text(f"{RAWGRID_HEADER}\n{values}\n", encoding="ascii")
+        tracemalloc.start()
+        try:
+            reader = records._records(str(path), RAWGRID_HEADER)
+            _, fields = next(reader)
+            held = tracemalloc.get_traced_memory()[0]
+            reader.close()
+        finally:
+            tracemalloc.stop()
+        assert len(fields) == 50_000
+        fields_size = sys.getsizeof(fields) + sum(map(sys.getsizeof, fields))
+        assert held - fields_size < len(values) / 4
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, bad):
