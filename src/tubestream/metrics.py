@@ -151,8 +151,8 @@ class _ClassTally:
     def add_annotation(self, gt: GroundTruthTube) -> None:
         base = len(self.coords) // 4 - gt.t_start
         self.spans.setdefault(gt.video_id, []).append((len(self.by_overlap), gt.t_start, gt.t_end, base))
-        for box in gt.boxes:
-            self.coords.extend(box)
+        for x1, y1, x2, y2 in gt.boxes:  # a box of other than four numbers fails here, not misaligned
+            self.coords.extend((x1, y1, x2, y2))
         self.by_overlap.append(0.0)
         self.top.append(None)
         self.by_score.append(0.0)

@@ -435,6 +435,12 @@ class TestFrameMapStreaming:
         with pytest.raises(ValueError):
             frame_map(rows, [gt("v", 0, 1, 4)])
 
+    def test_annotated_box_not_four_numbers_raises(self):
+        # Five numbers would shift every later annotated box of the class.
+        boxes = ((0.1, 0.1, 0.6, 0.6, 0.6), (0.1, 0.1, 0.6, 0.6))
+        with pytest.raises(ValueError):
+            frame_map([("v", 2, 0, 0.9, (0.1, 0.1, 0.6, 0.6))], [GroundTruthTube("v", 0, 1, 2, boxes)])
+
     def test_memory_per_row_and_pair(self):
         # About 100k fresh rows, as a parser yields them: a third of a class
         # without annotations, most others on frames without one, some on
