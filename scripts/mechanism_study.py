@@ -22,7 +22,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tubestream.decode import nms_frame  # noqa: E402
 from tubestream.linker import LinkerConfig, OnlineLinker  # noqa: E402
-from tubestream.metrics import average_temporal_iou, evaluate  # noqa: E402
+from tubestream.metrics import evaluate  # noqa: E402
 from tubestream.pipeline import write_report_csv  # noqa: E402
 from tubestream.synthetic import ScenarioSpec, generate, oracle_link  # noqa: E402
 
@@ -46,7 +46,7 @@ def mean_tiou(spec: ScenarioSpec, alpha: float) -> float:
     for t in stream.ordered_frames():
         linker.step(t, nms_frame(stream.boxes_at(t), SCORE_THRESHOLD, NMS_IOU))
     tubes = linker.finalize()
-    per_class, _ = average_temporal_iou(tubes, gt)
+    per_class = evaluate(tubes, gt).t_iou
     return sum(per_class.values()) / len(per_class)
 
 

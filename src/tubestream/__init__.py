@@ -24,7 +24,7 @@ from .losses import (
     loss_gradient,
     loss_terms,
 )
-from .metrics import EvalReport, average_precisions, evaluate, frame_map, tube_iou, video_map
+from .metrics import EvalReport, average_precisions, evaluate, tube_iou
 from .tubes import DetectionStream, FinalTube, GroundTruthTube
 
 __all__ = [
@@ -49,11 +49,9 @@ __all__ = [
     "check_gradients",
     "decode_grid",
     "evaluate",
-    "frame_map",
     "loss_gradient",
     "loss_terms",
     "temporal_label_step",
     "temporal_iou",
     "tube_iou",
-    "video_map",
 ]

@@ -387,14 +387,20 @@ class OnlineLinker:
         self.video_id = video_id
         self.n_classes = n_classes
         self._store_factory = store_factory if store_factory is not None else SpillStore
-        self._on_tube = on_tube if on_tube is not None else self._collect
+        self._results: list[FinalTube] = []
+        if on_tube is None:
+            results = self._results  # closed over instead of self: a dropped linker is freed at once
+
+            def on_tube(video_id, class_id, t_start, t_end, score, n_entries, entries):
+                results.append(FinalTube(video_id, class_id, t_start, t_end, score, tuple(entries)))
+
+        self._on_tube = on_tube
         # Lanes appear as their classes first show up in the stream;
         # ``_order`` holds (class_id, alpha, lane) in ascending class order.
         self._lanes: dict[int, list[TubeState]] = {}
         self._order: list[tuple[int, float, list[TubeState]]] = []
         self._head: int | None = None
         self._seq = 0
-        self._results: list[FinalTube] = []
         self._closed: str | None = None  # why a step is refused: finalized, or a failed step or finalize
 
     # -- lifecycle ---------------------------------------------------------
@@ -573,7 +579,3 @@ class OnlineLinker:
         self._on_tube(self.video_id, tube.class_id, first, last, score, count, kept)
         if store is not None:
             store.discard()
-
-    def _collect(self, video_id, class_id, t_start, t_end, score, n_entries, entries) -> None:
-        self._results.append(FinalTube(video_id, class_id, t_start, t_end, score, tuple(entries)))
-

@@ -11,15 +11,18 @@ Each (detection, ground truth) overlap is computed once; one matcher,
 :func:`average_precisions`, then matches every threshold on those overlaps
 and integrates each curve in numpy, with no Python object per pair.
 
-Every metric reads one tally of its inputs, each read once: the
-annotations first, kept as four coordinates a box and numbered per class in
-input order; then the tubes, each leaving its score and its overlaps above
-0; then the frame rows, ``(video_id, frame, class_id, score, box)`` in the
-detections record's field order, each leaving its score and its overlaps
-above 0 with the same-class annotations on its frame (computed a chunk of
-pairs at a time in one array call).  So tubes and rows may stream straight
-from the parser.  Without per-frame detections the rows are the tubes'
-boxes, each scored with its tube's score.
+:func:`evaluate` is the one scoring path.  Every metric of its report
+reads one tally of its inputs, each read once: the annotations first, kept
+as four coordinates a box and numbered per class in input order; then the
+tubes, each leaving its score and its overlaps above 0; then the frame
+rows, ``(video_id, frame, class_id, score, box)`` in the detections
+record's field order, each leaving its score and its overlaps above 0 with
+the same-class annotations on its frame (computed a chunk of pairs at a
+time in one array call).  So tubes and rows may stream straight from the
+parser.  Without per-frame detections the rows are the tubes' boxes, each
+scored with its tube's score.  Video-level thresholds are rounded to 2
+decimals.  Detections of equal score rank in input order, so the first of
+them is matched first and is the best by score.
 
 Video mAP and temporal recovery compare a detected tube only with the
 annotated tubes of its class and video.  Tube overlap multiplies the mean
@@ -232,84 +235,6 @@ class _Tally:
                         tally.flush()
             scores.append(score)
 
-    def frame_map(self, threshold: float) -> tuple[float, dict[int, float]]:
-        """Frame-level AP per class; it ends the rows, and frees them and the annotated boxes."""
-        n_gt = {}
-        for class_id, tally in self.classes.items():
-            tally.flush()
-            n_gt[class_id] = len(tally.coords) // 4
-            tally.coords = tally.boxes = None  # every row is in: the overlaps are all there is to match
-        per_class: dict[int, float] = {}
-        for class_id in sorted(self.classes):
-            tally = self.classes[class_id]
-            per_class[class_id] = average_precisions(tally.row_scores, tally.row_pairs, n_gt[class_id], (threshold,))[0]
-            tally.row_scores = tally.row_pairs = None
-        return _mean(per_class.values()), per_class
-
-    def video_map(self, thresholds: Sequence[float]) -> tuple[dict[float, float], dict[float, dict[int, float]]]:
-        thresholds = [round(d, 2) for d in thresholds]
-        per_class: dict[float, dict[int, float]] = {d: {} for d in thresholds}
-        for class_id in sorted(self.classes):
-            tally = self.classes[class_id]
-            aps = average_precisions(tally.tube_scores, tally.tube_pairs, len(tally.by_overlap), thresholds)
-            for threshold, ap in zip(thresholds, aps):
-                per_class[threshold][class_id] = ap
-        return {d: _mean(aps.values()) for d, aps in per_class.items()}, per_class
-
-    def average_temporal_iou(self) -> tuple[dict[int, float], dict[int, float]]:
-        classes = sorted(self.classes)
-        return (
-            {c: _mean(self.classes[c].by_overlap) for c in classes},
-            {c: _mean(self.classes[c].by_score) for c in classes},
-        )
-
-
-def frame_map(
-    detections: Iterable[tuple[str, int, int, float, Box]],
-    gt_tubes: Iterable[GroundTruthTube],
-    threshold: float = 0.5,
-) -> tuple[float, dict[int, float]]:
-    """Frame-level mAP: per-class AP over all (video, frame) pooled boxes.
-
-    ``detections`` holds ``(video_id, frame, class_id, score, box)`` rows, the
-    detections record's field order; it is read once, so it may be a stream.
-    Rows are not kept: each leaves its score, and its overlaps above 0 with
-    the annotations on its frame."""
-    tally = _Tally(gt_tubes)
-    tally.add_rows(detections)
-    return tally.frame_map(threshold)
-
-
-def video_map(
-    tubes: Iterable[FinalTube],
-    gt_tubes: Iterable[GroundTruthTube],
-    thresholds: Sequence[float] = DEFAULT_TUBE_THRESHOLDS,
-) -> tuple[dict[float, float], dict[float, dict[int, float]]]:
-    """Video-level mAP at each tube-overlap threshold (rounded to 2 decimals).
-
-    ``tube_iou`` runs once per same-class, same-video (detection, annotation)
-    pair; every threshold is matched on those overlaps."""
-    tally = _Tally(gt_tubes)
-    tally.add_tubes(tubes)
-    return tally.video_map(thresholds)
-
-
-def average_temporal_iou(
-    tubes: Iterable[FinalTube],
-    gt_tubes: Iterable[GroundTruthTube],
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-class mean temporal IoU between each annotated tube and its best
-    same-class detection in the same video.
-
-    Returned twice under two readings of "best": highest temporal IoU
-    (first dict, the headline number) and highest detection score (second;
-    the first of equal scores wins).  Annotated tubes with no detection
-    contribute 0.
-    """
-    tally = _Tally(gt_tubes)
-    tally.add_tubes(tubes)
-    return tally.average_temporal_iou()
-
 
 @dataclass
 class EvalReport:
@@ -354,28 +279,56 @@ def evaluate(
     tube_thresholds: Sequence[float] = DEFAULT_TUBE_THRESHOLDS,
     frame_threshold: float = 0.5,
 ) -> EvalReport:
-    """Score a detection run against annotations.
+    """Score a detection run against annotations: the library's one scoring path.
 
     Each input is read once, in this order: ``gt_tubes``, ``tubes``, then
-    ``frame_detections``; so each may be a stream.  When no per-frame
-    detections are supplied, frame-level AP is computed over the tubes'
-    retained boxes, each scored with its tube's score.
+    ``frame_detections``, ``(video_id, frame, class_id, score, box)`` rows;
+    so each may be a stream.  Neither tubes nor rows are kept: each leaves
+    its score and its overlaps above 0.  When no per-frame detections are
+    supplied, frame-level AP is computed over the tubes' retained boxes,
+    each scored with its tube's score.
+
+    Frame-level AP pools every (video, frame) box of a class at
+    ``frame_threshold``.  Video-level AP is matched at each of
+    ``tube_thresholds``, rounded to 2 decimals; ``tube_iou`` runs once per
+    same-class, same-video (tube, annotation) pair.  Temporal recovery is
+    each annotated tube's temporal IoU with its best same-class detection in
+    the same video, averaged per class under two readings of "best": highest
+    temporal IoU (``t_iou``, the headline number) and highest score
+    (``t_iou_by_score``; the first of equal scores wins).  An annotated tube
+    with no detection counts 0.
     """
     tally = _Tally(gt_tubes)
     tally.add_tubes(tubes, as_rows=frame_detections is None)
     if frame_detections is not None:
         tally.add_rows(frame_detections)
-    f_map_val, f_ap = tally.frame_map(frame_threshold)
-    v_map_val, v_ap = tally.video_map(tube_thresholds)
-    if all(d in v_map_val for d in VMAP_AVG_BAND):
-        v_map_avg = sum(v_map_val[d] for d in VMAP_AVG_BAND) / len(VMAP_AVG_BAND)
+    # Every row is in: the overlaps are all there is to match, so the annotated boxes go first.
+    n_boxes = {}
+    for class_id, c in tally.classes.items():
+        c.flush()
+        n_boxes[class_id] = len(c.coords) // 4
+        c.coords = c.boxes = None
+    thresholds = [round(d, 2) for d in tube_thresholds]
+    f_ap: dict[int, float] = {}
+    v_ap: dict[float, dict[int, float]] = {d: {} for d in thresholds}
+    t_iou: dict[int, float] = {}
+    t_iou_by_score: dict[int, float] = {}
+    for class_id in sorted(tally.classes):
+        c = tally.classes[class_id]
+        f_ap[class_id] = average_precisions(c.row_scores, c.row_pairs, n_boxes[class_id], (frame_threshold,))[0]
+        c.row_scores = c.row_pairs = None  # freed before the next class's rows are matched
+        for d, ap in zip(thresholds, average_precisions(c.tube_scores, c.tube_pairs, len(c.by_overlap), thresholds)):
+            v_ap[d][class_id] = ap
+        t_iou[class_id], t_iou_by_score[class_id] = _mean(c.by_overlap), _mean(c.by_score)
+    v_map = {d: _mean(aps.values()) for d, aps in v_ap.items()}
+    if all(d in v_map for d in VMAP_AVG_BAND):
+        v_map_avg = sum(v_map[d] for d in VMAP_AVG_BAND) / len(VMAP_AVG_BAND)
     else:
         v_map_avg = None
-    t_iou, t_iou_by_score = tally.average_temporal_iou()
     return EvalReport(
-        f_map=f_map_val,
+        f_map=_mean(f_ap.values()),
         f_ap=f_ap,
-        v_map=v_map_val,
+        v_map=v_map,
         v_ap=v_ap,
         v_map_avg=v_map_avg,
         t_iou=t_iou,

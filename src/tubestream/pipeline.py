@@ -46,6 +46,7 @@ def run_decode(config: RunConfig, grids_path: str, out_path: str) -> int:
             survivors = select_candidates(decode_grid(grid, anchors), config.score_threshold, config.nms_iou)
             writer.write_frame(video_id, frame, *survivors)
             n += len(survivors[0])
+            del grid, survivors  # neither stays alive while the reader builds the next frame
     return n
 
 
@@ -56,7 +57,8 @@ def run_link(
     spool_dir: str | None = None,
 ) -> int:
     """Link a detections file into a tubes file, streaming; returns tube count.
-    The file appears only when every row linked."""
+    The file appears only when every row linked; on a failure the live
+    tubes' spill files are closed before the error propagates."""
     SpillStore(spool_dir)  # checks spool_dir before the output is opened
     count = 0
 
@@ -74,11 +76,17 @@ def run_link(
                 store_factory=lambda: SpillStore(spool_dir),
                 on_tube=sink,
             )
-            for _, frame, class_ids, confidences, rates, box_ids, boxes in blocks:
-                keep = nms_indices(class_ids, confidences, box_ids, boxes, config.score_threshold, config.nms_iou)
-                kept = [CandidateBox(class_ids[i], boxes[box_ids[i]], confidences[i], rates[i]) for i in keep]
-                linker.step(frame, kept)
-            linker.finalize()
+            try:
+                for _, frame, class_ids, confidences, rates, box_ids, boxes in blocks:
+                    keep = nms_indices(class_ids, confidences, box_ids, boxes, config.score_threshold, config.nms_iou)
+                    kept = [CandidateBox(class_ids[i], boxes[box_ids[i]], confidences[i], rates[i]) for i in keep]
+                    linker.step(frame, kept)
+                linker.finalize()
+            except BaseException:
+                for tube in linker.live_tubes():  # their spill files close now, not at garbage collection
+                    if tube.store is not None:
+                        tube.store.discard()
+                raise
     return count
 
 

@@ -31,7 +31,7 @@ Annotations (one box per covered frame, count implied by the range)::
     <video_id> <class_id> <t_start> <t_end> <frame,x1,y1,x2,y2>...
 
 Tubes and annotations are read a record at a time (``iter_tubes``,
-``iter_annotations``); ``parse_tubes`` and ``parse_annotations`` list them.
+``iter_annotations``); ``parse_tubes`` lists a file's tubes.
 
 Raw grids (header declares the grid and anchor priors; one frame per line,
 in the detections' frame order, values in ``[cell_y][cell_x][anchor][attribute]``
@@ -373,10 +373,6 @@ def write_annotations(path: str, tubes: Iterable[GroundTruthTube]) -> None:
             fh.write("\n")
 
 
-def parse_annotations(path: str) -> list[GroundTruthTube]:
-    return list(iter_annotations(path))
-
-
 def iter_annotations(path: str) -> Iterator[GroundTruthTube]:
     """Stream an annotations file a tube at a time, in file order."""
     for line_no, parts in _records(path, ANNOTATIONS_HEADER):
@@ -454,5 +450,6 @@ def read_rawgrids(path: str) -> tuple[tuple[int, int, int], AnchorSet, Iterator[
                 raise RecordError(path, line_no, f"bad grid values: {exc}") from None
             del parts  # its field strings would stay alive while the next frame is read
             yield video_id, frame, grid
+            del grid  # and so would this frame's grid
 
     return (s, b, c), anchors, frames()

@@ -28,9 +28,9 @@ from tubestream.linker import (
 from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
 from tubestream.losses import check_gradients, random_check_case
-from tubestream.metrics import average_temporal_iou, frame_map, tube_iou, video_map
+from tubestream.metrics import evaluate, tube_iou
 from tubestream.pipeline import run_eval, run_link
-from tubestream.records import DetectionWriter, iter_detection_rows, parse_annotations, parse_tubes, write_annotations
+from tubestream.records import DetectionWriter, iter_annotations, iter_detection_rows, parse_tubes, write_annotations
 from tubestream.synthetic import ScenarioSpec, TrackSpec, chain_stream_frames, generate, oracle_link
 from tubestream.tubes import FinalTube, GroundTruthTube
 
@@ -76,14 +76,14 @@ def test_metric_hand_cases():
         ("v", 4, 1, 0.95, far),
         ("v", 4, 1, 0.5, g),
     ]
-    f_map_val, f_ap = frame_map(dets, gt_tubes, threshold=0.5)
-    checks.append(abs(f_ap[0] - 5 / 6) < 1e-9)
-    checks.append(abs(f_ap[1] - 1 / 2) < 1e-9)
-    checks.append(abs(f_map_val - 2 / 3) < 1e-9)
+    frame_level = evaluate([], gt_tubes, dets, frame_threshold=0.5)
+    checks.append(abs(frame_level.f_ap[0] - 5 / 6) < 1e-9)
+    checks.append(abs(frame_level.f_ap[1] - 1 / 2) < 1e-9)
+    checks.append(abs(frame_level.f_map - 2 / 3) < 1e-9)
 
     # Video level: the 0.4-overlap tube is a hit below 0.4 and a miss above;
     # v-mAP over one class equals the hand AP at every threshold.
-    v_map, _ = video_map([det], [gt], thresholds=(0.1, 0.2, 0.3, 0.5, 0.75))
+    v_map = evaluate([det], [gt], tube_thresholds=(0.1, 0.2, 0.3, 0.5, 0.75)).v_map
     checks.append(v_map[0.1] == 1.0 and v_map[0.3] == 1.0)
     checks.append(v_map[0.5] == 0.0 and v_map[0.75] == 0.0)
 
@@ -224,7 +224,7 @@ def mechanism_tiou(spec: ScenarioSpec, alpha: float) -> float:
     for t in stream.ordered_frames():
         linker.step(t, stream.boxes_at(t))
     tubes = linker.finalize()
-    per_class, _ = average_temporal_iou(tubes, gt)
+    per_class = evaluate(tubes, gt).t_iou
     return sum(per_class.values()) / len(per_class)
 
 
@@ -404,7 +404,7 @@ def test_eval_bound(tmp_path):
             tracemalloc.stop()
         frame_rows = list(iter_detection_rows(det))
         rows[label] = len(frame_rows)
-        want = metrics_oracle.evaluate(parse_tubes(tubes), parse_annotations(ann), frame_rows, config.deltas)
+        want = metrics_oracle.evaluate(parse_tubes(tubes), list(iter_annotations(ann)), frame_rows, config.deltas)
         same = same and report.rows() == want.rows()
     growth = (peaks["long"] - peaks["short"]) / (rows["long"] - rows["short"])
     elapsed = time.perf_counter() - t0

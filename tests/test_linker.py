@@ -611,12 +611,30 @@ class TestStores:
             linker.step(t, boxes)
         opened = [weakref.ref(f) for _, f in files]
         files.clear()
-        del linker
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResourceWarning)  # the file closes unclosed, as intended
+            del linker
             gc.collect()
         assert os.listdir(tmp_path) == []
         assert len(opened) == 1 and opened[0]() is None
+
+    def test_dropped_collecting_linker_is_freed_at_once(self, tmp_path, monkeypatch):
+        # The default sink holds no reference back to its linker, so dropping
+        # the linker frees it, and its spill file, without the cyclic GC.
+        files = count_temp_files(monkeypatch)
+        linker = OnlineLinker(config=LinkerConfig(alphas=1.0), store_factory=lambda: SpillStore(str(tmp_path)))
+        for t, boxes in chain_stream_frames(2_000):
+            linker.step(t, boxes)
+        dropped = [weakref.ref(linker)] + [weakref.ref(f) for _, f in files]
+        files.clear()
+        gc.disable()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResourceWarning)  # the file closes unclosed, as intended
+                del linker
+            assert len(dropped) == 2 and all(ref() is None for ref in dropped)
+        finally:
+            gc.enable()
 
     def test_missing_spool_dir_fails_at_the_first_labeled_commit(self, tmp_path):
         """A store checks its directory when built, so a linker fails at its
@@ -632,6 +650,7 @@ class TestStores:
             for frame, boxes in chain_stream_frames(2_000):
                 last_step[directory] = frame
                 linker.step(frame, boxes)
+            linker.finalize()
 
         run(str(tmp_path))
         missing = str(tmp_path / "nonexistent")
@@ -690,6 +709,7 @@ class TestStores:
         with pytest.raises(RecordError, match=r"det\.txt:402: "):
             run_link(RunConfig(alphas=1.0), str(det), str(tubes), str(spool))
         assert [d for d, _ in files] == [str(spool)] and os.listdir(spool) == []
+        assert all(f.closed for _, f in files)
 
 
 class TestOnlineContract:

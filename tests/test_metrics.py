@@ -23,19 +23,16 @@ from tubestream.metrics import (
     DEFAULT_TUBE_THRESHOLDS,
     VMAP_AVG_BAND,
     average_precisions,
-    average_temporal_iou,
     evaluate,
-    frame_map,
     tube_iou,
-    video_map,
 )
 from tubestream.linker import FRAME_MAX, FRAME_MIN
 from tubestream.pipeline import run_eval, run_link
 from tubestream.records import (
     DETECTIONS_HEADER,
     DetectionWriter,
+    iter_annotations,
     iter_detection_frames,
-    parse_annotations,
     parse_tubes,
     write_annotations,
 )
@@ -260,14 +257,13 @@ class TestFrameMap:
     def test_perfect_detection(self):
         tubes = [gt("v", 0, 1, 3)]
         dets = [("v", f, 0, 0.9, (0.1, 0.1, 0.6, 0.6)) for f in (1, 2, 3)]
-        value, per_class = frame_map(dets, tubes)
-        assert value == 1.0 and per_class == {0: 1.0}
+        report = evaluate([], tubes, dets)
+        assert report.f_map == 1.0 and report.f_ap == {0: 1.0}
 
     def test_shifted_box_below_threshold_is_fp(self):
         tubes = [GroundTruthTube("v", 0, 1, 1, ((0.0, 0.0, 1.0, 1.0),))]
         dets = [("v", 1, 0, 0.9, (0.0, 0.0, 1.0, 0.49))]
-        value, _ = frame_map(dets, tubes, threshold=0.5)
-        assert value == 0.0
+        assert evaluate([], tubes, dets, frame_threshold=0.5).f_map == 0.0
 
     def test_two_class_hand_fixture(self):
         # Class 0: GT at frames 1 and 2; detections TP(0.9), FP(0.8), TP(0.7)
@@ -283,21 +279,21 @@ class TestFrameMap:
             ("v", 4, 1, 0.95, far),
             ("v", 4, 1, 0.5, g),
         ]
-        value, per_class = frame_map(dets, tubes)
-        assert per_class[0] == pytest.approx(5 / 6, abs=1e-9)
-        assert per_class[1] == pytest.approx(1 / 2, abs=1e-9)
-        assert value == pytest.approx((5 / 6 + 1 / 2) / 2, abs=1e-9)
+        report = evaluate([], tubes, dets)
+        assert report.f_ap[0] == pytest.approx(5 / 6, abs=1e-9)
+        assert report.f_ap[1] == pytest.approx(1 / 2, abs=1e-9)
+        assert report.f_map == pytest.approx((5 / 6 + 1 / 2) / 2, abs=1e-9)
 
 
 def reader_rows(path):
-    """A detections file's rows in ``frame_map``'s shape, as ``run_eval`` streams them."""
+    """A detections file's rows in ``evaluate``'s shape, as ``run_eval`` streams them."""
     for video_id, frame, class_ids, confidences, _, box_ids, boxes in iter_detection_frames(str(path)):
         for class_id, conf, box_id in zip(class_ids, confidences, box_ids):
             yield video_id, frame, class_id, conf, boxes[box_id]
 
 
 def dict_pairs(rows, gt_tubes, class_id):
-    """One class's ``average_precisions`` inputs as ``frame_map`` built them
+    """One class's frame-level ``average_precisions`` inputs as ``evaluate`` built them
     with one dict key per annotated (video, frame), less the pairs of
     overlap 0, which never match."""
     gt_boxes, at = [], {}
@@ -382,7 +378,7 @@ def linked_set(work: Path, n_videos: int) -> tuple[Path, Path, Path]:
 
 
 class TestFrameMapStreaming:
-    """``frame_map`` keeps a score per row and, per annotation on the row's
+    """``evaluate`` keeps a score per row and, per annotation on the row's
     frame that it overlaps, an index pair and the overlap: never the row itself."""
 
     @given(spelled_detection_sets())
@@ -395,7 +391,8 @@ class TestFrameMapStreaming:
         original = metrics.average_precisions
 
         def spy(scores, pairs, n_gt, thresholds):
-            calls.append((list(scores), list(pairs[0]), list(pairs[1]), list(pairs[2]), n_gt))
+            if thresholds == (0.5,):  # a frame-level call; a video-level one passes every tube threshold
+                calls.append((list(scores), list(pairs[0]), list(pairs[1]), list(pairs[2]), n_gt))
             return original(scores, pairs, n_gt, thresholds)
 
         with tempfile.TemporaryDirectory() as work:
@@ -404,7 +401,7 @@ class TestFrameMapStreaming:
             rows = list(reader_rows(path))
             metrics.average_precisions = spy
             try:
-                frame_map(reader_rows(path), gt_tubes)
+                evaluate([], gt_tubes, reader_rows(path))
             finally:
                 metrics.average_precisions = original
         assert all(type(row[1]) is int for row in rows)
@@ -415,7 +412,7 @@ class TestFrameMapStreaming:
         # Several videos, overlapping same-class actions, context and
         # distractors; rows in reader order and shuffled.
         det, ann, tubes = linked_set(tmp_path, n_videos=3)
-        tubes, gt_tubes = parse_tubes(str(tubes)), parse_annotations(str(ann))
+        tubes, gt_tubes = parse_tubes(str(tubes)), list(iter_annotations(str(ann)))
         rows = list(reader_rows(det))
         assert 200 <= len(rows) <= 600 and tubes
         shuffled = rows[:]
@@ -433,13 +430,13 @@ class TestFrameMapStreaming:
         # must not pass as two misaligned boxes.
         rows = [("v", f, 0, 0.9, box) for f, box in enumerate(boxes, 1)]
         with pytest.raises(ValueError):
-            frame_map(rows, [gt("v", 0, 1, 4)])
+            evaluate([], [gt("v", 0, 1, 4)], rows)
 
     def test_annotated_box_not_four_numbers_raises(self):
         # Five numbers would shift every later annotated box of the class.
         boxes = ((0.1, 0.1, 0.6, 0.6, 0.6), (0.1, 0.1, 0.6, 0.6))
         with pytest.raises(ValueError):
-            frame_map([("v", 2, 0, 0.9, (0.1, 0.1, 0.6, 0.6))], [GroundTruthTube("v", 0, 1, 2, boxes)])
+            evaluate([], [GroundTruthTube("v", 0, 1, 2, boxes)], [("v", 2, 0, 0.9, (0.1, 0.1, 0.6, 0.6))])
 
     def test_memory_per_row_and_pair(self):
         # About 100k fresh rows, as a parser yields them: a third of a class
@@ -464,7 +461,7 @@ class TestFrameMapStreaming:
         n_pairs = sum(t.length for t in gt_tubes)
         tracemalloc.start()
         try:
-            frame_map(stream(), gt_tubes)
+            evaluate([], gt_tubes, stream())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,7 +505,7 @@ class TestRunEvalAgainstOracle:
         det = files["det"] if with_detections else None
         config = RunConfig(deltas=deltas, frame_threshold=frame_threshold)
         got = run_eval(config, str(files["tubes"]), str(files[ann_key]), None if det is None else str(det))
-        tubes, gt_tubes = parse_tubes(str(files["tubes"])), parse_annotations(str(files[ann_key]))
+        tubes, gt_tubes = parse_tubes(str(files["tubes"])), list(iter_annotations(str(files[ann_key])))
         rows = None if det is None else [(v, f, CandidateBox(c, bx, p, 0.0)) for v, f, c, p, bx in reader_rows(det)]
         want = metrics_oracle.evaluate(tubes, gt_tubes, rows, config.deltas, frame_threshold)
         return got.rows() == want.rows() and got == want
@@ -546,7 +543,7 @@ class TestVideoMap:
     def test_perfect_tubes_everywhere_one(self):
         tubes = [det("v", 0, 1, 10, 0.9)]
         annotations = [gt("v", 0, 1, 10)]
-        v_map, _ = video_map(tubes, annotations)
+        v_map = evaluate(tubes, annotations).v_map
         assert all(v == 1.0 for v in v_map.values())
 
     def test_threshold_ladder(self):
@@ -554,12 +551,12 @@ class TestVideoMap:
         g = GroundTruthTube("v", 0, 1, 10, ((0.0, 0.0, 1.0, 1.0),) * 10)
         d = FinalTube("v", 0, 6, 10, 0.9, tuple((f, (0.0, 0.0, 1.0, 0.8)) for f in range(6, 11)))
         assert tube_iou(d, g) == pytest.approx(0.4, abs=1e-9)
-        v_map, _ = video_map([d], [g], thresholds=(0.1, 0.2, 0.3, 0.5, 0.75))
+        v_map = evaluate([d], [g], tube_thresholds=(0.1, 0.2, 0.3, 0.5, 0.75)).v_map
         assert v_map[0.1] == v_map[0.2] == v_map[0.3] == 1.0
         assert v_map[0.5] == v_map[0.75] == 0.0
 
     def test_empty_detections_zero(self):
-        v_map, _ = video_map([], [gt("v", 0, 1, 5)])
+        v_map = evaluate([], [gt("v", 0, 1, 5)]).v_map
         assert all(v == 0.0 for v in v_map.values())
 
     @given(st.integers(0, 5_000))
@@ -568,30 +565,29 @@ class TestVideoMap:
         rng = np.random.default_rng(seed)
         annotations = [gt("v", 0, 1, 10, random_box(rng)) for _ in range(2)]
         tubes = [det("v", 0, int(rng.integers(1, 6)), int(rng.integers(6, 14)), float(rng.uniform(0, 1)), random_box(rng)) for _ in range(3)]
-        v_map, _ = video_map(tubes, annotations, thresholds=DEFAULT_TUBE_THRESHOLDS)
+        v_map = evaluate(tubes, annotations, tube_thresholds=DEFAULT_TUBE_THRESHOLDS).v_map
         ordered = [v_map[d] for d in sorted(v_map)]
         assert all(a >= b - 1e-12 for a, b in zip(ordered, ordered[1:]))
 
 
 class TestAverageTemporalIou:
     def test_exact_recovery(self):
-        by_overlap, by_score = average_temporal_iou([det("v", 0, 1, 20, 0.9)], [gt("v", 0, 1, 20)])
-        assert by_overlap[0] == 1.0 and by_score[0] == 1.0
+        report = evaluate([det("v", 0, 1, 20, 0.9)], [gt("v", 0, 1, 20)])
+        assert report.t_iou[0] == 1.0 and report.t_iou_by_score[0] == 1.0
 
     def test_missing_tube_contributes_zero(self):
-        by_overlap, _ = average_temporal_iou([], [gt("v", 0, 1, 20)])
-        assert by_overlap[0] == 0.0
+        assert evaluate([], [gt("v", 0, 1, 20)]).t_iou[0] == 0.0
 
     def test_partial_recovery(self):
-        by_overlap, _ = average_temporal_iou([det("v", 0, 5, 20, 0.9)], [gt("v", 0, 1, 20)])
-        assert by_overlap[0] == pytest.approx(0.8, abs=1e-9)
+        report = evaluate([det("v", 0, 5, 20, 0.9)], [gt("v", 0, 1, 20)])
+        assert report.t_iou[0] == pytest.approx(0.8, abs=1e-9)
 
     def test_best_by_overlap_vs_best_by_score(self):
         good = det("v", 0, 1, 20, 0.2)
         confident_bad = det("v", 0, 15, 40, 0.9)
-        by_overlap, by_score = average_temporal_iou([good, confident_bad], [gt("v", 0, 1, 20)])
-        assert by_overlap[0] == 1.0
-        assert by_score[0] == pytest.approx(temporal_iou((15, 40), (1, 20)), abs=1e-9)
+        report = evaluate([good, confident_bad], [gt("v", 0, 1, 20)])
+        assert report.t_iou[0] == 1.0
+        assert report.t_iou_by_score[0] == pytest.approx(temporal_iou((15, 40), (1, 20)), abs=1e-9)
 
 
 class TestEvalReport:
@@ -675,7 +671,7 @@ class TestAgainstOracle:
 
         metrics.tube_iou = counting
         try:
-            video_map(tubes, gt_tubes, DEFAULT_TUBE_THRESHOLDS)
+            evaluate(tubes, gt_tubes, tube_thresholds=DEFAULT_TUBE_THRESHOLDS)
         finally:
             metrics.tube_iou = original
         # The annotations are kept as coordinates, so an annotated tube reaches

@@ -25,7 +25,7 @@ from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width, nms_
 from tubestream.linker import LinkerConfig, alpha_from_training_error
 from tubestream.losses import LossWeights
 from tubestream.pipeline import run_decode, run_eval, run_link
-from tubestream.records import RecordError, iter_detection_rows, parse_annotations, parse_tubes, write_rawgrids
+from tubestream.records import RecordError, iter_annotations, iter_detection_rows, parse_tubes, write_rawgrids
 from tubestream.synthetic import ScenarioSpec, TrackSpec
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -808,7 +808,7 @@ class TestSynthOutputContract:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(scenario, fh)
             assert main(["synth", "--scenario", path, "--detections", det, "--annotations", ann]) == 0
-            assert len(parse_annotations(ann)) == len(scenario["tracks"])
+            assert len(list(iter_annotations(ann))) == len(scenario["tracks"])
             n_tubes = run_link(RunConfig(), det, tubes, work)
             assert len(parse_tubes(tubes)) == n_tubes
             run_eval(RunConfig(), tubes, ann, det)

@@ -5,7 +5,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -30,9 +30,9 @@ from tubestream.records import (
     RecordError,
     TubeWriter,
     fnum,
+    iter_annotations,
     iter_detection_frames,
     iter_detection_rows,
-    parse_annotations,
     parse_tubes,
     read_rawgrids,
     write_annotations,
@@ -411,7 +411,7 @@ class TestRowFastPaths:
         header, parse = {
             "det": (DETECTIONS_HEADER, lambda p: list(iter_detection_rows(p))),
             "tubes": ("#tubestream tubes v1", parse_tubes),
-            "ann": ("#tubestream annotations v1", parse_annotations),
+            "ann": ("#tubestream annotations v1", lambda p: list(iter_annotations(p))),
         }[kind]
         path = tmp_path / f"{kind}.txt"
         path.write_text(f"{header}\n{record}\n")
@@ -503,13 +503,13 @@ class TestAnnotations:
         ]
         path = tmp_path / "a.txt"
         write_annotations(str(path), tubes)
-        assert parse_annotations(str(path)) == tubes
+        assert list(iter_annotations(str(path))) == tubes
 
     def test_missing_frame_box_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("#tubestream annotations v1\nv 0 1 3 1,0.1,0.1,0.2,0.2 2,0.1,0.1,0.2,0.2\n")
         with pytest.raises(RecordError, match="covers 3 frames"):
-            parse_annotations(str(path))
+            list(iter_annotations(str(path)))
 
 
 class TestRawGrids:
@@ -561,6 +561,32 @@ class TestRawGrids:
                 tracemalloc.stop()
 
         assert traced_peak(3) <= 1.2 * traced_peak(1)
+
+    @pytest.mark.parametrize("stage", ["reader", "run_decode"])
+    def test_holds_one_grid_at_a_time(self, tmp_path, stage):
+        # Neither the reader nor run_decode keeps a frame's grid alive while the
+        # next line is read: past one frame, the peak grows by less than a
+        # quarter of one grid's values.
+        s, b, c = 13, 5, 24
+        n_values = s * s * b * attr_width(c)
+
+        def traced_peak(n_frames: int) -> int:
+            rng = np.random.default_rng(0)
+            frames = (("v", t, RawGrid(s, b, c, rng.standard_normal(n_values))) for t in range(1, n_frames + 1))
+            path = str(tmp_path / f"g{n_frames}.txt")
+            write_rawgrids(path, AnchorSet(((1.0, 1.0),) * b), frames, (s, b, c))
+            tracemalloc.start()
+            try:
+                if stage == "reader":
+                    deque(read_rawgrids(path)[2], maxlen=0)  # each frame dropped as it comes
+                else:
+                    run_decode(RunConfig(), path, str(tmp_path / "det.txt"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = traced_peak(1)
+        assert traced_peak(4) - one <= n_values * 8 / 4, one
 
     def test_line_reader_holds_no_copy_of_the_text(self, tmp_path):
         # While the caller converts a line's fields, only the fields are alive:
@@ -634,7 +660,7 @@ def read_all(kind: str, path: str):
         return list(iter_detection_rows(path))
     if kind == "grids":
         return list(read_rawgrids(path)[2])
-    return {"tubes": parse_tubes, "ann": parse_annotations}[kind](path)
+    return parse_tubes(path) if kind == "tubes" else list(iter_annotations(path))
 
 
 def frames_of(kind: str, parsed) -> list[int]:
