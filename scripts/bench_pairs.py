@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload with alternating runs.
+
+Usage::
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload {wide,chain,eval} --pairs N [--seconds S] [--seed K]
+
+Runs ``perfbench/run.py --trace 0`` in each checkout by turns, ``N`` pairs of
+one run each; the order flips from pair to pair (parent first, then change
+first), so a drift in host speed falls on both sides alike.  Fails, with exit
+code 1, when a run exits non-zero or reports ``"correct": false``.  Prints,
+per end-to-end metric, the parent's and the change's medians, the parent's
+interquartile range, their ratio (change / parent) and in how many pairs the
+change was better, with each metric's direction read from ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+    """The result JSON that one untraced benchmark run prints last."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: perfbench exited {done.returncode}: {done.stderr.strip()[-500:]}")
+    return read_result(done.stdout, str(checkout))
+
+
+def read_result(stdout: str, source: str) -> dict:
+    """The metric values of a run's last stdout line; raises unless the run was correct."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"{source}: {result['failed']} of {result['attempted']} operations failed")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[tuple]:
+    """Per metric of ``better`` (name -> ``"higher"`` or ``"lower"``), from
+    ``(parent, change)`` pairs of metric dicts: ``(name, parent median, parent
+    interquartile range, change median, change / parent, pairs where the change
+    was better)``.  The ratio is NaN where the parent's median is 0."""
+    rows = []
+    for name, direction in better.items():
+        old = [p[name] for p, _ in pairs]
+        new = [c[name] for _, c in pairs]
+        q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+        old_median, new_median = statistics.median(old), statistics.median(new)
+        ratio = new_median / old_median if old_median else float("nan")
+        wins = sum((c > p) if direction == "higher" else (c < p) for p, c in zip(old, new))
+        rows.append((name, old_median, q3 - q1, new_median, ratio, wins))
+    return rows
+
+
+def format_table(rows: list[tuple], n_pairs: int) -> str:
+    lines = [f"{'metric':<24} {'parent':>12} {'parent IQR':>12} {'change':>12} {'ratio':>7}  better"]
+    for name, old, iqr, new, ratio, wins in rows:
+        lines.append(f"{name:<24} {old:>12.6g} {iqr:>12.4g} {new:>12.6g} {ratio:>7.3f}  {wins}/{n_pairs}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout with the change")
+    parser.add_argument("--workload", required=True, choices=("wide", "chain", "eval"))
+    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+    pairs = []
+    for i in range(args.pairs):
+        order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
+        try:
+            first, second = (run_once(c, args.workload, args.seconds, args.seed) for c in order)
+        except RuntimeError as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
+        pairs.append((first, second) if i % 2 == 0 else (second, first))
+        print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
+    print(format_table(summarize(pairs, better), args.pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from tubestream.decode import nms_frame  # noqa: E402
+from tubestream.decode import nms_indices  # noqa: E402
 from tubestream.linker import LinkerConfig, OnlineLinker  # noqa: E402
 from tubestream.metrics import evaluate  # noqa: E402
 from tubestream.pipeline import write_report_csv  # noqa: E402
@@ -34,6 +34,12 @@ SCORE_THRESHOLD = 1e-3
 NMS_IOU = 0.45
 
 
+def nms_frame(boxes):
+    """The boxes of one frame that threshold + NMS keeps, in ``nms_indices`` order."""
+    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
+    return [boxes[i] for i in nms_indices(*fields, SCORE_THRESHOLD, NMS_IOU)]
+
+
 def load_spec(name: str) -> ScenarioSpec:
     with open(SCENARIOS / name, "r", encoding="utf-8") as fh:
         return ScenarioSpec.from_dict(json.load(fh))
@@ -44,7 +50,7 @@ def mean_tiou(spec: ScenarioSpec, alpha: float) -> float:
     cfg = LinkerConfig(alphas=alpha, **LINK_CFG)
     linker = OnlineLinker(spec.n_classes, cfg, video_id=spec.video_id)
     for t in stream.ordered_frames():
-        linker.step(t, nms_frame(stream.boxes_at(t), SCORE_THRESHOLD, NMS_IOU))
+        linker.step(t, nms_frame(stream.boxes_at(t)))
     tubes = linker.finalize()
     per_class = evaluate(tubes, gt).t_iou
     return sum(per_class.values()) / len(per_class)
@@ -56,7 +62,7 @@ def golden_report(spec: ScenarioSpec, alpha: float, path: Path) -> None:
     cfg = LinkerConfig(alphas=alpha, **LINK_CFG)
     filtered = stream.__class__(video_id=stream.video_id)
     for t in stream.ordered_frames():
-        for box in nms_frame(stream.boxes_at(t), SCORE_THRESHOLD, NMS_IOU):
+        for box in nms_frame(stream.boxes_at(t)):
             filtered.add(t, box)
     tubes, _ = oracle_link(filtered, spec.n_classes, cfg)
     rows = (

@@ -18,8 +18,8 @@ returns the indices it keeps.  Decode passes a threshold mask's (slot, class) pa
 arrays, slots as ids, and returns the survivors as columns for ``DetectionWriter.write_frame``,
 building no object per survivor; ``link`` passes the columns of each frame that
 ``records.iter_detection_frames`` reads, its rows' box ids pointing into the frame's table of
-distinct box texts, and builds a ``CandidateBox`` only for each row kept.  ``nms_frame`` runs
-it on a list of boxes.  Large classes share one mirrored overlap matrix of bitmask rows.
+distinct box texts, and builds a ``CandidateBox`` only for each row kept.  Large classes share
+one mirrored overlap matrix of bitmask rows.
 
 Attribute layout along the last tensor axis, sliced only by ``split_attributes``::
 
@@ -199,7 +199,10 @@ def _greedy(
     kept: list[int] = []
     for i in sorted(indices, key=confidence.__getitem__, reverse=True):
         g = geometry[i]
-        if all(box_iou(g, geometry[k]) <= nms_iou for k in kept):
+        for k in kept:
+            if not box_iou(g, geometry[k]) <= nms_iou:
+                break
+        else:
             kept.append(i)
     return kept
 
@@ -270,10 +273,15 @@ def nms_indices(
         for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
             if score > score_threshold:
                 by_class.setdefault(class_id, []).append(i)
-        boxes = geometry if geometry_ids is None else [geometry[g] for g in geometry_ids]
+        boxes = geometry if geometry_ids is None else None  # row boxes, gathered once a class has two rows
         for class_id in sorted(by_class):
-            group = by_class[class_id]  # a lone candidate is kept without a sort
-            out.extend(_greedy(group, confidence, boxes, nms_iou) if len(group) > 1 else group)
+            group = by_class[class_id]
+            if len(group) > 1:
+                if boxes is None:
+                    boxes = [geometry[g] for g in geometry_ids]
+                out.extend(_greedy(group, confidence, boxes, nms_iou))
+            else:  # a lone candidate is kept without a sort
+                out.extend(group)
         return out
     classes, scores = np.asarray(class_ids), np.asarray(confidence, dtype=np.float64)
     if classes.dtype.kind not in "iu":  # ids beyond 64 bits would turn float: compare them exactly
@@ -297,9 +305,3 @@ def nms_indices(
             out.append(i)
             suppressed |= bits[row]
     return out
-
-
-def nms_frame(boxes: Sequence[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
-    """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
-    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
-    return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]

@@ -4,6 +4,10 @@ Boxes are ``(x_min, y_min, x_max, y_max)`` tuples, frame ranges are inclusive
 ``(start, end)`` integer pairs.  Everything downstream (decoder, linker,
 scorer) shares these two definitions so there is exactly one notion of
 overlap in the codebase; ``box_iou_array`` is ``box_iou`` over arrays.
+``box_area`` and ``box_iou`` spell ``min`` and ``max`` as conditional
+expressions, exactly: ``max(0.0, w)`` is ``w if w > 0.0 else 0.0``, ``min(x, y)``
+is ``y if y < x else x`` and ``max(x, y)`` is ``y if y > x else x``, NaN and -0.0
+included.
 """
 
 from __future__ import annotations
@@ -14,15 +18,19 @@ Box = tuple[float, float, float, float]
 
 
 def box_area(box: Box) -> float:
-    return max(0.0, box[2] - box[0]) * max(0.0, box[3] - box[1])
+    w = box[2] - box[0]
+    h = box[3] - box[1]
+    return (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
 
 
 def box_iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a[2], b[2]) - max(a[0], b[0])
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
     if ix <= 0.0:
         return 0.0
-    iy = min(a[3], b[3]) - max(a[1], b[1])
+    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     if iy <= 0.0:
         return 0.0
     inter = ix * iy

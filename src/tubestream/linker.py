@@ -10,11 +10,12 @@ Every linked box also updates the tube's temporal labels.  Two saturating
 counters track consecutive rate increases (``n_up``) and decreases
 (``n_down``); when either saturates at ``window``, the trailing window of
 frames is relabeled 1 (sustained rise: the action is underway) or 0
-(sustained fall or plateau: it is not).  Otherwise the trailing window is
-labeled 1 when its mean confidence exceeds ``alpha``, the per-class
-trade-off between score-driven and rate-driven labeling: ``alpha = 1``
-disables the score path entirely, ``alpha = 0`` makes any positive score
-sufficient.
+(sustained fall or plateau: it is not); while the counter stays saturated
+a step leaves the window as it is, since the step before labeled it so.
+Otherwise the trailing window is labeled 1 when its mean confidence exceeds
+``alpha``, the per-class trade-off between score-driven and rate-driven
+labeling: ``alpha = 1`` disables the score path entirely, ``alpha = 0``
+makes any positive score sufficient.
 
 Labels are only ever edited inside the trailing ``window`` frames.  Older
 entries are committed out of the mutable window, which is what guarantees
@@ -285,7 +286,10 @@ def temporal_label_step(
     trailing ``window`` frames 1, a saturated ``n_down`` relabels them 0,
     and otherwise a trailing mean confidence above ``alpha`` relabels them 1.
     Only entries with ``frame > new_frame - window`` are touched; near the
-    tube start the window simply clips.
+    tube start the window simply clips.  A counter that was saturated before
+    the step and still is leaves the window as it is: the step before gave it
+    that label already.  So every step of a tube must pass the same ``window``,
+    as the linker does.
     """
     entries = tube.window
     if not entries:
@@ -305,13 +309,20 @@ def temporal_label_step(
     up = tube.n_up
     down = tube.n_down
     if rate > prev.rate:
+        settled = up == window
         up = up + 1 if up + 1 < window else window
         down = down - 1 if down > 1 else 0
     else:
+        settled = down == window
         down = down + 1 if down + 1 < window else window
         up = up - 1 if up > 1 else 0
     tube.n_up = up
     tube.n_down = down
+    if settled:
+        # The counter that saturates now was saturated before: the step before
+        # gave its whole trailing window this label, that window holds every
+        # older entry of this one, and the new entry copied the label.
+        return
 
     # Trailing entries with frame in [frame - window + 1, frame]; the new
     # entry is one of them.

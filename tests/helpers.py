@@ -7,7 +7,7 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
-from tubestream.decode import CandidateBox, nms_boxes
+from tubestream.decode import CandidateBox, nms_boxes, nms_indices
 from tubestream import records
 from tubestream.linker import FRAME_MAX, FRAME_MIN, LinkerConfig, OnlineLinker, SequencingError, TubeEntry, TubeState
 from tubestream.records import ANNOTATIONS_HEADER, DETECTIONS_HEADER, RAWGRID_HEADER, TUBES_HEADER
@@ -28,6 +28,25 @@ def random_box(rng) -> tuple[float, float, float, float]:
         float(min(1.0, cx + w / 2)),
         float(min(1.0, cy + h / 2)),
     )
+
+
+# Box coordinates that test a primitive's edge cases: signed zeros, NaN, both
+# infinities, coordinates that coincide, and any other float.
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.25, 0.5, 1.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def edge_boxes(draw) -> tuple[float, float, float, float]:
+    """A box of any four floats: ±0.0, NaN and ±inf among them, of positive,
+    zero or negative width and height."""
+    x1, y1 = draw(_COORDINATES), draw(_COORDINATES)
+    x2 = x1 if draw(st.booleans()) else draw(_COORDINATES)
+    y2 = y1 if draw(st.booleans()) else draw(_COORDINATES)
+    return (x1, y1, x2, y2)
 
 
 def random_stream(seed: int, max_frames: int = 30, max_boxes: int = 5) -> tuple[DetectionStream, int, LinkerConfig]:
@@ -188,6 +207,12 @@ def chain_frames(n_frames: int, rates, scores=None, box=(0.2, 0.2, 0.6, 0.6), cl
         (t, [CandidateBox(class_id, box, float(scores[t - 1]), float(rates[t - 1]))])
         for t in range(1, n_frames + 1)
     ]
+
+
+def nms_frame(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
+    """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
+    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
+    return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]
 
 
 def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:

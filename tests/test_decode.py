@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import detection_line, per_class_nms, survivor_boxes
+from helpers import detection_line, nms_frame, per_class_nms, survivor_boxes
 from tubestream import decode
 from tubestream.config import RunConfig
 from tubestream.decode import (
@@ -26,7 +26,6 @@ from tubestream.decode import (
     attr_width,
     decode_grid,
     nms_boxes,
-    nms_frame,
     select_candidates,
     split_attributes,
 )

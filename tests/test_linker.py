@@ -3,11 +3,14 @@
 import errno
 import functools
 import gc
+import inspect
 import math
 import operator
 import os
+import random
 import re
 import tempfile
+import textwrap
 import tracemalloc
 import warnings
 import weakref
@@ -15,13 +18,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import AuditedLinker, built_audit, chain_frames, per_class_nms, random_stream
+from helpers import AuditedLinker, built_audit, chain_frames, edge_boxes, per_class_nms, random_stream
 from tubestream import linker as linker_module
 from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
+from tubestream.geometry import box_iou
 from tubestream.linker import (
     FRAME_MIN,
     LinkerConfig,
@@ -35,7 +39,7 @@ from tubestream.linker import (
 )
 from tubestream.pipeline import run_link
 from tubestream.records import RecordError, TubeWriter, iter_detection_rows, write_detections
-from tubestream.synthetic import chain_stream_frames, oracle_link, score_only_link
+from tubestream.synthetic import _label_with_accumulators, chain_stream_frames, oracle_link, score_only_link
 from tubestream.tubes import DetectionStream
 
 
@@ -147,7 +151,120 @@ class TestTemporalLabelStep:
             assert 0 <= tube.n_down <= window
 
 
+def saturating_track(seed: int):
+    """A tube's inputs whose rate counters saturate and stay saturated: rates in
+    long rising, falling and tied runs, frame gaps of 1 to ``2 * window``,
+    ``window`` from 1 to 8 and alpha 0, 0.5 or 1.  Returns ``(window, alpha,
+    frames, scores, rates)``."""
+    rng = np.random.default_rng(seed)
+    window = int(rng.integers(1, 9))
+    alpha = float(rng.choice([0.0, 0.5, 1.0]))
+    rates = [0.5]
+    for _ in range(int(rng.integers(1, 7))):
+        direction = int(rng.integers(-1, 2))
+        for _ in range(int(rng.integers(1, 3 * window + 1))):
+            rates.append(rates[-1] + 0.125 * direction)
+    gaps = rng.integers(1, 2 * window + 1, len(rates) - 1)
+    frames = [1] + (1 + np.cumsum(gaps)).tolist()
+    scores = (rng.integers(0, 5, len(rates)) / 4).tolist()
+    return window, alpha, frames, scores, rates
+
+
+def relabel_mismatches(window, alpha, frames, scores, rates) -> tuple[int, int]:
+    """Drive ``temporal_label_step`` and then ``commit_through(frame - window)``, as
+    ``OnlineLinker.step`` does, beside ``synthetic._label_with_accumulators``.
+    Returns the steps after which some label or counter differs, and the steps
+    at which a counter was saturated before and after."""
+    tube = TubeState(0, frames[0], BOX, scores[0], rates[0])
+    entries = list(tube.window)
+    ref = {"frames": frames[:1], "scores": scores[:1], "rates": rates[:1], "labels": [0], "n_up": 0, "n_down": 0}
+    mismatches = settled = 0
+    for frame, score, rate in zip(frames[1:], scores[1:], rates[1:]):
+        before = (ref["n_up"], ref["n_down"])
+        linker_module.temporal_label_step(tube, frame, BOX, score, rate, alpha, window)
+        entries.append(tube.window[-1])
+        tube.commit_through(frame - window, list)
+        for key, value in (("frames", frame), ("scores", score), ("rates", rate)):
+            ref[key].append(value)
+        _label_with_accumulators(ref, alpha, window)
+        after = (ref["n_up"], ref["n_down"])
+        settled += any(b == a == window for b, a in zip(before, after))
+        mismatches += [e.label for e in entries] != ref["labels"] or (tube.n_up, tube.n_down) != after
+    return mismatches, settled
+
+
+class TestSettledRelabel:
+    """A step whose rate counter was saturated and stays so skips the relabel."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_labels_and_counters_match_the_reference(self, seed):
+        assert relabel_mismatches(*saturating_track(seed))[0] == 0
+
+    def test_tracks_stay_saturated_and_a_skip_on_saturation_alone_is_caught(self, monkeypatch):
+        tracks = [saturating_track(seed) for seed in range(200)]
+        counts = [relabel_mismatches(*track) for track in tracks]
+        assert sum(m for m, _ in counts) == 0 and sum(s for _, s in counts) > 1000
+        # The fault: skip whenever a counter is saturated now, whatever it was before.
+        source = textwrap.dedent(inspect.getsource(temporal_label_step))
+        assert source.count("    if settled:\n") == 1
+        names = dict(vars(linker_module))
+        planted = source.replace("    if settled:\n", "    if up == window or down == window:\n")
+        exec(compile(planted, linker_module.__file__, "exec", dont_inherit=True), names)
+        monkeypatch.setattr(linker_module, "temporal_label_step", names["temporal_label_step"])
+        assert sum(relabel_mismatches(*track)[0] for track in tracks) > 0
+
+    def test_linker_passes_one_window_to_every_step_of_a_tube(self, monkeypatch):
+        # The skip reads the counters against ``window``, so it holds only when a
+        # tube's steps all pass the same one; the linker passes its config's.
+        windows = []
+
+        def recording(tube, frame, box, score, rate, alpha, window):
+            windows.append(window)
+            return temporal_label_step(tube, frame, box, score, rate, alpha, window)
+
+        monkeypatch.setattr(linker_module, "temporal_label_step", recording)
+        steps = 0
+        for seed in range(50):
+            stream, n_classes, config = random_stream(seed)
+            linker = OnlineLinker(n_classes, config)
+            for t in stream.ordered_frames():
+                linker.step(t, stream.boxes_at(t))
+            linker.finalize()
+            assert set(windows) <= {config.window}
+            steps += len(windows)
+            windows.clear()
+        assert steps > 100
+
+
+# Quarter-grid boxes, which overlap, touch and coincide often, at overlaps such as
+# 0.25 and 0.5 that a gate may equal; and edge boxes.
+_QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_GRID_BOXES = [
+    (x1, y1, x2, y2) for x1 in _QUARTERS for x2 in _QUARTERS if x1 < x2 for y1 in _QUARTERS for y2 in _QUARTERS if y1 < y2
+]
+_BOXES = st.one_of(st.sampled_from(_GRID_BOXES), edge_boxes())
+
+
 class TestLinkerStep:
+    @example((0.0, 0.0, 1.0, 1.0), 0.25, [(0.0, 0.0, 0.5, 0.5)], False, random.Random(0))  # overlap == gate
+    @given(
+        _BOXES,
+        st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 0.99)),
+        st.lists(_BOXES, max_size=6),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_best_match_is_the_first_ranked_candidate_over_the_gate(self, last, gate, boxes, with_last, rng):
+        boxes = boxes + [last] * with_last
+        ranking = list(range(len(boxes)))
+        rng.shuffle(ranking)
+        candidates = [CandidateBox(0, box, 0.5, 0.5) for box in boxes]
+        tube = TubeState(0, 1, last, 0.5, 0.5)
+        expected = next((k for k, i in enumerate(ranking) if box_iou(boxes[i], last) > gate), -1)
+        assert OnlineLinker(1, LinkerConfig(iou_gate=gate))._best_match(tube, candidates, ranking) == expected
+
     def test_single_chain_labels_from_second_frame(self):
         rates = [t / 10 for t in range(1, 11)]
         tubes = link(chain_frames(10, rates, scores=[0.05] * 10), LinkerConfig(window=3, alphas=1.0))
@@ -157,8 +274,6 @@ class TestLinkerStep:
         assert [f for f, _ in tube.entries] == list(range(2, 11))
 
     def test_low_iou_box_starts_its_own_tube(self):
-        from tubestream.geometry import box_iou
-
         cfg = LinkerConfig(iou_gate=0.3, window=3, alphas=1.0)
         a = (0.1, 0.1, 0.3, 0.3)
         b = (0.2333, 0.1, 0.4333, 0.3)  # IoU vs a = 0.2 < gate

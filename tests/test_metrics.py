@@ -1,6 +1,7 @@
 """Evaluation stack: overlaps, AP machinery, frame/video mAP, temporal recovery."""
 
 import inspect
+import math
 import random
 import tempfile
 import textwrap
@@ -10,15 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metrics_oracle
-from helpers import random_box
+from helpers import edge_boxes, random_box
 from tubestream import metrics
 from tubestream.config import RunConfig
 from tubestream.decode import CandidateBox
-from tubestream.geometry import box_iou, box_iou_array, temporal_iou
+from tubestream.geometry import box_area, box_iou, box_iou_array, temporal_iou
 from tubestream.metrics import (
     DEFAULT_TUBE_THRESHOLDS,
     VMAP_AVG_BAND,
@@ -52,6 +53,36 @@ DYADIC_BOXES = tuple(
     for y2 in _QUARTERS
     if y1 < y2
 )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def oracle_box_area(box):
+    """``box_area`` as builtin ``max`` calls: the oracle of its conditional expressions."""
+    return max(0.0, box[2] - box[0]) * max(0.0, box[3] - box[1])
+
+
+def oracle_box_iou(a, b):
+    """``box_iou`` as builtin ``min`` and ``max`` calls: the oracle of its conditional expressions."""
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    if ix <= 0.0:
+        return 0.0
+    iy = min(a[3], b[3]) - max(a[1], b[1])
+    if iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = oracle_box_area(a) + oracle_box_area(b) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def same_float(x, y) -> bool:
+    """``x`` and ``y`` are one value: equal with the same sign, or both NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return type(x) is type(y) and x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def gt(video, class_id, t_start, t_end, box=(0.1, 0.1, 0.6, 0.6)):
@@ -107,6 +138,19 @@ class TestOverlaps:
         v = box_iou(box_a, box_b)
         assert v == box_iou(box_b, box_a)
         assert 0.0 <= v <= 1.0
+
+    # The edges that decide between the forms: max(0.0, -0.0) and max(0.0, nan)
+    # are 0.0, min(x, nan) and max(x, nan) are x, min(nan, x) and max(nan, x) are nan.
+    @example((0.0, 0.0, -0.0, 1.0), (-0.0, 0.0, 0.0, 1.0))
+    @example((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, NAN, 1.0))
+    @example((NAN, 0.0, 1.0, 1.0), (0.0, NAN, 1.0, 1.0))
+    @example((0.0, 0.0, INF, 1.0), (-INF, 0.0, 1.0, 1.0))
+    @given(edge_boxes(), edge_boxes())
+    @settings(max_examples=500, deadline=None)
+    def test_box_primitives_are_their_min_max_oracle_bit_for_bit(self, a, b):
+        assert same_float(box_area(a), oracle_box_area(a))
+        assert same_float(box_iou(a, b), oracle_box_iou(a, b))
+        assert same_float(box_iou(b, a), oracle_box_iou(b, a))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

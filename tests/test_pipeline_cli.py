@@ -18,10 +18,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import HEADERS, first_detections_error, hostile_files, valid_records
+from helpers import HEADERS, first_detections_error, hostile_files, nms_frame, valid_records
 from tubestream.cli import build_parser, main
 from tubestream.config import RunConfig, load_config
-from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width, nms_frame
+from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import LinkerConfig, alpha_from_training_error
 from tubestream.losses import LossWeights
 from tubestream.pipeline import run_decode, run_eval, run_link

@@ -15,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GRID_PREAMBLE, HEADERS, detection_line, first_detections_error, hostile_files, valid_records
-from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width, nms_frame
+from helpers import (
+    GRID_PREAMBLE,
+    HEADERS,
+    detection_line,
+    first_detections_error,
+    hostile_files,
+    nms_frame,
+    valid_records,
+)
+from tubestream.decode import AnchorSet, CandidateBox, RawGrid, attr_width
 from tubestream.linker import FRAME_MAX, FRAME_MIN, OnlineLinker, SequencingError
 from tubestream.config import RunConfig
 from tubestream import records

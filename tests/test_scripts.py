@@ -50,3 +50,33 @@ def test_write_golden_report_reproduces_the_committed_csv(tmp_path):
     study = load_study()
     study.golden_report(study.load_spec("mechanism.json"), 1.0, tmp_path / "r.csv")
     assert (tmp_path / "r.csv").read_bytes() == (ROOT / "tests" / "data" / "golden_report.csv").read_bytes()
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    bench = load_bench_pairs()
+    parent = [{"frames_per_s": v, "run_s": 1.0 / v} for v in (100.0, 110.0, 90.0, 105.0)]
+    change = [{"frames_per_s": v, "run_s": 1.0 / v} for v in (120.0, 100.0, 118.0, 121.0)]
+    rows = bench.summarize(list(zip(parent, change)), {"frames_per_s": "higher", "run_s": "lower"})
+    fps, run_s = rows
+    assert fps[0] == "frames_per_s" and fps[1] == 102.5 and fps[3] == 119.0
+    assert fps[2] == pytest.approx(108.75 - 92.5)  # the parent's interquartile range, exclusive method
+    assert fps[4] == pytest.approx(119.0 / 102.5) and fps[5] == 3
+    assert run_s[0] == "run_s" and run_s[5] == 3
+    table = bench.format_table(rows, 4).splitlines()
+    assert len(table) == 3 and table[1].startswith("frames_per_s") and table[1].endswith("3/4")
+
+
+def test_bench_pairs_refuses_a_run_that_is_not_correct():
+    bench = load_bench_pairs()
+    good = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"run_s": {"value": 0.5, "unit": "s"}}}
+    assert bench.read_result("# a comment\n" + json.dumps(good) + "\n", "x") == {"run_s": 0.5}
+    for bad in ({**good, "correct": False}, {**good, "failed": 1}):
+        with pytest.raises(RuntimeError, match="operations failed"):
+            bench.read_result(json.dumps(bad), "x")
