@@ -3,15 +3,18 @@
 
 Usage::
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload {wide,chain,eval} --pairs N [--seconds S] [--seed K]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload {wide,chain,eval} [--pairs N] [--seconds S] [--seed K]
 
 Runs ``perfbench/run.py --trace 0`` in each checkout by turns, ``N`` pairs of
-one run each; the order flips from pair to pair (parent first, then change
-first), so a drift in host speed falls on both sides alike.  Fails, with exit
-code 1, when a run exits non-zero or reports ``"correct": false``.  Prints,
-per end-to-end metric, the parent's and the change's medians, the parent's
-interquartile range, their ratio (change / parent) and in how many pairs the
-change was better, with each metric's direction read from ``BENCHMARK.json``.
+one run each (10 by default); the order flips from pair to pair (parent first,
+then change first), so a drift in host speed falls on both sides alike.
+Prints, per end-to-end metric, the parent's and the change's medians, the
+parent's interquartile range, their ratio (change / parent) and in how many
+pairs the change was better, with each metric's direction and bound read from
+``BENCHMARK.json``.  Fails, with exit code 1, when a run exits non-zero or
+reports ``"correct": false``, or when a metric's change median is worse than
+the parent's by more than its bound, a fraction of the parent's median; it
+names each such metric.
 """
 
 from __future__ import annotations
@@ -61,6 +64,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[tu
     return rows
 
 
+def over_bound(rows: list[tuple], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
+    """The metrics of ``summarize``'s rows whose change median is worse than the
+    parent's by more than ``bounds[name]`` times the parent's median."""
+    worse = []
+    for name, old, _, new, _, _ in rows:
+        loss = old - new if better[name] == "higher" else new - old
+        if loss > bounds[name] * abs(old):
+            worse.append(name)
+    return worse
+
+
 def format_table(rows: list[tuple], n_pairs: int) -> str:
     lines = [f"{'metric':<24} {'parent':>12} {'parent IQR':>12} {'change':>12} {'ratio':>7}  better"]
     for name, old, iqr, new, ratio, wins in rows:
@@ -73,7 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout with the change")
     parser.add_argument("--workload", required=True, choices=("wide", "chain", "eval"))
-    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -81,6 +95,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
 
     pairs = []
     for i in range(args.pairs):
@@ -93,7 +108,12 @@ def main(argv=None) -> int:
         pairs.append((first, second) if i % 2 == 0 else (second, first))
         print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
-    print(format_table(summarize(pairs, better), args.pairs))
+    rows = summarize(pairs, better)
+    print(format_table(rows, args.pairs))
+    worse = over_bound(rows, better, bounds)
+    if worse:
+        print(f"bench_pairs: worse than the parent by more than the bound: {', '.join(worse)}", file=sys.stderr)
+        return 1
     return 0
 
 

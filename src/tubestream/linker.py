@@ -31,8 +31,9 @@ committed entries only a running summary of those labeled 1 and their
 (frame, box) pairs, in a :class:`SpillStore` built at the first of them.
 Every linker's stores hold one 8,000-byte chunk of pairs in memory and
 write whole chunks to an anonymous temp file past that, which keeps memory
-per tube bounded on arbitrarily long streams; trimming reads a store once,
-and only for a tube that is emitted.
+per tube bounded on arbitrarily long streams.  A finished tube commits its
+last window too, so every labeled entry of an emitted tube passes through
+its store, which is read once, and only for a tube that is emitted.
 """
 
 from __future__ import annotations
@@ -361,13 +362,14 @@ class OnlineLinker:
     :meth:`finalize` once the stream ends.  Frame indices may skip (a frame
     with no candidates can be presented as an empty list or simply omitted;
     presenting it lets completions and the keep-best pruning take effect on
-    schedule rather than at the next populated frame).  Finished tubes go to
-    one sink, ``on_tube``, which by default collects them as
-    :class:`FinalTube` objects.  A given ``on_tube`` streams them out
-    instead: the callback receives
+    schedule rather than at the next populated frame).  Finished tubes leave
+    only through one sink, ``on_tube``, and ``step`` returns nothing; by
+    default the sink collects them as :class:`FinalTube` objects for
+    ``finalize`` to return.  A given ``on_tube`` streams them out instead:
+    the callback receives
     ``(video_id, class_id, t_start, t_end, score, n_entries, entries)``
-    where ``entries`` is a single-use iterator of (frame, box) pairs that
-    must be consumed inside the callback.
+    where ``entries``, a single-use iterator over the tube's store, yields
+    all ``n_entries`` (frame, box) pairs and must be consumed inside it.
 
     A step costs time in the live tubes and the frame's boxes, not in the
     stream length: committed entries are only touched when they leave the
@@ -416,9 +418,9 @@ class OnlineLinker:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def step(self, frame: int, boxes: Iterable[CandidateBox]) -> list[FinalTube]:
-        """Process one frame's candidate boxes; returns tubes completed now
-        (empty list when streaming through ``on_tube``).  A frame that is
+    def step(self, frame: int, boxes: Iterable[CandidateBox]) -> None:
+        """Process one frame's candidate boxes; a tube completed now goes to
+        ``on_tube``, and ``step`` returns nothing.  A frame that is
         rejected leaves the linker unchanged.  A step that fails after its
         checks, say on a spill or sink error, leaves the linker failed: every
         later ``step`` or ``finalize`` raises a ``SequencingError`` naming the
@@ -451,7 +453,6 @@ class OnlineLinker:
                     lanes[class_id] = []
                 self._order = sorted((c, self.config.alpha_for(c), lane) for c, lane in lanes.items())
 
-            emitted_before = len(self._results)
             cfg = self.config
             window, max_tubes = cfg.window, cfg.max_tubes
             horizon = frame - window
@@ -508,12 +509,11 @@ class OnlineLinker:
         except BaseException as exc:
             self._closed = f"linker failed at frame {frame}: {type(exc).__name__}: {exc}"
             raise
-        return self._results[emitted_before:]
 
     def finalize(self) -> list[FinalTube]:
-        """Flush every live tube and return all finished tubes of the stream
-        when collecting, or an empty list when streaming through ``on_tube``.
-        A failed linker raises instead, and so does a retry of a failed finalize."""
+        """Flush every live tube and return all finished tubes of the stream, in
+        finishing order, when collecting, or an empty list when streaming through
+        ``on_tube``.  A failed linker raises instead, and so does a retry of a failed finalize."""
         if self._closed is None:
             self._closed = _FINALIZED
             try:
@@ -570,23 +570,11 @@ class OnlineLinker:
             tube.store.discard()
 
     def _emit(self, tube: TubeState) -> None:
-        first, last = tube.first_labeled, tube.last_labeled
-        score_sum, count = tube.labeled_sum, tube.n_labeled
-        for e in tube.window:
-            if e.label:
-                if not count:
-                    first = e.frame
-                last = e.frame
-                score_sum += e.score
-                count += 1
-        if count == 0:
+        tube.commit_through(tube.t_end, self._store_factory)
+        store = tube.store
+        if store is None:
             self._retire(tube, "empty")
             return
-        store = tube.store
-        score = score_sum / count
-        kept = ((e.frame, e.box) for e in tube.window if e.label)
-        if store is not None:
-            kept = chain(store, kept)
-        self._on_tube(self.video_id, tube.class_id, first, last, score, count, kept)
-        if store is not None:
-            store.discard()
+        first, last, n = tube.first_labeled, tube.last_labeled, tube.n_labeled
+        self._on_tube(self.video_id, tube.class_id, first, last, tube.labeled_sum / n, n, iter(store))
+        store.discard()

@@ -6,8 +6,10 @@ frame at a time as columns (``records.iter_detection_frames``, which parses
 each distinct box text of a frame once), groups the frames by video,
 thresholds and NMS-deduplicates each frame per class by passing its box ids
 to ``nms_indices``, steps the rows kept through its video's linker
-(finalized when the video's rows end) and writes finished tubes out as they
-complete.  A tube keeps only its committed labeled (frame, box) pairs, in a
+(finalized when the video's rows end).  The linker's sink is the tubes
+file's :class:`~tubestream.records.TubeWriter`, which writes each tube as
+it completes, straight from its store, and counts them.  A tube keeps only
+its committed labeled (frame, box) pairs, in a
 :class:`~tubestream.linker.SpillStore` that writes them past one
 8,000-byte chunk to an anonymous temp file in ``spool_dir``
 (``--spool-dir``; the system temp directory by default).  Live tubes are
@@ -60,21 +62,13 @@ def run_link(
     The file appears only when every row linked; on a failure the live
     tubes' spill files are closed before the error propagates."""
     SpillStore(spool_dir)  # checks spool_dir before the output is opened
-    count = 0
-
     with records.replaced_on_success(tubes_path) as tmp, records.TubeWriter(tmp) as writer:
-
-        def sink(*tube_fields):
-            nonlocal count
-            writer.write(*tube_fields)
-            count += 1
-
         for video_id, blocks in groupby(records.iter_detection_frames(detections_path), itemgetter(0)):
             linker = OnlineLinker(
                 config=config,
                 video_id=video_id,
                 store_factory=lambda: SpillStore(spool_dir),
-                on_tube=sink,
+                on_tube=writer.write,
             )
             try:
                 for _, frame, class_ids, confidences, rates, box_ids, boxes in blocks:
@@ -87,7 +81,7 @@ def run_link(
                     if tube.store is not None:
                         tube.store.discard()
                 raise
-    return count
+    return writer.tubes_written
 
 
 def run_eval(

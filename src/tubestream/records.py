@@ -299,15 +299,17 @@ def _write_entries(fh: TextIO, entries: Iterable[tuple[int, Box]]) -> None:
 
 
 class TubeWriter(_RecordWriter):
-    """Streaming tube-record writer."""
+    """Streaming tube-record writer; ``tubes_written`` counts the tubes it wrote."""
 
     header = TUBES_HEADER
+    tubes_written = 0
 
     def write(self, video_id, class_id, t_start, t_end, score, count, entries) -> None:
         fh = self._fh
         fh.write(f"{video_id} {class_id} {t_start} {t_end} {fnum(score)} {count}")
         _write_entries(fh, entries)
         fh.write("\n")
+        self.tubes_written += 1
 
     def write_tube(self, tube: FinalTube) -> None:
         self.write(

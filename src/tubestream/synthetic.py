@@ -395,7 +395,7 @@ def score_only_link(
     return results
 
 
-def chain_stream_frames(n_frames: int, video_id: str = "chain"):
+def chain_stream_frames(n_frames: int):
     """Procedural single-class stream for load tests: one confident box per
     frame forming an unbroken chain (slow drift, sawtooth rates), so one tube
     survives the whole stream and its storage gets stressed.  Pure arithmetic,

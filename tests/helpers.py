@@ -142,11 +142,10 @@ class AuditedLinker(OnlineLinker):
         self._entries: dict[int, list[TubeEntry]] = {}
 
     def step(self, frame, boxes):
-        done = super().step(frame, boxes)
+        super().step(frame, boxes)
         for tube in self.live_tubes():
             held = self._entries.setdefault(tube.seq, [])
             held += [e for e in tube.window if not held or e.frame > held[-1].frame]
-        return done
 
     def entries(self, tube: TubeState) -> list[TubeEntry]:
         """Every entry of a live tube, committed ones first."""

@@ -40,7 +40,7 @@ from tubestream.linker import (
 from tubestream.pipeline import run_link
 from tubestream.records import RecordError, TubeWriter, iter_detection_rows, write_detections
 from tubestream.synthetic import _label_with_accumulators, chain_stream_frames, oracle_link, score_only_link
-from tubestream.tubes import DetectionStream
+from tubestream.tubes import DetectionStream, FinalTube
 
 
 class TestAlphaFromTrainingError:
@@ -370,14 +370,15 @@ class TestLinkerStep:
 
     def test_tube_completes_after_window_unlinked_frames(self):
         cfg = LinkerConfig(window=3, alphas=0.0)
-        linker = OnlineLinker(1, cfg)
+        emitted = []
+        linker = OnlineLinker(1, cfg, on_tube=lambda *tube: emitted.append(tube[:4]))
         linker.step(1, [CandidateBox(0, (0.1, 0.1, 0.3, 0.3), 0.9, 0.1)])
         linker.step(2, [CandidateBox(0, (0.1, 0.1, 0.3, 0.3), 0.9, 0.2)])
-        emitted = []
-        for t in range(3, 6):
-            emitted += linker.step(t, [])
-        assert len(emitted) == 1  # completed at frame 5 = 2 + window
-        assert emitted[0].t_start == 1 and emitted[0].t_end == 2
+        for t in range(3, 5):
+            assert linker.step(t, []) is None
+        assert emitted == []
+        linker.step(5, [])
+        assert emitted == [("video", 0, 1, 2)]  # completed at frame 5 = 2 + window
 
     def test_out_of_order_frames_rejected(self):
         linker = OnlineLinker(1)
@@ -448,6 +449,24 @@ class TestLinkerStep:
 
 
 class TestFinalize:
+    def test_collected_tubes_equal_what_a_sink_receives(self):
+        """Collect mode's ``finalize`` returns, in order, the tubes a sink gets from the same stream."""
+        for seed in range(60):
+            stream, n_classes, cfg = random_stream(seed)
+            received = []
+
+            def sink(video_id, class_id, t_start, t_end, score, n_entries, entries):
+                received.append(FinalTube(video_id, class_id, t_start, t_end, score, tuple(entries)))
+                assert len(received[-1].entries) == n_entries
+
+            collecting = OnlineLinker(n_classes, cfg, video_id=stream.video_id)
+            sinking = OnlineLinker(n_classes, cfg, video_id=stream.video_id, on_tube=sink)
+            for t in stream.ordered_frames():
+                collecting.step(t, stream.boxes_at(t))
+                sinking.step(t, stream.boxes_at(t))
+            assert sinking.finalize() == []
+            assert collecting.finalize() == received, f"seed {seed}"
+
     def run_pattern(self, labels_wanted_rates, alpha=1.0, window=3, scores=None):
         frames = chain_frames(len(labels_wanted_rates), labels_wanted_rates, scores=scores)
         return link(frames, LinkerConfig(window=window, alphas=alpha))
@@ -598,6 +617,18 @@ class TestStores:
         assert files == []
 
     def test_store_built_once_per_tube_with_a_labeled_commit(self):
+        """A store is built at a tube's first labeled commit, which comes in a step
+        the tube survives or, for a tube whose labels all lie in its last window,
+        at its emission."""
+        with_store = {}
+
+        class Watched(OnlineLinker):
+            def _emit(self, tube):
+                super()._emit(tube)
+                assert (tube.store is None) == (tube.n_labeled == 0)
+                if tube.store is not None:
+                    assert with_store.setdefault(tube.seq, tube.store) is tube.store
+
         for seed in range(40):
             stream, n_classes, cfg = random_stream(seed, max_frames=40)
             built = []
@@ -606,12 +637,12 @@ class TestStores:
                 built.append(SpillStore())
                 return built[-1]
 
-            linker = OnlineLinker(n_classes, cfg, store_factory=factory)
-            with_store = {}
+            linker = Watched(n_classes, cfg, store_factory=factory)
+            with_store.clear()
             for t in stream.ordered_frames():
                 linker.step(t, stream.boxes_at(t))
-                # A tube commits only in a step it survives, so every tube
-                # that ever commits is seen here.
+                # A tube commits in a step it survives or at its emission, so
+                # every tube that ever commits is seen here or in ``_emit``.
                 for tube in linker.live_tubes():
                     assert (tube.store is None) == (tube.n_labeled == 0), f"seed {seed}"
                     if tube.store is not None:
@@ -642,8 +673,8 @@ class TestStores:
         original_emit = OnlineLinker._emit
 
         def emit(linker, tube):
-            emitted_stores.append(tube.store)
             original_emit(linker, tube)
+            emitted_stores.append(tube.store)
 
         monkeypatch.setattr(OnlineLinker, "_emit", emit)
         for seed in range(40):
@@ -659,12 +690,14 @@ class TestStores:
                 linker.step(t, stream.boxes_at(t))
             linker.finalize()
             # Only a tube with a labeled commit has a store, and such a tube
-            # is emitted or pruned: an emitted one reads its store once, a
-            # pruned one never does.
+            # is emitted or pruned: an emitted one reads its store once, and
+            # every entry it emits comes from that read; a pruned one never
+            # reads its store.
             per_store = {key: n for key, n in reads.items() if key != "entries"}
             assert set(per_store.values()) <= {1}, f"seed {seed}"
             assert set(per_store) == {s for s in emitted_stores if s is not None}, f"seed {seed}"
-            assert len(per_store) <= len(emitted), f"seed {seed}"
+            assert len(per_store) == len(emitted), f"seed {seed}"
+            assert reads["entries"] == sum(emitted), f"seed {seed}"
             reads.clear()
             emitted_stores.clear()
 
@@ -687,7 +720,8 @@ class TestStores:
         linker.finalize()
         window = linker.config.window
         assert len(emitted) == 1 and emitted[0][0] == emitted[0][1] == committed_labeled + window
-        assert reads.pop("entries") == committed_labeled and list(reads.values()) == [1]
+        # The one read yields every entry, the last window's too.
+        assert reads.pop("entries") == committed_labeled + window and list(reads.values()) == [1]
         # One tube past one chunk opens one file, closed once the tube is emitted.
         assert committed_labeled > CHUNK and [d for d, _ in files] == [str(tmp_path)] and files[0][1].closed
 

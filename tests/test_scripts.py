@@ -80,3 +80,28 @@ def test_bench_pairs_refuses_a_run_that_is_not_correct():
     for bad in ({**good, "correct": False}, {**good, "failed": 1}):
         with pytest.raises(RuntimeError, match="operations failed"):
             bench.read_result(json.dumps(bad), "x")
+
+
+def test_bench_pairs_fails_on_a_metric_worse_than_its_bound(monkeypatch, capsys):
+    """Over canned runs, 10 pairs by default, ``main`` exits 1 and names each
+    end-to-end metric whose change median is worse than the parent's by more
+    than its ``BENCHMARK.json`` bound; within every bound it exits 0."""
+    bench = load_bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent = dict.fromkeys(names, 100.0)
+    # frames_per_s is 26% lower and peak_rss_mib 11% higher, past their bounds of
+    # 25% and 10%; run_s is 24% higher, inside its bound of 25%.
+    over = {**parent, "frames_per_s": 74.0, "peak_rss_mib": 111.0, "run_s": 124.0}
+    inside = {**parent, "frames_per_s": 76.0, "peak_rss_mib": 109.0, "run_s": 124.0}
+    for change, code in ((over, 1), (inside, 0)):
+        calls = []
+
+        def run_once(checkout, workload, seconds, seed):
+            calls.append(checkout)
+            return parent if checkout == Path("parent") else change
+
+        monkeypatch.setattr(bench, "run_once", run_once)
+        assert bench.main(["parent", "change", "--workload", "chain"]) == code
+        assert len(calls) == 20
+        err = capsys.readouterr().err
+        assert ("worse than the parent by more than the bound: frames_per_s, peak_rss_mib" in err) == (code == 1)
