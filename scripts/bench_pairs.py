@@ -9,24 +9,28 @@ Runs ``perfbench/run.py --trace 0`` in each checkout by turns, ``N`` pairs of
 one run each (10 by default); the order flips from pair to pair (parent first,
 then change first), so a drift in host speed falls on both sides alike.
 Prints, per end-to-end metric, the parent's and the change's medians, the
-parent's interquartile range, their ratio (change / parent) and in how many
-pairs the change was better, with each metric's direction and bound read from
-``BENCHMARK.json``.  Fails, with exit code 1, when a run exits non-zero or
-reports ``"correct": false``, or when a metric's change median is worse than
-the parent's by more than its bound, a fraction of the parent's median; it
-names each such metric.
+parent's interquartile range, their ratio (change / parent), in how many
+pairs the change was better, and the verdict of ``perfbench/compare.py`` over
+all the parent's and all the change's runs: ``worse``, ``unresolved`` (the
+parent's spread exceeds the bound), ``better`` or ``same``, with each metric's
+direction and bound from ``perfbench/catalog.py``.  Fails, with exit code 1,
+when a run exits non-zero or reports ``"correct": false``, or when a metric
+reads ``worse``; it names each such metric.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from catalog import END_TO_END  # noqa: E402
+from compare import summary, verdict  # noqa: E402
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -47,38 +51,28 @@ def read_result(stdout: str, source: str) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[tuple]:
-    """Per metric of ``better`` (name -> ``"higher"`` or ``"lower"``), from
-    ``(parent, change)`` pairs of metric dicts: ``(name, parent median, parent
-    interquartile range, change median, change / parent, pairs where the change
-    was better)``.  The ratio is NaN where the parent's median is 0."""
+def summarize(pairs: list[tuple[dict, dict]]) -> list[tuple]:
+    """Per end-to-end metric of ``catalog.END_TO_END``, from ``(parent, change)``
+    pairs of metric dicts: ``(name, parent median, parent interquartile range,
+    change median, change / parent, pairs where the change was better,
+    verdict)``.  The ratio is NaN where the parent's median is 0."""
     rows = []
-    for name, direction in better.items():
+    for name, (_, direction, _) in END_TO_END.items():
         old = [p[name] for p, _ in pairs]
         new = [c[name] for _, c in pairs]
-        q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
-        old_median, new_median = statistics.median(old), statistics.median(new)
+        old_median, q1, q3, _ = summary(old)
+        new_median = summary(new)[0]
         ratio = new_median / old_median if old_median else float("nan")
         wins = sum((c > p) if direction == "higher" else (c < p) for p, c in zip(old, new))
-        rows.append((name, old_median, q3 - q1, new_median, ratio, wins))
+        rows.append((name, old_median, q3 - q1, new_median, ratio, wins, verdict(name, old, new)))
     return rows
 
 
-def over_bound(rows: list[tuple], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
-    """The metrics of ``summarize``'s rows whose change median is worse than the
-    parent's by more than ``bounds[name]`` times the parent's median."""
-    worse = []
-    for name, old, _, new, _, _ in rows:
-        loss = old - new if better[name] == "higher" else new - old
-        if loss > bounds[name] * abs(old):
-            worse.append(name)
-    return worse
-
-
 def format_table(rows: list[tuple], n_pairs: int) -> str:
-    lines = [f"{'metric':<24} {'parent':>12} {'parent IQR':>12} {'change':>12} {'ratio':>7}  better"]
-    for name, old, iqr, new, ratio, wins in rows:
-        lines.append(f"{name:<24} {old:>12.6g} {iqr:>12.4g} {new:>12.6g} {ratio:>7.3f}  {wins}/{n_pairs}")
+    lines = [f"{'metric':<24} {'parent':>12} {'parent IQR':>12} {'change':>12} {'ratio':>7}  better  verdict"]
+    for name, old, iqr, new, ratio, wins, outcome in rows:
+        better = f"{wins}/{n_pairs}"
+        lines.append(f"{name:<24} {old:>12.6g} {iqr:>12.4g} {new:>12.6g} {ratio:>7.3f}  {better:<6}  {outcome}")
     return "\n".join(lines)
 
 
@@ -93,10 +87,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
-
     pairs = []
     for i in range(args.pairs):
         order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
@@ -108,9 +98,9 @@ def main(argv=None) -> int:
         pairs.append((first, second) if i % 2 == 0 else (second, first))
         print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
-    rows = summarize(pairs, better)
+    rows = summarize(pairs)
     print(format_table(rows, args.pairs))
-    worse = over_bound(rows, better, bounds)
+    worse = [row[0] for row in rows if row[-1] == "worse"]
     if worse:
         print(f"bench_pairs: worse than the parent by more than the bound: {', '.join(worse)}", file=sys.stderr)
         return 1

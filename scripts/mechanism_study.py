@@ -36,8 +36,9 @@ NMS_IOU = 0.45
 
 def nms_frame(boxes):
     """The boxes of one frame that threshold + NMS keeps, in ``nms_indices`` order."""
-    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
-    return [boxes[i] for i in nms_indices(*fields, SCORE_THRESHOLD, NMS_IOU)]
+    columns = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes]
+    keep = nms_indices(*columns, range(len(boxes)), [bx.geometry for bx in boxes], SCORE_THRESHOLD, NMS_IOU)
+    return [boxes[i] for i in keep]
 
 
 def load_spec(name: str) -> ScenarioSpec:

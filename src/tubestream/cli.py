@@ -9,7 +9,6 @@ from dataclasses import fields
 
 from . import records
 from .config import RunConfig, load_config, read_json
-from .linker import SequencingError
 from .losses import check_gradients, random_check_case
 from .pipeline import run_decode, run_eval, run_link
 from .synthetic import ScenarioSpec, generate
@@ -198,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (records.RecordError, SequencingError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a RecordError or SequencingError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

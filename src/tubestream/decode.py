@@ -252,16 +252,16 @@ def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
 def nms_indices(
     class_ids: Sequence[int],
     confidence: Sequence[float],
-    geometry_ids: Sequence[int] | None,
+    geometry_ids: Sequence[int],
     geometry: Sequence[Box],
     score_threshold: float,
     nms_iou: float,
 ) -> list[int]:
     """Per-class threshold + greedy NMS over one frame's candidates, given as parallel
-    sequences or arrays, candidate ``i``'s box being ``geometry[geometry_ids[i]]`` (``geometry[i]`` if
-    ``geometry_ids`` is None): the indices of what ``nms_boxes`` keeps of each class's candidates
-    above ``score_threshold``, classes in ascending order.  If some class has more than ``SMALL_NMS``
-    candidates, their distinct boxes meet once, in one overlap matrix of bitmask rows.  Boxes must be finite."""
+    sequences or arrays, candidate ``i``'s box being ``geometry[geometry_ids[i]]``: the indices of
+    what ``nms_boxes`` keeps of each class's candidates above ``score_threshold``, classes in
+    ascending order.  If some class has more than ``SMALL_NMS`` candidates, their distinct boxes
+    meet once, in one overlap matrix of bitmask rows.  Boxes must be finite."""
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
@@ -273,7 +273,7 @@ def nms_indices(
         for i, (class_id, score) in enumerate(zip(class_ids, confidence)):
             if score > score_threshold:
                 by_class.setdefault(class_id, []).append(i)
-        boxes = geometry if geometry_ids is None else None  # row boxes, gathered once a class has two rows
+        boxes = None  # row boxes, gathered once a class has two rows
         for class_id in sorted(by_class):
             group = by_class[class_id]
             if len(group) > 1:
@@ -288,7 +288,7 @@ def nms_indices(
         classes = np.asarray(class_ids, dtype=object)
     passing = np.flatnonzero(scores > score_threshold)
     order = passing[np.lexsort((-scores[passing], classes[passing]))]  # stable: ties keep input order
-    ids = order if geometry_ids is None else np.asarray(geometry_ids)[order]
+    ids = np.asarray(geometry_ids)[order]
     used = np.zeros(len(geometry), dtype=bool)
     used[ids] = True
     row_of = np.empty(len(geometry), dtype=np.intp)  # geometry id -> matrix row

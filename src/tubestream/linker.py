@@ -21,7 +21,7 @@ Labels are only ever edited inside the trailing ``window`` frames.  Older
 entries are committed out of the mutable window, which is what guarantees
 the online contract: the label of a frame more than ``window`` frames
 behind the stream head never changes, and nothing ever depends on future
-frames.
+frames.  A live tube's window always ends in its last linked frame and box.
 
 At stream end each tube is trimmed to the frames labeled 1: the emitted
 tube covers the tightest interval around them, carries only those frames'
@@ -199,25 +199,24 @@ class SpillStore:
 class TubeState:
     """A live tube: a summary of its committed entries, the mutable trailing window, counters.
 
-    ``first_labeled``, ``last_labeled``, ``labeled_sum`` and ``n_labeled``
-    summarize the committed entries labeled 1, in commit order, and ``store``
-    holds their (frame, box) pairs; it is ``None`` until the first of them.
-    Committed labels never change, so the summary stays exact.
+    The window's last entry is the tube's last linked frame and box, kept while
+    the tube lives; an emitted tube's window is empty.  ``first_labeled``,
+    ``last_labeled``, ``labeled_sum`` and ``n_labeled`` summarize the committed
+    entries labeled 1, in commit order, and ``store`` holds their (frame, box)
+    pairs; it is ``None`` until the first of them.  Committed labels never
+    change, so the summary stays exact.
     """
 
     __slots__ = (
         "class_id",
         "seq",
         "t_start",
-        "t_end",
         "store",
         "window",
         "n_up",
         "n_down",
         "score_sum",
         "n_linked",
-        "last_geometry",
-        "last_area",
         "first_labeled",
         "last_labeled",
         "labeled_sum",
@@ -236,15 +235,12 @@ class TubeState:
         self.class_id = class_id
         self.seq = seq
         self.t_start = frame
-        self.t_end = frame
         self.store: SpillStore | None = None
         self.window: list[TubeEntry] = [TubeEntry(frame, box, score, rate, 0)]
         self.n_up = 0
         self.n_down = 0
         self.score_sum = score
         self.n_linked = 1
-        self.last_geometry = box
-        self.last_area = box_area(box)
         self.first_labeled = 0
         self.last_labeled = 0
         self.labeled_sum = 0.0
@@ -302,9 +298,6 @@ def temporal_label_step(
     entries.append(TubeEntry(frame, box, score, rate, prev.label))
     tube.score_sum += score
     tube.n_linked += 1
-    tube.t_end = frame
-    tube.last_geometry = box
-    tube.last_area = box_area(box)
 
     # Saturating counters: min(window, n + 1) and max(0, n - 1), without the calls.
     up = tube.n_up
@@ -479,14 +472,14 @@ class OnlineLinker:
                         if k >= 0:
                             cand = group[ranking.pop(k)]
                             temporal_label_step(tb, frame, cand.geometry, cand.confidence, cand.rate, alpha, window)
-                        elif tb.t_end <= horizon:
+                        elif tb.window[-1].frame <= horizon:
                             self._emit(tb)
                             completed = True
                             continue
                         if tb.window[0].frame <= horizon:
                             tb.commit_through(horizon, new_store)
                     if completed:
-                        lane[:] = [tb for tb in lane if tb.t_end > horizon]
+                        lane[:] = [tb for tb in lane if tb.window]
                 if not ranking:
                     continue
                 # Drop the ranking's tail at or below the floor: the unmatched boxes left are fresh.
@@ -545,11 +538,11 @@ class OnlineLinker:
     def _best_match(self, tube: TubeState, candidates: list[CandidateBox], ranking: list[int]) -> int:
         """Position in ``ranking`` (indices into ``candidates`` by decreasing confidence,
         ties in input order) of the first candidate whose ``box_iou`` with the tube's last
-        box exceeds the gate, or -1: the most confident such one, the earliest of equals.
-        The overlap is ``box_iou``'s operations in its order, the tube's area cached."""
+        box, its window's last entry, exceeds the gate, or -1: the most confident such one,
+        the earliest of equals.  The overlap is ``box_iou``'s operations in its order."""
         gate = self.config.iou_gate
-        bx1, by1, bx2, by2 = tube.last_geometry
-        b_area = tube.last_area
+        bx1, by1, bx2, by2 = last = tube.window[-1].box
+        b_area = box_area(last)
         for k, i in enumerate(ranking):
             ax1, ay1, ax2, ay2 = candidates[i].geometry
             ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
@@ -570,7 +563,7 @@ class OnlineLinker:
             tube.store.discard()
 
     def _emit(self, tube: TubeState) -> None:
-        tube.commit_through(tube.t_end, self._store_factory)
+        tube.commit_through(tube.window[-1].frame, self._store_factory)
         store = tube.store
         if store is None:
             self._retire(tube, "empty")

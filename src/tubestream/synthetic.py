@@ -93,6 +93,13 @@ class ScenarioSpec:
 
     def __post_init__(self):
         check_settings(self)
+        for key in ("in_score", "context_score", "distractor_score"):
+            if not isinstance(pair := getattr(self, key), (tuple, list)) or len(pair) != 2 or pair[0] > pair[1]:
+                raise ValueError(f"{key} must be a (low, high) pair, got {pair!r}")
+        if not isinstance(self.periodic, (tuple, list)) or not all(isinstance(p, bool) for p in self.periodic):
+            raise ValueError(f"periodic must be a list of booleans, got {self.periodic!r}")
+        if not isinstance(self.video_id, str):
+            raise ValueError(f"video_id must be a string, got {self.video_id!r}")
         if not self.video_id or " " in self.video_id or not (self.video_id.isascii() and self.video_id.isprintable()):
             raise ValueError(f"video_id must be printable, without whitespace, and ASCII, got {self.video_id!r}")
         if self.periodic and len(self.periodic) != self.n_classes:

@@ -210,8 +210,9 @@ def chain_frames(n_frames: int, rates, scores=None, box=(0.2, 0.2, 0.6, 0.6), cl
 
 def nms_frame(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:
     """Per-class threshold + greedy NMS of one frame's boxes: the objects ``nms_indices`` keeps, in its order."""
-    fields = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes], None, [bx.geometry for bx in boxes]
-    return [boxes[i] for i in nms_indices(*fields, score_threshold, nms_iou)]
+    columns = [bx.class_id for bx in boxes], [bx.confidence for bx in boxes]
+    keep = nms_indices(*columns, range(len(boxes)), [bx.geometry for bx in boxes], score_threshold, nms_iou)
+    return [boxes[i] for i in keep]
 
 
 def per_class_nms(boxes: list[CandidateBox], score_threshold: float, nms_iou: float) -> list[CandidateBox]:

@@ -410,7 +410,7 @@ def _indexed_frame(draw):
 
 class TestNmsIndicesInputs:
     """``nms_indices`` keeps the same indices whether its columns come as lists or
-    as arrays, with geometry ids or without, on the scalar and the matrix path."""
+    as arrays, on the scalar and the matrix path."""
 
     # With 4, a class of 5 or more candidates takes the matrix path; with 0, every non-empty input does.
     @pytest.mark.parametrize("small", [decode.SMALL_NMS, 4, 0])
@@ -423,8 +423,6 @@ class TestNmsIndicesInputs:
         with mock.patch.object(decode, "SMALL_NMS", small):
             want = decode.nms_indices(class_ids, scores, ids, pool, score_threshold, nms_iou)
             assert decode.nms_indices(*arrays, pool, score_threshold, nms_iou) == want
-            assert decode.nms_indices(class_ids, scores, None, boxes, score_threshold, nms_iou) == want
-            assert decode.nms_indices(*arrays[:2], None, boxes, score_threshold, nms_iou) == want
         candidates = [CandidateBox(c, box, p, 0.5) for c, box, p in zip(class_ids, boxes, scores)]
         assert [id(candidates[i]) for i in want] == [id(b) for b in per_class_nms(candidates, score_threshold, nms_iou)]
 

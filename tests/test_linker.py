@@ -351,7 +351,7 @@ class TestLinkerStep:
         linker.step(3, [bad, CandidateBox(0, near, 0.2, 0.5)])
         linker.step(4, [bad])
         assert linker.live_tubes() == (tube,)
-        assert (tube.n_linked, tube.last_geometry) == (2, near)
+        assert (tube.n_linked, tube.window[-1].box) == (2, near)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_equal_confidence_goes_to_the_earlier_box_in_input_order(self, reverse):
@@ -362,7 +362,7 @@ class TestLinkerStep:
         linker.step(1, [CandidateBox(0, BOX, 0.9, 0.5)])
         linker.step(2, [CandidateBox(0, (0.7, 0.7, 0.9, 0.9), 0.6, 0.5)] + pair)
         # The tube takes the first of the tied gated boxes; the other two seed.
-        assert [(tb.t_start, tb.last_geometry) for tb in linker.live_tubes()] == [
+        assert [(tb.t_start, tb.window[-1].box) for tb in linker.live_tubes()] == [
             (1, pair[0].geometry),
             (2, (0.7, 0.7, 0.9, 0.9)),
             (2, pair[1].geometry),
@@ -878,6 +878,19 @@ class TestOnlineContract:
                             else:
                                 committed[key] = entry.label
             linker.finalize()
+
+    def test_live_tube_ends_in_its_newest_entry(self):
+        # The linker reads a live tube's last frame and box from its window's
+        # last entry, so no step may leave a live tube's window empty.
+        for seed in range(30):
+            stream, n_classes, cfg = random_stream(seed)
+            linker = AuditedLinker(n_classes, cfg, video_id=stream.video_id)
+            for t in stream.ordered_frames():
+                linker.step(t, stream.boxes_at(t))
+                for tube in linker.live_tubes():
+                    assert tube.window and tube.window[-1] is linker.entries(tube)[-1], f"seed {seed}"
+            linker.finalize()
+            assert linker.live_tubes() == (), f"seed {seed}"
 
     def test_prefix_run_reproduces_committed_labels(self):
         stream, n_classes, cfg = random_stream(11, max_frames=25)

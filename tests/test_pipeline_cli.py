@@ -625,10 +625,24 @@ class TestSettingsContract:
             (lambda: LossWeights(coord=math.nan), "coord must lie in [0, inf), got nan"),
             (lambda: LossWeights(neg_gate=True), "neg_gate must be a number, got True"),
             (lambda: LossWeights(coord="1"), "coord must be a number, got '1'"),
+            (
+                lambda: ScenarioSpec(n_frames=10, n_classes=1, tracks=(), periodic=("false",)),
+                "periodic must be a list of booleans, got ('false',)",
+            ),
+            (
+                lambda: ScenarioSpec(n_frames=10, n_classes=1, tracks=(), in_score=(0.5,)),
+                "in_score must be a (low, high) pair, got (0.5,)",
+            ),
+            (
+                lambda: ScenarioSpec(n_frames=10, n_classes=1, tracks=(), distractor_score=(0.3, 0.2)),
+                "distractor_score must be a (low, high) pair, got (0.3, 0.2)",
+            ),
+            (lambda: ScenarioSpec(n_frames=10, n_classes=1, tracks=(), video_id=7), "video_id must be a string, got 7"),
         ],
         ids=[
             "scenario-frames", "scenario-seed", "track-class", "track-start", "track-box-3", "track-box-5",
-            "weight-nan", "gate-bool", "weight-str",
+            "weight-nan", "gate-bool", "weight-str", "scenario-periodic-str", "scenario-score-1",
+            "scenario-score-reversed", "scenario-video-int",
         ],
     )
     def test_defect_is_rejected_when_built(self, build, message):

@@ -61,16 +61,30 @@ def load_bench_pairs():
 
 def test_bench_pairs_summary_of_canned_runs():
     bench = load_bench_pairs()
-    parent = [{"frames_per_s": v, "run_s": 1.0 / v} for v in (100.0, 110.0, 90.0, 105.0)]
-    change = [{"frames_per_s": v, "run_s": 1.0 / v} for v in (120.0, 100.0, 118.0, 121.0)]
-    rows = bench.summarize(list(zip(parent, change)), {"frames_per_s": "higher", "run_s": "lower"})
-    fps, run_s = rows
-    assert fps[0] == "frames_per_s" and fps[1] == 102.5 and fps[3] == 119.0
-    assert fps[2] == pytest.approx(108.75 - 92.5)  # the parent's interquartile range, exclusive method
-    assert fps[4] == pytest.approx(119.0 / 102.5) and fps[5] == 3
-    assert run_s[0] == "run_s" and run_s[5] == 3
-    table = bench.format_table(rows, 4).splitlines()
-    assert len(table) == 3 and table[1].startswith("frames_per_s") and table[1].endswith("3/4")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    # setup_s spreads over 67% of its median in the parent's runs, past its bound of 25%.
+    parent = [
+        {**dict.fromkeys(names, 100.0), "frames_per_s": v, "run_s": 1.0 / v, "setup_s": s}
+        for v, s in ((100.0, 1.0), (110.0, 2.0), (90.0, 1.0), (105.0, 2.0))
+    ]
+    change = [
+        {**dict.fromkeys(names, 100.0), "frames_per_s": v, "run_s": 1.0 / v, "setup_s": 1.5}
+        for v in (120.0, 100.0, 118.0, 121.0)
+    ]
+    summary = bench.summarize(list(zip(parent, change)))
+    rows = {row[0]: row[1:] for row in summary}
+    assert list(rows) == names
+    fps, run_s, setup_s = rows["frames_per_s"], rows["run_s"], rows["setup_s"]
+    assert fps[0] == 102.5 and fps[2] == 119.0
+    assert fps[1] == pytest.approx(108.75 - 92.5)  # the parent's interquartile range, exclusive method
+    assert fps[3] == pytest.approx(119.0 / 102.5) and fps[4] == 3
+    # 16.1% faster, past the parent's spread of 15.9%; run_s gains 14.0%, inside its spread of 16.7%.
+    assert fps[5] == "better" and run_s[4] == 3 and run_s[5] == "same"
+    assert setup_s[5] == "unresolved" and rows["peak_rss_mib"][5] == "same"
+    table = bench.format_table(summary, 4).splitlines()
+    assert len(table) == len(names) + 1
+    assert [row.split()[0] for row in table[1:]] == names
+    assert table[names.index("frames_per_s") + 1].split()[-2:] == ["3/4", "better"]
 
 
 def test_bench_pairs_refuses_a_run_that_is_not_correct():
@@ -84,8 +98,9 @@ def test_bench_pairs_refuses_a_run_that_is_not_correct():
 
 def test_bench_pairs_fails_on_a_metric_worse_than_its_bound(monkeypatch, capsys):
     """Over canned runs, 10 pairs by default, ``main`` exits 1 and names each
-    end-to-end metric whose change median is worse than the parent's by more
-    than its ``BENCHMARK.json`` bound; within every bound it exits 0."""
+    end-to-end metric that ``perfbench/compare.py`` reads as worse: its change
+    median is worse than the parent's by more than its bound; within every bound
+    it exits 0."""
     bench = load_bench_pairs()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     parent = dict.fromkeys(names, 100.0)
@@ -105,3 +120,22 @@ def test_bench_pairs_fails_on_a_metric_worse_than_its_bound(monkeypatch, capsys)
         assert len(calls) == 20
         err = capsys.readouterr().err
         assert ("worse than the parent by more than the bound: frames_per_s, peak_rss_mib" in err) == (code == 1)
+
+
+def test_bench_pairs_reports_a_spread_parent_as_unresolved(monkeypatch, capsys):
+    """A metric whose parent runs spread past its bound reads ``unresolved``
+    and does not fail the comparison, however far its median moved."""
+    bench = load_bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    setups = iter([1.0, 2.0] * 10)
+
+    def run_once(checkout, workload, seconds, seed):
+        if checkout == Path("parent"):
+            return {**dict.fromkeys(names, 100.0), "setup_s": next(setups)}
+        return {**dict.fromkeys(names, 100.0), "setup_s": 3.0}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["parent", "change", "--workload", "eval"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    verdicts = {line.split()[0]: line.split()[-1] for line in out[2:]}
+    assert verdicts == {**dict.fromkeys(names, "same"), "setup_s": "unresolved"}
