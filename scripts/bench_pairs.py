@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload with alternating runs.
+"""Compare two checkouts on benchmark workloads with alternating runs.
 
 Usage::
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload {wide,chain,eval} [--pairs N] [--seconds S] [--seed K]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload wide[,chain,eval] [--pairs N] [--seconds S] [--seed K]
 
-Runs ``perfbench/run.py --trace 0`` in each checkout by turns, ``N`` pairs of
-one run each (10 by default); the order flips from pair to pair (parent first,
-then change first), so a drift in host speed falls on both sides alike.
-Prints, per end-to-end metric, the parent's and the change's medians, the
-parent's interquartile range, their ratio (change / parent), in how many
-pairs the change was better, and the verdict of ``perfbench/compare.py`` over
-all the parent's and all the change's runs: ``worse``, ``unresolved`` (the
-parent's spread exceeds the bound), ``better`` or ``same``, with each metric's
+For each workload named, in the order given, runs ``perfbench/run.py --trace 0``
+in each checkout by turns, ``N`` pairs of one run each (10 by default); the
+order flips from pair to pair (parent first, then change first), so a drift in
+host speed falls on both sides alike.  Prints one table per workload, with,
+per end-to-end metric, the parent's and the change's medians, the parent's
+interquartile range, their ratio (change / parent), in how many pairs the
+change was better, and the verdict of ``perfbench/compare.py`` over all the
+parent's and all the change's runs: ``worse``, ``unresolved`` (the parent's
+spread exceeds the bound), ``better`` or ``same``, with each metric's
 direction and bound from ``perfbench/catalog.py``.  Fails, with exit code 1,
-when a run exits non-zero or reports ``"correct": false``, or when a metric
-reads ``worse``; it names each such metric.
+when a run exits non-zero or reports ``"correct": false``, or when a metric of
+any workload reads ``worse``; it names each such workload and metric.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from catalog import END_TO_END  # noqa: E402
+from catalog import END_TO_END, WORKLOADS  # noqa: E402
 from compare import summary, verdict  # noqa: E402
 
 
@@ -76,35 +77,53 @@ def format_table(rows: list[tuple], n_pairs: int) -> str:
     return "\n".join(lines)
 
 
+def run_pairs(args: argparse.Namespace, workload: str) -> list[tuple[dict, dict]]:
+    """``args.pairs`` pairs of ``(parent, change)`` results of one workload, run parent first in even pairs."""
+    pairs = []
+    for i in range(args.pairs):
+        order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
+        first, second = (run_once(c, workload, args.seconds, args.seed) for c in order)
+        pairs.append((first, second) if i % 2 == 0 else (second, first))
+        print(f"# {workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    return pairs
+
+
+def workload_list(text: str) -> list[str]:
+    """``--workload``'s value: distinct workload names, comma-separated."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"expected distinct names among {', '.join(WORKLOADS)}, got {text!r}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout with the change")
-    parser.add_argument("--workload", required=True, choices=("wide", "chain", "eval"))
+    parser.add_argument("--workload", required=True, type=workload_list, help="comma-separated: wide, chain, eval")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    pairs = []
-    for i in range(args.pairs):
-        order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
+    failed = False
+    for n, workload in enumerate(args.workload):
         try:
-            first, second = (run_once(c, args.workload, args.seconds, args.seed) for c in order)
+            pairs = run_pairs(args, workload)
         except RuntimeError as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1
-        pairs.append((first, second) if i % 2 == 0 else (second, first))
-        print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
-    rows = summarize(pairs)
-    print(format_table(rows, args.pairs))
-    worse = [row[0] for row in rows if row[-1] == "worse"]
-    if worse:
-        print(f"bench_pairs: worse than the parent by more than the bound: {', '.join(worse)}", file=sys.stderr)
-        return 1
-    return 0
+        print("\n" * bool(n) + f"workload {workload}, {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
+        rows = summarize(pairs)
+        print(format_table(rows, args.pairs), flush=True)
+        worse = [row[0] for row in rows if row[-1] == "worse"]
+        if worse:
+            failed = True
+            message = f"worse than the parent by more than the bound: {', '.join(worse)}"
+            print(f"bench_pairs: {workload}: {message}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ arrays, slots as ids, and returns the survivors as columns for ``DetectionWriter
 building no object per survivor; ``link`` passes the columns of each frame that
 ``records.iter_detection_frames`` reads, its rows' box ids pointing into the frame's table of
 distinct box texts, and builds a ``CandidateBox`` only for each row kept.  Large classes share
-one mirrored overlap matrix of bitmask rows.
+one mirrored overlap matrix of bitmask rows, computed only where box areas allow an overlap,
+after a ranking by one score sort, stable only when two scores tie, and a stable class sort.
 
 Attribute layout along the last tensor axis, sliced only by ``split_attributes``::
 
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, box_iou
+from .geometry import Box, box_area_array, box_iou
 
 ATTR_X, ATTR_Y, ATTR_W, ATTR_H, ATTR_ACT = range(5)
 
@@ -45,6 +46,8 @@ ATTR_X, ATTR_Y, ATTR_W, ATTR_H, ATTR_ACT = range(5)
 SMALL_NMS = 16
 # Rows of the overlap matrix computed at once, bounding the float temporaries.
 OVERLAP_BLOCK = 64
+# Slack on nms_iou for the overlap matrix's band of area ratios; see ``overlap_matrix``.
+BAND_MARGIN = 1.0 - 1e-12
 # Smallest box width and height a candidate may have.  Records write
 # coordinates with 9 significant digits, which moves a coordinate in [0, 1]
 # by at most 5e-10, so a box at least this wide and high stays
@@ -217,21 +220,27 @@ def nms_boxes(candidates: list[CandidateBox], nms_iou: float) -> list[CandidateB
 
 
 def overlap_matrix(geometry: np.ndarray, nms_iou: float) -> np.ndarray:
-    """``over[i, j]`` is ``box_iou(geometry[i], geometry[j]) > nms_iou``, with
-    ``box_iou``'s arithmetic, for an (n, 4) array of finite boxes.  Each operation of
-    ``box_iou`` commutes, so row blocks are computed from the diagonal rightwards and mirrored,
-    each into the same contiguous buffers."""
+    """``over[i, j]`` is ``box_iou(geometry[i], geometry[j]) > nms_iou``, with ``box_iou``'s
+    arithmetic, for an (n, 4) array of finite boxes in ascending order of area.  Each operation
+    of ``box_iou`` commutes, so row blocks are computed from the diagonal rightwards and mirrored,
+    each into the same contiguous buffers.  A block stops at the first column whose area exceeds
+    its last row's over ``nms_iou * BAND_MARGIN``: past it, a pair's smaller area is below
+    ``nms_iou * (1 - 1e-12)`` times the larger, and by monotone rounding ``box_iou`` cannot put it
+    above ``nms_iou``.  Its intersection is at most the smaller area, its union at least the larger
+    less 3 ulps, so it is at most the area ratio times 1 + 5 ulps.  A NaN area (an infinite side
+    times a zero one) sorts last, on a box that overlaps nothing."""
     n = len(geometry)
     x1, y1, x2, y2 = geometry.T
-    area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    over = np.empty((n, n), dtype=bool)
+    area = box_area_array(geometry)
+    over = np.zeros((n, n), dtype=bool)
     size = min(n, OVERLAP_BLOCK) * n
     floats, flags = np.empty((4, size)), np.empty((2, size), dtype=bool)
     for lo in range(0, n, OVERLAP_BLOCK):
         hi = min(lo + OVERLAP_BLOCK, n)
-        rows, cols, count = slice(lo, hi), slice(lo, None), (hi - lo) * (n - lo)
-        ix, iy, inter, union = (b[:count].reshape(hi - lo, n - lo) for b in floats)
-        ok, flag = (b[:count].reshape(hi - lo, n - lo) for b in flags)
+        stop = int(np.searchsorted(area, area[hi - 1] / (nms_iou * BAND_MARGIN), side="right"))
+        rows, cols, count = slice(lo, hi), slice(lo, stop), (hi - lo) * (stop - lo)
+        ix, iy, inter, union = (b[:count].reshape(hi - lo, stop - lo) for b in floats)
+        ok, flag = (b[:count].reshape(hi - lo, stop - lo) for b in flags)
         np.minimum(x2[rows, None], x2[cols], out=ix)
         ix -= np.maximum(x1[rows, None], x1[cols], out=inter)
         np.minimum(y2[rows, None], y2[cols], out=iy)
@@ -261,7 +270,9 @@ def nms_indices(
     sequences or arrays, candidate ``i``'s box being ``geometry[geometry_ids[i]]``: the indices of
     what ``nms_boxes`` keeps of each class's candidates above ``score_threshold``, classes in
     ascending order.  If some class has more than ``SMALL_NMS`` candidates, their distinct boxes
-    meet once, in one overlap matrix of bitmask rows.  Boxes must be finite."""
+    meet once, in one ``overlap_matrix`` of bitmask rows, numbered by ascending area.  The ranking
+    is then an unstable sort by descending score, exact when no two passing scores tie (else a
+    stable one), and a stable sort by class, on ``int16`` ids where all fit.  Boxes must be finite."""
     if not 0.0 <= score_threshold < 1.0:
         raise ValueError("score_threshold must lie in [0, 1)")
     if not 0.0 < nms_iou < 1.0:
@@ -287,15 +298,23 @@ def nms_indices(
     if classes.dtype.kind not in "iu":  # ids beyond 64 bits would turn float: compare them exactly
         classes = np.asarray(class_ids, dtype=object)
     passing = np.flatnonzero(scores > score_threshold)
-    order = passing[np.lexsort((-scores[passing], classes[passing]))]  # stable: ties keep input order
+    order = passing[np.argsort(-scores[passing])]  # by descending score, exact unless two tie
+    if (scores[order[1:]] == scores[order[:-1]]).any():  # then ties keep input order
+        order = passing[np.argsort(-scores[passing], kind="stable")]
+    keys = classes[order]  # then by ascending class, stably; numpy radix-sorts int16
+    if keys.dtype.kind in "iu" and -(2**15) <= keys.min(initial=0) and keys.max(initial=0) < 2**15:
+        keys = keys.astype(np.int16)
+    order = order[np.argsort(keys, kind="stable")]
     ids = np.asarray(geometry_ids)[order]
     used = np.zeros(len(geometry), dtype=bool)
     used[ids] = True
     row_of = np.empty(len(geometry), dtype=np.intp)  # geometry id -> matrix row
     index: dict[Box, int] = {}  # a matrix row per distinct value among the used boxes
     row_of[used] = [index.setdefault(geometry[g], len(index)) for g in np.flatnonzero(used).tolist()]
-    rows = row_of[ids].tolist()
-    over = overlap_matrix(np.array(list(index), dtype=np.float64).reshape(-1, 4), nms_iou)
+    distinct = np.array(list(index), dtype=np.float64).reshape(-1, 4)
+    by_area = np.argsort(box_area_array(distinct))  # matrix rows are renumbered by ascending area
+    rows = np.argsort(by_area)[row_of[ids]].tolist()
+    over = overlap_matrix(distinct[by_area], nms_iou)
     bits = [int.from_bytes(row, "little") for row in np.packbits(over, axis=1, bitorder="little")]
     current, suppressed = None, 0
     for i, class_id, row in zip(order.tolist(), classes[order].tolist(), rows):

@@ -3,11 +3,11 @@
 Boxes are ``(x_min, y_min, x_max, y_max)`` tuples, frame ranges are inclusive
 ``(start, end)`` integer pairs.  Everything downstream (decoder, linker,
 scorer) shares these two definitions so there is exactly one notion of
-overlap in the codebase; ``box_iou_array`` is ``box_iou`` over arrays.
-``box_area`` and ``box_iou`` spell ``min`` and ``max`` as conditional
-expressions, exactly: ``max(0.0, w)`` is ``w if w > 0.0 else 0.0``, ``min(x, y)``
-is ``y if y < x else x`` and ``max(x, y)`` is ``y if y > x else x``, NaN and -0.0
-included.
+overlap in the codebase; ``box_iou_array`` and ``box_area_array`` are ``box_iou``
+and ``box_area`` over arrays.  ``box_area`` and ``box_iou`` spell ``min`` and
+``max`` as conditional expressions, exactly: ``max(0.0, w)`` is ``w if w > 0.0
+else 0.0``, ``min(x, y)`` is ``y if y < x else x`` and ``max(x, y)`` is ``y if y
+> x else x``, NaN and -0.0 included.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ def box_iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
-    union = _area(a) + _area(b) - inter
+    union = box_area_array(a) + box_area_array(b) - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), inter / union, 0.0)
 
 
-def _area(boxes: np.ndarray) -> np.ndarray:
+def box_area_array(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, boxes[..., 2] - boxes[..., 0]) * np.maximum(0.0, boxes[..., 3] - boxes[..., 1])
 
 

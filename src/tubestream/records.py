@@ -245,7 +245,11 @@ class _RecordWriter(AbstractContextManager):
 
     def __init__(self, path: str):
         self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(self.header + "\n")
+        try:
+            self._fh.write(self.header + "\n")
+        except BaseException:  # the with block never began, so its exit will not close the file
+            self._fh.close()
+            raise
 
     def close(self) -> None:
         self._fh.close()

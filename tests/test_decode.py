@@ -29,7 +29,7 @@ from tubestream.decode import (
     select_candidates,
     split_attributes,
 )
-from tubestream.geometry import box_iou
+from tubestream.geometry import box_area, box_iou
 from tubestream.pipeline import run_decode, run_eval, run_link
 from tubestream.records import (
     DETECTIONS_HEADER,
@@ -372,10 +372,19 @@ class TestNmsFrameOracle:
         assert [id(b) for b in got] == [id(b) for b in want]
 
     @pytest.mark.parametrize(
-        "class_ids", [(2**63, 2**63 + 1, 0), (2**63, 2**63 + 1), (10**30, 10**30 + 1, 7), (-(2**64), -(2**64) - 1, 0)]
+        "class_ids",
+        [
+            (2**63, 2**63 + 1, 0),
+            (2**63, 2**63 + 1),
+            (10**30, 10**30 + 1, 7),
+            (-(2**64), -(2**64) - 1, 0),
+            (40_000, 2**40, 0),
+            (-1, -2, 3),
+        ],
     )
     def test_class_ids_beyond_64_bits_stay_apart(self, class_ids):
-        # Mixed with small ints, 2**63 and 2**63 + 1 both become the float 2**63.
+        # Mixed with small ints, 2**63 and 2**63 + 1 both become the float 2**63.  Ids
+        # past 16 bits and small negative ones take the two integer class sorts.
         rng = np.random.default_rng(4)
         boxes = []
         for k in range(20 * len(class_ids)):
@@ -383,6 +392,19 @@ class TestNmsFrameOracle:
             score = float(rng.choice([0.3, rng.uniform()]))
             boxes.append(CandidateBox(class_ids[k % len(class_ids)], (x1, y1, x1 + 0.3, y1 + 0.3), score, 0.5))
         got = nms_frame(boxes, 1e-3, 0.45)
+        assert [id(b) for b in got] == [id(b) for b in per_class_nms(boxes, 1e-3, 0.45)]
+
+    def test_every_score_tied_on_the_matrix_path(self):
+        # Each of 300 candidates shares its score with about 100 others, so the ranking
+        # cannot take an unstable sort's order; a single shared score may leave it intact.
+        rng = np.random.default_rng(6)
+        boxes = []
+        for k in range(300):
+            x1, y1 = rng.uniform(0.0, 0.6, 2).tolist()
+            score = float(rng.choice([0.3, 0.5, 0.7]))
+            boxes.append(CandidateBox(k % 3, (x1, y1, x1 + 0.3, y1 + 0.3), score, 0.5))
+        with mock.patch.object(decode, "SMALL_NMS", 0):
+            got = nms_frame(boxes, 1e-3, 0.45)
         assert [id(b) for b in got] == [id(b) for b in per_class_nms(boxes, 1e-3, 0.45)]
 
     def test_run_decode_matches_scalar_decode_and_nms(self, tmp_path, monkeypatch):
@@ -469,15 +491,37 @@ class TestWideShapedNms:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
     def test_overlap_matrix_is_box_iou_pair_by_pair(self, seed, n):
-        # n of the 845 slots: one block short of full, full, one past full, two
-        # blocks and one past, and four full row blocks and a partial one, so the
-        # reused block buffers are used whole, in part and for a last narrow block.
+        # n of the 845 slots, in ascending area as the matrix takes them: one block short
+        # of full, full, one past full, two blocks and one past, and four full row blocks
+        # and a partial one, so the reused block buffers are used whole, in part and for a
+        # last narrow block.  Every pair is checked, the ones the area band skips included.
         assert decode.OVERLAP_BLOCK == 64
-        geometry = decode_grid(*wide_grid(seed)).geometry.reshape(-1, 4)[:n]
-        over = decode.overlap_matrix(geometry, 0.45)
-        boxes = [tuple(g) for g in geometry.tolist()]
+        slots = decode_grid(*wide_grid(seed)).geometry.reshape(-1, 4)[:n].tolist()
+        boxes = sorted(map(tuple, slots), key=box_area)
+        over = decode.overlap_matrix(np.array(boxes), 0.45)
         assert over.tolist() == [[box_iou(a, b) > 0.45 for b in boxes] for a in boxes]
         assert (over == over.T).all() and 0 < over.sum() < over.size
+        if n > 2 * decode.OVERLAP_BLOCK:  # the first block's band stops short of the last column
+            assert box_area(boxes[decode.OVERLAP_BLOCK - 1]) < 0.45 * box_area(boxes[-1])
+
+    @pytest.mark.parametrize("nms_iou", [0.45, 0.7])
+    def test_overlap_matrix_at_the_area_band_edge(self, nms_iou):
+        """Nested boxes sharing a corner and a height, whose IoU is their width ratio, placed
+        at ``nms_iou``, one ulp either side and 1e-12 relative either side, pair by pair
+        against ``box_iou``.  Blocks of one row put each box's own area at its band's edge.
+        Without the margin the band skips pairs that ``box_iou`` rounds above ``nms_iou``."""
+        rng = np.random.default_rng(0)
+        boxes = []
+        for w, h in rng.uniform(0.05, 0.4, (100, 2)).tolist():
+            at = w / nms_iou
+            widths = (at, np.nextafter(at, 0.0), np.nextafter(at, 2.0), at * (1 - 1e-12), at * (1 + 1e-12))
+            boxes += [(0.0, 0.0, w, h)] + [(0.0, 0.0, float(width), h) for width in widths]
+        boxes.sort(key=box_area)
+        want = [[box_iou(a, b) > nms_iou for b in boxes] for a in boxes]
+        with mock.patch.object(decode, "OVERLAP_BLOCK", 1):
+            assert decode.overlap_matrix(np.array(boxes), nms_iou).tolist() == want
+            with mock.patch.object(decode, "BAND_MARGIN", 1.0):
+                assert decode.overlap_matrix(np.array(boxes), nms_iou).tolist() != want
 
 
 @contextmanager

@@ -1,10 +1,14 @@
 """File formats: round trips, validation errors, streaming parse."""
 
+import errno
+import gc
+import io
 import os
 import re
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter, deque
 from itertools import groupby
 from operator import itemgetter
@@ -501,6 +505,36 @@ class TestTubes:
         path.write_text("#tubestream tubes v1\n" + record.format(b="0.1,0.1,0.2,0.2") + "\n")
         with pytest.raises(RecordError, match=f"t.txt:2: .*{message}"):
             parse_tubes(str(path))
+
+
+class TestWriterFaults:
+    @pytest.mark.parametrize("writer", [records.DetectionWriter, records.TubeWriter])
+    def test_failed_header_write_leaves_nothing_open(self, tmp_path, monkeypatch, writer):
+        """A header write that raises ``OSError`` propagates it, and the writer closes its
+        file on the way out: no descriptor stays open while the traceback lives, and no
+        ``ResourceWarning`` follows once it is released."""
+
+        class FullDisk(io.TextIOWrapper):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        opened = []
+
+        def full_disk_open(path, mode, encoding):
+            opened.append(FullDisk(open(path, mode + "b"), encoding=encoding))
+            return opened[-1]
+
+        monkeypatch.setattr(records, "open", full_disk_open, raising=False)
+        fds = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError, match="No space left on device") as raised:
+                writer(str(tmp_path / "out.txt"))
+            assert len(opened) == 1 and opened[0].closed
+            assert len(os.listdir("/proc/self/fd")) == fds
+            del raised, opened
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestAnnotations:

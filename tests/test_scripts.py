@@ -139,3 +139,34 @@ def test_bench_pairs_reports_a_spread_parent_as_unresolved(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     verdicts = {line.split()[0]: line.split()[-1] for line in out[2:]}
     assert verdicts == {**dict.fromkeys(names, "same"), "setup_s": "unresolved"}
+
+
+def test_bench_pairs_prints_a_table_per_workload(monkeypatch, capsys):
+    """``--workload wide,chain,eval`` runs each workload's pairs in the order given and
+    prints one table each; a metric worse on one workload fails the comparison, naming
+    that workload, and the other workloads still run.  Unknown or repeated names are refused."""
+    bench = load_bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent = dict.fromkeys(names, 100.0)
+    calls = []
+
+    def run_once(checkout, workload, seconds, seed):
+        calls.append(workload)
+        # run_s is 30% higher on chain alone, past its bound of 25%.
+        return {**parent, "run_s": 130.0} if (workload, checkout) == ("chain", Path("change")) else parent
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["parent", "change", "--workload", "wide,chain,eval", "--pairs", "2"]) == 1
+    assert calls == ["wide"] * 4 + ["chain"] * 4 + ["eval"] * 4
+    out, err = capsys.readouterr()
+    tables = [table.splitlines() for table in out.rstrip("\n").split("\n\n")]
+    assert [table[0].split(",")[0] for table in tables] == ["workload wide", "workload chain", "workload eval"]
+    verdicts = [{line.split()[0]: line.split()[-1] for line in table[2:]} for table in tables]
+    assert verdicts == [dict.fromkeys(names, "same"), {**dict.fromkeys(names, "same"), "run_s": "worse"}, verdicts[0]]
+    assert [line for line in err.splitlines() if not line.startswith("#")] == [
+        "bench_pairs: chain: worse than the parent by more than the bound: run_s"
+    ]
+    for bad in ("wide,bogus", "wide,wide", ""):
+        with pytest.raises(SystemExit):
+            bench.main(["parent", "change", "--workload", bad])
+    assert "expected distinct names among wide, chain, eval" in capsys.readouterr().err
